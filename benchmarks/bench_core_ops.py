@@ -39,28 +39,10 @@ def test_bench_dacce_event_throughput(benchmark, event_stream):
     assert engine.stats.calls == 6_000
 
 
-def test_bench_dacce_batch_throughput(benchmark, event_stream):
-    """Same stream as test_bench_dacce_event_throughput through the
-    compiled fast lane (``process_batch`` over compact records)."""
-    from repro.core.engine import DacceEngine
-    from repro.core.events import compact
-
-    program, events = event_stream
-    records = [compact(event) for event in events]
-
-    def run():
-        engine = DacceEngine(root=program.main)
-        engine.process_batch(records)
-        return engine
-
-    engine = benchmark(run)
-    assert engine.stats.calls == 6_000
-    assert engine.fastpath.hits > 0
-
-
 def test_bench_dacce_columnar_throughput(benchmark, event_stream):
-    """Same stream again through the columnar struct-of-arrays path and
-    the code-generated dispatch kernel (``process_columns``)."""
+    """Same stream as test_bench_dacce_event_throughput through the
+    columnar struct-of-arrays path and the code-generated dispatch
+    kernel (``process_columns``)."""
     from repro.core.columnar import EventColumns
     from repro.core.engine import DacceEngine
     from repro.core.events import compact

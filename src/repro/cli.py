@@ -961,7 +961,7 @@ def cmd_profile_record(args) -> int:
     from .core.samplelog import SampleLog
     from .core.serialize import export_decoding_state
     from .prof import render_overhead, self_overhead_account
-    from .program.trace import run_workload_batched
+    from .program.trace import run_workload_columnar
 
     program = _record_program(args.seed)
     spec = WorkloadSpec(
@@ -976,7 +976,7 @@ def cmd_profile_record(args) -> int:
     engine.install_sample_hook(
         args.sample_every, lambda sample, weight: log.append(sample)
     )
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
 
     log_path = args.prefix + ".log"
     state_path = args.prefix + ".state.json"
@@ -1104,7 +1104,7 @@ def cmd_profile_serve(args) -> int:
     from .core.engine import DacceConfig
     from .obs import RotatingTraceStream, Telemetry
     from .prof import CCTAggregator, ProfileServer, ProfileService, names_from_program
-    from .program.trace import run_workload_batched
+    from .program.trace import run_workload_columnar
 
     from .obs.trace import DEFAULT_ROTATE_BACKUPS, DEFAULT_ROTATE_BYTES
 
@@ -1157,7 +1157,7 @@ def cmd_profile_serve(args) -> int:
     passes = 0
     try:
         while deadline is None or time.time() < deadline:
-            run_workload_batched(
+            run_workload_columnar(
                 program, replace(spec, seed=spec.seed + passes), engine
             )
             passes += 1
@@ -1279,7 +1279,7 @@ def cmd_events_record(args) -> int:
     """
     from .ingest import FileFrameSink, FrameEmitter, HTTPFrameSink, SinkError
     from .ingest import SpoolingSink, StdoutFrameSink, new_run_id
-    from .program.trace import run_workload_batched
+    from .program.trace import run_workload_columnar
 
     run = args.run or new_run_id()
     to_stdout = args.url is None and args.frames == "-"
@@ -1341,7 +1341,7 @@ def cmd_events_record(args) -> int:
         every=args.sample_every,
         names={fn.id: fn.name for fn in program.functions()},
     )
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     emitter.complete()
     try:
         sink.flush()

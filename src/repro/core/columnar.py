@@ -1,12 +1,12 @@
 """Struct-of-arrays event batches for the columnar fast path.
 
-``process_batch`` interprets one Python tuple per event; at steady state
-most of its time goes to tuple allocation and the per-element object
-protocol.  :class:`EventColumns` stores the same compact-event stream as
-six parallel integer columns (``array('q')``/``array('b')``) so the
-engine's code-generated dispatch kernel (:mod:`repro.core.fastpath`) can
-iterate over raw machine integers via ``memoryview``s — no per-event
-allocation on the hit path.
+Interpreting one Python tuple per event spends most of the steady state
+on tuple allocation and the per-element object protocol.
+:class:`EventColumns` stores the compact-event stream as six parallel
+integer columns (``array('q')``/``array('b')``) so the engine's
+code-generated dispatch kernel (:mod:`repro.core.fastpath`), driven by
+``DacceEngine.process_columns``, can iterate over raw machine integers
+via ``memoryview``s — no per-event allocation on the hit path.
 
 The format is lossless with respect to the compact tuple wire format
 (:mod:`repro.core.events`).  Column layout per opcode:
@@ -51,7 +51,7 @@ from .events import (
     CompactEvent,
 )
 
-#: The trimmed column views handed to the dispatch kernel:
+#: The trimmed column views the dispatch kernel iterates:
 #: ``(op, thread, callsite, caller, callee, kind)``.
 ColumnViews = Tuple[
     "memoryview", "memoryview", "memoryview", "memoryview", "memoryview", "memoryview"
@@ -198,8 +198,8 @@ class EventColumns:
     def record(self, i: int) -> CompactEvent:
         """Materialise the single compact tuple at index ``i``.
 
-        This is the deoptimisation primitive: the dispatch kernel exits
-        with an index, and only that one event pays tuple allocation on
+        This is the deoptimisation primitive: the dispatch kernel hands
+        over an index, and only that one event pays tuple allocation on
         its way to the general path.
         """
         if not 0 <= i < self._n:

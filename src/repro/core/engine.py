@@ -77,8 +77,6 @@ from .encoder import EdgeOrderPolicy, Encoder, frequency_order, insertion_order
 from .errors import DacceError, ReencodeError, TraceError
 from .decoder import DecodeCache, Decoder
 from .events import (
-    EV_CALL,
-    EV_RETURN,
     CallEvent,
     CallKind,
     CallSiteId,
@@ -96,9 +94,9 @@ from .events import (
 from .columnar import EventColumns
 from .faults import FaultKind, FaultLog, FaultPolicy, FaultRecord, RecoveryAction
 from .fastpath import (
-    KERNEL_DEOPT,
     KERNEL_DONE,
     KERNEL_SAMPLE,
+    KERNEL_TRIGGER,
     ColumnarKernel,
     FastPathStats,
     FastPathTable,
@@ -411,8 +409,8 @@ class DacceEngine:
         # Fast-path specialisation state (docs/PERFORMANCE.md).  The
         # compiled dispatch table is built lazily on the first batch and
         # re-built whenever its (dictionary identity, tail-set size)
-        # pins go stale.  Subclasses that override any handler the batch
-        # loop bypasses (``GlobalIdEngine`` replaces on_call/on_return
+        # pins go stale.  Subclasses that override any handler the kernel
+        # bypasses (``GlobalIdEngine`` replaces on_call/on_return
         # wholesale) are detected here and transparently deoptimised to
         # per-event dispatch — behaviour first, speed second.
         self._fastpath: Optional[FastPathTable] = None
@@ -635,204 +633,11 @@ class DacceEngine:
             )
 
     # ------------------------------------------------------------------
-    # batched fast-path processing
+    # fast-path processing (code-generated columnar dispatch)
     # ------------------------------------------------------------------
     def process_batch(self, records: Iterable[CompactEvent]) -> None:
-        """Process a stream of compact event tuples through the fast lane.
-
-        The steady-state case — a NORMAL call over an edge the current
-        dictionary encodes, and the matching return — is handled by one
-        dict probe plus one integer add against the compiled
-        :class:`~repro.core.fastpath.FastPathTable`, with statistics,
-        window counters, cost charges and telemetry folded into
-        per-batch flushes.  Everything else (unencoded or back edges,
-        indirect/tail/PLT calls, samples, thread events, malformed
-        events under the recover policy) *deoptimises*: the tuple is
-        inflated to its dataclass form and dispatched through
-        :meth:`on_event`, so the general path — including fault
-        quarantine, warm-start accounting and adaptive re-encoding —
-        behaves exactly as in per-event processing.
-
-        Folded counters are flushed before every deoptimisation and
-        before every adaptive trigger check, so anything the general
-        path observes (``stats.calls`` in fault records, window
-        evidence in trigger decisions, re-encoding pass reports) sees
-        the same values as per-event processing.  The differential
-        property suite (``tests/core/test_fastpath_property.py``)
-        asserts byte-identical end states.
-        """
-        if not self._fastpath_enabled:
-            # Subclass overrides a bypassed handler: per-event dispatch.
-            on_event = self.on_event
-            for record in records:
-                on_event(inflate(record))
-            return
-
-        table = self._ensure_fastpath()
-        entries = table.entries
-        stats = self.stats
-        cost = self.cost
-        threads = self._threads
-        interval = self.config.adaptive.check_interval
-        obs = self._obs
-        m_calls_normal = self._m_calls[CallKind.NORMAL] if obs else None
-        m_returns = self._m_returns if obs else None
-        warm = self._warm
-        action_id = _Action.ID
-        action_none = _Action.NONE
-        prof = self._prof
-        # The sampling countdown runs in a loop register; the hook
-        # attribute is only synchronised at flush boundaries (fire,
-        # deopt, trigger, batch end) so the hot loop stays free of
-        # attribute writes.
-        pcount = prof.countdown if prof is not None else 0
-        self.fastpath.batches += 1
-
-        # Folded per-batch counters; flushed through ``flush`` below.
-        pending_calls = 0
-        pending_returns = 0
-        pending_id_updates = 0
-        pending_tcstack = 0
-        hits = 0
-        misses = 0
-
-        def flush() -> None:
-            # The charges are exact under folding: the cost parameters
-            # involved (baseline 150.0, id_update 1.5, tcstack 5.0) are
-            # dyadic rationals, so ``n`` separate float adds and one
-            # ``n *`` multiply produce bit-identical sums.
-            nonlocal pending_calls, pending_returns
-            nonlocal pending_id_updates, pending_tcstack
-            if pending_calls:
-                stats.calls += pending_calls
-                self._window.calls += pending_calls
-                cost.charge_call_baseline(pending_calls)
-                if m_calls_normal is not None:
-                    m_calls_normal.inc(pending_calls)
-                pending_calls = 0
-            if pending_returns:
-                stats.returns += pending_returns
-                if m_returns is not None:
-                    m_returns.inc(pending_returns)
-                pending_returns = 0
-            if pending_id_updates:
-                cost.charge_id_update(pending_id_updates)
-                pending_id_updates = 0
-            if pending_tcstack:
-                cost.charge_tcstack(pending_tcstack)
-                pending_tcstack = 0
-
-        try:
-            for record in records:
-                op = record[0]
-                if op == EV_CALL:
-                    if record[5] == 0:  # CallKind.NORMAL
-                        entry = entries.get((record[2], record[4]))
-                        if entry is not None:
-                            state = threads.get(record[1])
-                            if (
-                                state is not None
-                                and state.frames[-1].function == record[3]
-                            ):
-                                delta, edge, tail_callee = entry
-                                if not edge.invocations and warm and edge.seeded:
-                                    # First hit on a seeded edge: the
-                                    # handler call cold-start DACCE
-                                    # would have paid (PR 3 stat).
-                                    stats.warmstart_handler_hits_avoided += 1
-                                edge.invocations += 1
-                                restore_id = state.id_value
-                                if delta:
-                                    state.id_value = restore_id + delta
-                                    pending_id_updates += 1
-                                    action = action_id
-                                else:
-                                    action = action_none
-                                if tail_callee:
-                                    pending_tcstack += 1
-                                state.frames.append(
-                                    _Frame(
-                                        function=record[4],
-                                        callsite=record[2],
-                                        restore_id=restore_id,
-                                        cc_state=state.ccstack.saved_state(),
-                                        action=action,
-                                    )
-                                )
-                                pending_calls += 1
-                                hits += 1
-                                if prof is not None:
-                                    pcount -= 1
-                                    if pcount <= 0:
-                                        # Flush first: the callback may
-                                        # read engine statistics, which
-                                        # must match per-event state.
-                                        pcount = prof.every
-                                        prof.countdown = pcount
-                                        flush()
-                                        self._fire_profile_sample(
-                                            prof, record[1]
-                                        )
-                                        pcount = prof.countdown
-                                continue
-                elif op == EV_RETURN:
-                    state = threads.get(record[1])
-                    if state is not None:
-                        frames = state.frames
-                        if len(frames) > 1:
-                            frame = frames[-1]
-                            action = frame.action
-                            if (
-                                action is action_none or action is action_id
-                            ) and not frame.chain:
-                                frames.pop()
-                                if action is action_id:
-                                    pending_id_updates += 1
-                                state.id_value = frame.restore_id
-                                pending_returns += 1
-                                hits += 1
-                                # The general path evaluates adaptive
-                                # triggers after every return; with the
-                                # window flushed this fires at exactly
-                                # the same event positions.
-                                if self._window.calls + pending_calls >= interval:
-                                    flush()
-                                    if prof is not None:
-                                        prof.countdown = pcount
-                                    self._maybe_check_triggers()
-                                    if prof is not None:
-                                        pcount = prof.countdown
-                                    if not table.valid_for(
-                                        self._current,
-                                        len(self._tail_calling_functions),
-                                    ):
-                                        table = self._ensure_fastpath()
-                                        entries = table.entries
-                                continue
-
-                # Deoptimise: flush folded state, take the general path,
-                # then revalidate the table (the event may have
-                # re-encoded, discovered a tail caller, or rolled back).
-                misses += 1
-                flush()
-                if prof is not None:
-                    # The general path decrements the hook's own
-                    # countdown; keep the register coherent across it.
-                    prof.countdown = pcount
-                self.on_event(inflate(record))
-                if prof is not None:
-                    pcount = prof.countdown
-                if not table.valid_for(
-                    self._current, len(self._tail_calling_functions)
-                ):
-                    table = self._ensure_fastpath()
-                    entries = table.entries
-        finally:
-            flush()
-            if prof is not None:
-                prof.countdown = pcount
-            self.fastpath.hits += hits
-            self.fastpath.misses += misses
+        """Process compact event tuples: columnise, then :meth:`process_columns`."""
+        self.process_columns(EventColumns.from_compact(records))
 
     def _ensure_fastpath(self) -> FastPathTable:
         """The compiled dispatch table for the current engine state."""
@@ -847,34 +652,37 @@ class DacceEngine:
             self.fastpath.compiles += 1
         return table
 
-    # ------------------------------------------------------------------
-    # columnar fast-path processing (code-generated dispatch)
-    # ------------------------------------------------------------------
     def process_columns(self, cols: EventColumns) -> None:
         """Process a struct-of-arrays batch through a generated kernel.
 
-        Equivalent to :meth:`process_batch` over ``cols.to_compact()``
-        — same statistics, cost charges, sample positions, adaptive
-        trigger points and fault behaviour (the differential property
-        suite pins byte-identical end states) — but the steady state
-        runs inside a dispatch function ``exec``-ed per encoding epoch
+        The steady state — a NORMAL call over an edge the current
+        dictionary encodes, and the matching return — runs inside a
+        dispatch function ``exec``-ed per encoding epoch
         (:func:`repro.core.fastpath.compile_columnar_kernel`), whose
         inner loop iterates raw integer columns with one dict probe and
-        one integer add per hot event.  Any event the kernel cannot
-        prove cheap exits the kernel, materialises that single compact
-        tuple (``cols.record(i)``) and takes the existing general path;
-        processing then re-enters the kernel at the next index.
+        one integer add per hot event, with statistics, window counters,
+        cost charges and telemetry folded into per-run flushes.
 
-        Deopt storms (cold-start discovery, adversarial streams) would
-        pay a kernel re-entry — view slicing, prologue, counter flush —
-        per miss.  When a deopt arrives after a short hit run the
-        driver assumes it is in such a storm and routes a fixed window
-        of events through :meth:`process_batch` (whose inline probe
-        costs a fraction of a kernel re-entry per event) before
-        re-arming the kernel; ``process_batch`` is itself proven
-        equivalent to per-event dispatch, so the end state is
-        unchanged (only batch/hit telemetry differs, which the
-        differential suite explicitly excludes).
+        Everything else (unencoded or back edges, indirect/tail/PLT
+        calls, samples, thread events, malformed events under the
+        recover policy) *deoptimises* without leaving the kernel: it
+        calls this batch's ``deopt`` closure, which flushes the folded
+        counters, materialises that single compact tuple
+        (``cols.record(i)``) and dispatches it through :meth:`on_event`,
+        so the general path — fault quarantine, warm-start accounting,
+        adaptive re-encoding — behaves exactly as in per-event
+        processing.  The kernel exits only when the batch is done, a
+        sample fires, the adaptive window fills or a general-path event
+        made it stale; every run resumes the same iterator over the
+        column views.
+
+        Folded counters are flushed before every deoptimisation and
+        every adaptive trigger check, so anything the general path
+        observes (``stats.calls`` in fault records, window evidence in
+        trigger decisions, re-encoding pass reports) sees the same
+        values as per-event processing.  The differential property suite
+        (``tests/core/test_fastpath_property.py``) asserts byte-identical
+        end states.
         """
         if not self._fastpath_enabled:
             # Subclass overrides a bypassed handler: per-event dispatch.
@@ -882,24 +690,60 @@ class DacceEngine:
             for record in cols.iter_compact():
                 on_event(inflate(record))
             return
-        n = len(cols)
-        if not n:
+        if not len(cols):
             return
         fp = self.fastpath
         fp.batches += 1
-        kernel = self._ensure_columnar_kernel()
+        flush = self._flush_fastpath_counters
+        on_event = self.on_event
+        record = cols.record
+        tail_set = self._tail_calling_functions
+
+        # Set at the top of each kernel run: the table and sampling shape
+        # the kernel was compiled against, which ``deopt`` compares with
+        # the engine's state after each general-path event.
+        table: FastPathTable
+        profiled: bool
+
+        def deopt(
+            i: int,
+            calls: int,
+            returns: int,
+            id_updates: int,
+            tcstack: int,
+            hits: int,
+            pcount: int,
+        ) -> Tuple[int, int, bool]:
+            if hits:
+                fp.hits += hits
+                flush(calls, returns, id_updates, tcstack)
+            fp.misses += 1
+            prof = self._prof
+            if prof is not None:
+                # The general path decrements the hook's own countdown;
+                # keep the kernel's register coherent across it.
+                prof.countdown = pcount
+            on_event(inflate(record(i)))
+            prof = self._prof
+            return (
+                self._window.calls,
+                prof.countdown if prof is not None else 0,
+                self._current is not table.dictionary
+                or len(tail_set) != table.tail_set_size
+                or (prof is not None) is not profiled,
+            )
+
         views = cols.views()
-        start = 0
-        # Storm heuristic: a deopt after fewer than STORM_RUN fast-path
-        # events triggers STORM_WINDOW general-path events.
-        storm_run = 8
-        storm_window = 64
+        events = zip(*views)
+        i = -1
         try:
-            while start < n:
-                entered_at = start
+            while True:
+                kernel = self._ensure_columnar_kernel()
+                table = self._ensure_fastpath()
                 prof = self._prof
+                profiled = prof is not None
                 (
-                    start,
+                    i,
                     reason,
                     thread,
                     calls,
@@ -909,20 +753,20 @@ class DacceEngine:
                     hits,
                     pcount,
                 ) = kernel(
-                    views,
-                    start,
+                    events,
+                    i,
                     self._threads,
                     prof.countdown if prof is not None else 0,
                     self._window.calls,
+                    deopt,
                 )
-                # Flush the folded counters before any general-path
-                # work, exactly as ``process_batch`` does: everything
-                # the general path (or a sample callback) observes must
-                # match per-event state.
+                # Flush the folded counters before any general-path work:
+                # everything a sample callback or a trigger check
+                # observes must match per-event state.
                 fp.hits += hits
-                self._flush_fastpath_counters(
-                    calls, returns, id_updates, tcstack
-                )
+                flush(calls, returns, id_updates, tcstack)
+                # A sample callback run by a deopt may have swapped hooks.
+                prof = self._prof
                 if prof is not None:
                     prof.countdown = pcount
                 if reason == KERNEL_DONE:
@@ -931,32 +775,8 @@ class DacceEngine:
                     if prof is not None:
                         prof.countdown = prof.every
                         self._fire_profile_sample(prof, thread)
-                elif reason == KERNEL_DEOPT:
-                    fp.misses += 1
-                    self.on_event(inflate(cols.record(start)))
-                    start += 1
-                    if start - entered_at <= storm_run:
-                        stop = min(n, start + storm_window)
-                        record = cols.record
-                        if self.spans.enabled:
-                            with self.spans.span(
-                                "engine.deopt_storm",
-                                stage="engine",
-                                events=stop - start,
-                                at=start,
-                            ):
-                                self.process_batch(
-                                    [record(i) for i in range(start, stop)]
-                                )
-                        else:
-                            self.process_batch(
-                                [record(i) for i in range(start, stop)]
-                            )
-                        start = stop
-                    kernel = self._ensure_columnar_kernel()
-                else:  # KERNEL_TRIGGER: adaptive window filled
+                elif reason == KERNEL_TRIGGER:
                     self._maybe_check_triggers()
-                    kernel = self._ensure_columnar_kernel()
         finally:
             for view in views:
                 view.release()
@@ -966,9 +786,10 @@ class DacceEngine:
     ) -> None:
         """Fold per-run kernel counters into engine state.
 
-        Mirrors ``process_batch``'s ``flush`` closure; the charges are
-        exact under folding because the cost parameters involved are
-        dyadic rationals (``n`` float adds ≡ one ``n *`` multiply).
+        The charges are exact under folding: the cost parameters
+        involved (baseline 150.0, id_update 1.5, tcstack 5.0) are dyadic
+        rationals, so ``n`` separate float adds and one ``n *`` multiply
+        produce bit-identical sums.
         """
         obs = self._obs
         if calls:
@@ -1007,29 +828,23 @@ class DacceEngine:
             or self._columnar_kernel_table is not table
             or self._columnar_kernel_shape != shape
         ):
-            compile_span = (
-                self.spans.span(
-                    "engine.kernel_compile",
-                    stage="engine",
-                    gts=self._timestamp,
-                    entries=len(table),
-                )
-                if self.spans.enabled
-                else None
-            )
-            kernel = compile_columnar_kernel(
-                table,
+            with self.spans.span(
+                "engine.kernel_compile",
+                stage="engine",
                 gts=self._timestamp,
-                frame_factory=_Frame,
-                action_none=_Action.NONE,
-                action_id=_Action.ID,
-                stats=self.stats,
-                warm=shape[0],
-                profiled=shape[1],
-                interval=shape[2],
-            )
-            if compile_span is not None:
-                compile_span.__exit__(None, None, None)
+                entries=len(table),
+            ):
+                kernel = compile_columnar_kernel(
+                    table,
+                    gts=self._timestamp,
+                    frame_factory=_Frame,
+                    action_none=_Action.NONE,
+                    action_id=_Action.ID,
+                    stats=self.stats,
+                    warm=shape[0],
+                    profiled=shape[1],
+                    interval=shape[2],
+                )
             self._columnar_kernel = kernel
             self._columnar_kernel_table = table
             self._columnar_kernel_shape = shape

@@ -114,8 +114,10 @@ Event = Union[
 # Hot event producers (the trace executor, the Python tracer) emit plain
 # tuples instead of frozen dataclasses: at millions of events per run the
 # dataclass allocation and attribute protocol dominate the engine's fast
-# path.  ``DacceEngine.process_batch`` consumes these tuples directly;
-# ``inflate``/``compact`` convert to and from the dataclass API, which
+# path.  ``EventColumns`` (:mod:`repro.core.columnar`) packs these
+# tuples into the struct-of-arrays batches ``DacceEngine.process_columns``
+# consumes, and the kernel materialises one tuple per general-path
+# event; ``inflate``/``compact`` convert to and from the dataclass API, which
 # remains the compatibility surface (``on_event`` and everything above
 # it is unchanged).
 #

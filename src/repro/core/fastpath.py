@@ -4,9 +4,9 @@ The paper's central trick is that a call over an already-encoded edge
 costs almost nothing — the hottest in-edge gets encoding 0, i.e. *no
 instrumentation at all* (Sections 3-4).  The reproduction mirrors that
 at the interpreter level: :class:`FastPathTable` is a flat dictionary
-compiled from the current decoding dictionary that lets
-``DacceEngine.process_batch`` handle a run of encoded NORMAL calls and
-their returns with one dict probe and one integer add each — no
+compiled from the current decoding dictionary, and the code-generated
+kernel of ``DacceEngine.process_columns`` handles encoded NORMAL calls
+and their returns with one dict probe and one integer add each — no
 dataclass unpacking, no handler/fault/telemetry branches.
 
 The table is a pure *specialisation cache*: every entry restates what
@@ -27,7 +27,7 @@ warm-start seeding (PR 2/PR 3) need no extra hooks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple, cast
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Tuple, cast
 
 from .events import CallKind, CallSiteId, FunctionId
 
@@ -42,7 +42,8 @@ if TYPE_CHECKING:
 #: site is not guaranteed monomorphic (the Python tracer maps dynamic
 #: dispatch onto NORMAL calls), and the encoding is a per-target
 #: property.  The per-thread running-id register lives in the engine's
-#: ``_ThreadState.id_value``, which the batch loop mutates directly.
+#: ``_ThreadState.id_value``; the kernel keeps it in a local and writes
+#: it back whenever it leaves a thread.
 FastPathEntry = Tuple[int, "CallEdge", bool]
 FastPathKey = Tuple[CallSiteId, FunctionId]
 
@@ -86,13 +87,13 @@ class FastPathTable:
     * ``delta`` — the edge's encoding (``id += delta``; 0 for the
       hottest in-edge, matching the paper's zero-instrumentation case),
     * ``edge`` — the live :class:`~repro.core.callgraph.CallEdge`, so
-      the batch loop can bump ``invocations`` (the adaptive policy's
+      the kernel can bump ``invocations`` (the adaptive policy's
       frequency signal) without a graph lookup,
     * ``callee_tail_calls`` — whether the callee is a known tail-caller,
       i.e. the caller-side TcStack save of Figure 7 must be charged.
 
     Seeded edges that have never been invoked are compiled in as well;
-    the batch loop credits ``warmstart_handler_hits_avoided`` on their
+    the kernel credits ``warmstart_handler_hits_avoided`` on their
     first hit exactly as the general path would.
     """
 
@@ -168,50 +169,80 @@ def compile_table(graph, dictionary, tail_calling_functions) -> FastPathTable:
 #
 # Frames for hot calls are *deferred*: the kernel pushes lightweight
 # scratch tuples and only materialises real ``_Frame`` objects when it
-# exits (deopt, sample, trigger, thread switch, end of batch).  This is
-# sound because nothing observes ``state.frames`` between hot events,
-# the ccStack never mutates on the hit path (so one ``saved_state()``
-# per thread-activation is exact for every deferred frame), and a
-# call/return pair wholly inside one kernel run never needs its frame
-# at all.
+# leaves a thread (deopt, thread switch, exit).  This is sound because
+# nothing observes ``state.frames`` between hot events, the ccStack never
+# mutates on the hit path (so one ``saved_state()`` taken when the kernel
+# leaves the thread is exact for every deferred frame), and a call/return
+# pair wholly inside one kernel run never needs its frame at all.
 #
-# Exit protocol: the kernel returns
-# ``(consumed, reason, thread, calls, returns, id_updates, tcstack,
-# hits, countdown)`` after materialising scratch frames and writing the
-# id register back.  ``consumed`` is the index at which processing
-# should resume; ``reason`` is one of the ``KERNEL_*`` codes below.
+# Deopts stay inside the kernel.  On a miss it materialises its scratch
+# frames, writes the id register back and calls the per-batch ``deopt``
+# closure it was handed, which flushes the folded counters, runs the
+# general path on that one event and returns ``(window calls, sample
+# countdown, stale)``; the kernel then re-switches onto the event
+# thread and keeps going.  ``stale`` is true when the general path
+# changed what the kernel was compiled against (the dictionary, the
+# tail-caller set or the sampling shape).
+#
+# Exit protocol: the kernel consumes a shared iterator over the batch's
+# column views and returns ``(i, reason, thread, calls, returns,
+# id_updates, tcstack, hits, countdown)`` after materialising scratch
+# frames and writing the id register back.  ``i`` is the index of the
+# last event consumed (pass it back in to resume); ``reason`` is one of
+# the ``KERNEL_*`` codes below.
 
 #: Exit reasons of a generated kernel run.
 KERNEL_DONE = 0  #: every event consumed
-KERNEL_DEOPT = 1  #: event at ``consumed`` needs the general path
-KERNEL_SAMPLE = 2  #: sampling countdown hit zero after a call
-KERNEL_TRIGGER = 3  #: adaptive window filled after a return
+KERNEL_SAMPLE = 1  #: sampling countdown hit zero after a call
+KERNEL_TRIGGER = 2  #: adaptive window filled after a return
+KERNEL_STALE = 3  #: a general-path event invalidated the kernel
 
-#: ``kernel(views, start, threads, countdown, window_calls)`` →
-#: ``(consumed, reason, thread, calls, returns, id_updates, tcstack,
-#: hits, countdown)``.
+#: ``deopt(i, calls, returns, id_updates, tcstack, hits, countdown)`` →
+#: ``(window_calls, countdown, stale)``.
+DeoptHandler = Callable[[int, int, int, int, int, int, int], Tuple[int, int, bool]]
+
+#: ``kernel(events, i, threads, countdown, window_calls, deopt)`` →
+#: ``(i, reason, thread, calls, returns, id_updates, tcstack, hits,
+#: countdown)``.
 ColumnarKernel = Callable[
-    [Tuple[Any, ...], int, Dict[int, Any], int, int], Tuple[int, ...]
+    [Iterator[Tuple[int, ...]], int, Dict[int, Any], int, int, DeoptHandler],
+    Tuple[int, ...],
 ]
 
-_SWITCH_BLOCK = """\
-{i}ns = threads_get(et)
-{i}if ns is None:
-{i}    reason = 1
-{i}    break
+#: Leave the current thread: materialise deferred frames, write back id.
+_PARK_BLOCK = """\
 {i}if state is not None:
 {i}    if scratch:
+{i}        cc_state = state.ccstack.saved_state()
+{i}        frames_append = frames.append
 {i}        for sf in scratch:
 {i}            frames_append(_frame(sf[0], sf[1], sf[2], cc_state, sf[3]))
 {i}        del scratch[:]
 {i}    state.id_value = cur_id
+{i}    state = None"""
+
+#: Hand event ``i`` to the general path (the thread is already parked).
+_DEOPT_BLOCK = """\
+{i}cur_t = -1
+{i}wcalls, pcount, stale = deopt(
+{i}    i, pend_calls, pend_rets, pend_id, pend_tc, hits, pcount
+{i})
+{i}pend_calls = pend_rets = pend_id = pend_tc = hits = 0
+{i}if stale:
+{i}    reason = 3
+{i}    break"""
+
+_SWITCH_BLOCK = """\
+{park}
+{i}ns = threads_get(et)
+{i}if ns is None:
+{deopt}
+{i}    continue
 {i}cur_t = et
 {i}state = ns
 {i}frames = ns.frames
-{i}frames_append = frames.append
 {i}cur_id = ns.id_value
-{i}top_fn = frames[-1].function
-{i}cc_state = ns.ccstack.saved_state()"""
+{i}top_fn = frames[-1].function"""
 
 _WARM_BLOCK = """\
                     if not edge.invocations and edge.seeded:
@@ -220,19 +251,11 @@ _WARM_BLOCK = """\
 _PROF_BLOCK = """\
                     pcount -= 1
                     if pcount <= 0:
-                        reason = 2
+                        reason = 1
                         break"""
 
 _KERNEL_TEMPLATE = """\
-def {name}(views, start, threads_map, pcount, wcalls):
-    ops, tcol, cscol, crcol, cecol, kcol = views
-    if start:
-        ops = ops[start:]
-        tcol = tcol[start:]
-        cscol = cscol[start:]
-        crcol = crcol[start:]
-        cecol = cecol[start:]
-        kcol = kcol[start:]
+def {name}(events, i, threads_map, pcount, wcalls, deopt):
     threads_get = threads_map.get
     entries_get = _entries_get
     scratch = []
@@ -241,18 +264,15 @@ def {name}(views, start, threads_map, pcount, wcalls):
     cur_t = -1
     state = None
     frames = None
-    frames_append = None
     cur_id = 0
     top_fn = -1
-    cc_state = None
     pend_calls = 0
     pend_rets = 0
     pend_id = 0
     pend_tc = 0
     hits = 0
     reason = 0
-    i = start - 1
-    for op, et, cs, cr, ce, ek in zip(ops, tcol, cscol, crcol, cecol, kcol):
+    for op, et, cs, cr, ce, ek in events:
         i += 1
         if op == 0:
             if ek == 0:
@@ -277,8 +297,6 @@ def {name}(views, start, threads_map, pcount, wcalls):
                     hits += 1
 {prof_block}
                     continue
-            reason = 1
-            break
         elif op == 1:
             if et != cur_t:
 {switch_ret}
@@ -291,7 +309,7 @@ def {name}(views, start, threads_map, pcount, wcalls):
                 hits += 1
                 top_fn = scratch[-1][0] if scratch else frames[-1].function
                 if wcalls + pend_calls >= {interval}:
-                    reason = 3
+                    reason = 2
                     break
                 continue
             if len(frames) > 1:
@@ -306,25 +324,14 @@ def {name}(views, start, threads_map, pcount, wcalls):
                     hits += 1
                     top_fn = frames[-1].function
                     if wcalls + pend_calls >= {interval}:
-                        reason = 3
+                        reason = 2
                         break
                     continue
-            reason = 1
-            break
-        else:
-            reason = 1
-            break
-    if state is not None:
-        if scratch:
-            for sf in scratch:
-                frames_append(_frame(sf[0], sf[1], sf[2], cc_state, sf[3]))
-        state.id_value = cur_id
-    if reason == 1:
-        consumed = i
-    else:
-        consumed = i + 1
+{park_miss}
+{deopt_miss}
+{park_exit}
     return (
-        consumed,
+        i,
         reason,
         cur_t,
         pend_calls,
@@ -335,6 +342,15 @@ def {name}(views, start, threads_map, pcount, wcalls):
         pcount,
     )
 """
+
+
+def _switch_block(indent: int) -> str:
+    i = " " * indent
+    return _SWITCH_BLOCK.format(
+        i=i,
+        park=_PARK_BLOCK.format(i=i),
+        deopt=_DEOPT_BLOCK.format(i=i + "    "),
+    )
 
 
 def compile_columnar_kernel(
@@ -364,10 +380,13 @@ def compile_columnar_kernel(
     source = _KERNEL_TEMPLATE.format(
         name=name,
         interval=interval,
-        switch_call=_SWITCH_BLOCK.format(i=" " * 20),
-        switch_ret=_SWITCH_BLOCK.format(i=" " * 16),
+        switch_call=_switch_block(20),
+        switch_ret=_switch_block(16),
         warm_block=_WARM_BLOCK if warm else "",
         prof_block=_PROF_BLOCK if profiled else "",
+        park_miss=_PARK_BLOCK.format(i=" " * 8),
+        deopt_miss=_DEOPT_BLOCK.format(i=" " * 8),
+        park_exit=_PARK_BLOCK.format(i=" " * 4),
     )
     namespace: Dict[str, Any] = {
         "_entries_get": table.entries.get,

@@ -232,9 +232,9 @@ class TraceExecutor:
     def compact_events(self) -> Iterator[CompactEvent]:
         """Generate the full event stream as compact tuples (single pass).
 
-        This is the fast producer: feed it to
-        ``DacceEngine.process_batch`` (see :func:`run_workload_batched`)
-        to skip per-event dataclass allocation entirely.
+        Skips per-event dataclass allocation; :meth:`column_events`
+        packs this stream into the struct-of-arrays batches
+        ``DacceEngine.process_columns`` consumes.
         """
         spec = self.spec
         threads: Dict[ThreadId, _ExecThread] = {0: self._new_thread(self.program.main)}
@@ -500,31 +500,6 @@ def run_workload(program: Program, spec: WorkloadSpec, engine) -> None:
         engine.on_event(event)
 
 
-def run_workload_batched(
-    program: Program,
-    spec: WorkloadSpec,
-    engine,
-    batch_size: int = 4096,
-) -> None:
-    """Drive ``engine`` over the workload through the batched fast lane.
-
-    Chunks the executor's compact-tuple stream into ``batch_size`` slices
-    for ``engine.process_batch`` — behaviourally identical to
-    :func:`run_workload` (the differential property tests assert it) but
-    without per-event dataclass allocation or dispatch.
-    """
-    executor = TraceExecutor(program, spec)
-    batch: List[CompactEvent] = []
-    append = batch.append
-    for record in executor.compact_events():
-        append(record)
-        if len(batch) >= batch_size:
-            engine.process_batch(batch)
-            batch.clear()
-    if batch:
-        engine.process_batch(batch)
-
-
 def run_workload_columnar(
     program: Program,
     spec: WorkloadSpec,
@@ -533,10 +508,10 @@ def run_workload_columnar(
 ) -> None:
     """Drive ``engine`` over the workload as struct-of-arrays slabs.
 
-    The columnar counterpart of :func:`run_workload_batched`: events
-    flow through ``engine.process_columns`` and its code-generated
-    dispatch kernel.  Behaviourally identical to :func:`run_workload`
-    (the differential property tests assert it); only speed changes.
+    Events flow through ``engine.process_columns`` and its
+    code-generated dispatch kernel, without per-event dataclass
+    allocation.  Behaviourally identical to :func:`run_workload` (the
+    differential property tests assert it); only speed changes.
     """
     executor = TraceExecutor(program, spec)
     for cols in executor.column_events(batch_size):

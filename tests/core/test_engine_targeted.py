@@ -20,7 +20,7 @@ from repro.program.trace import (
     ThreadSpec,
     WorkloadSpec,
     run_workload,
-    run_workload_batched,
+    run_workload_columnar,
 )
 from repro.static import extract_program
 from repro.static.graph import StaticCallGraph, StaticEdge, StaticFunction
@@ -224,7 +224,7 @@ def test_batched_processing_matches_per_event():
     per_event = DacceEngine(targeted=plan)
     run_workload(program, spec, per_event)
     batched = DacceEngine(targeted=plan)
-    run_workload_batched(program, spec, batched)
+    run_workload_columnar(program, spec, batched)
     assert len(per_event.samples) == len(batched.samples)
     decoder_a = per_event.decoder()
     decoder_b = batched.decoder()

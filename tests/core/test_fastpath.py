@@ -6,6 +6,8 @@ guard), the :class:`DecodeCache` LRU, and the steady-state hit-rate
 expectation the CI perf-smoke job gates on.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.globalid import GlobalIdEngine
@@ -25,12 +27,14 @@ from repro.core.events import (
     compact,
     inflate,
 )
+from repro.core.columnar import EventColumns
 from repro.core.fastpath import compile_table
+from repro.core.serialize import decoding_state_to_dict
 from repro.program.generator import GeneratorConfig, generate_program
 from repro.program.trace import (
     TraceExecutor,
     WorkloadSpec,
-    run_workload_batched,
+    run_workload_columnar,
 )
 
 
@@ -77,7 +81,7 @@ def _run_engine(calls=4000, **config):
     program = generate_program(GeneratorConfig(seed=9, functions=30, edges=80))
     spec = WorkloadSpec(calls=calls, seed=3, **config)
     engine = DacceEngine()
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     return engine
 
 
@@ -114,12 +118,28 @@ def test_table_validity_is_dictionary_identity():
     )
 
 
-def test_process_batch_recompiles_after_reencode():
-    engine = _run_engine()
-    compiles_before = engine.fastpath.compiles
-    engine.reencode()
-    engine.process_batch([(EV_CALL, 0, 1, engine.graph.root, 1, 0)])
-    assert engine.fastpath.compiles > compiles_before
+def test_process_batch_is_process_columns_over_compact_records():
+    program = generate_program(GeneratorConfig(seed=9, functions=30, edges=80))
+    spec = WorkloadSpec(calls=4000, seed=3, sample_period=50)
+    records = list(TraceExecutor(program, spec).compact_events())
+
+    def observed(engine):
+        return (
+            decoding_state_to_dict(engine),
+            engine.stats,
+            engine.samples,
+            dataclasses.asdict(engine.cost.report),
+            engine.stats_snapshot(),
+        )
+
+    batched = DacceEngine()
+    columnar = DacceEngine()
+    for start in range(0, len(records), 1000):
+        part = records[start : start + 1000]
+        batched.process_batch(part)
+        columnar.process_columns(EventColumns.from_compact(part))
+    assert batched.stats.reencodings > 0
+    assert observed(batched) == observed(columnar)
 
 
 # ----------------------------------------------------------------------
@@ -163,10 +183,10 @@ def test_steady_state_hit_rate_above_90_percent():
     )
     engine = DacceEngine()
     # Warm up: discover and encode every edge, then measure a second run.
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     engine.reencode()
     engine.fastpath.hits = engine.fastpath.misses = 0
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     assert engine.fastpath.hit_rate > 0.90, engine.fastpath_stats()
 
 
@@ -200,7 +220,7 @@ def test_engine_decoder_shares_cache_across_samples():
     program = generate_program(GeneratorConfig(seed=9, functions=30, edges=80))
     spec = WorkloadSpec(calls=4000, seed=3, sample_period=50)
     engine = DacceEngine()
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     decoder = engine.decoder()
     uncached = [decoder._decode_uncached(s, True, True) for s in engine.samples]
     first = [decoder.decode(s) for s in engine.samples]
@@ -215,8 +235,6 @@ def test_engine_decoder_shares_cache_across_samples():
 # columnar dispatch (PR 9)
 # ----------------------------------------------------------------------
 def test_process_columns_empty_batch_is_noop():
-    from repro.core.columnar import EventColumns
-
     engine = DacceEngine()
     engine.process_columns(EventColumns())
     assert engine.stats.calls == 0
@@ -224,8 +242,6 @@ def test_process_columns_empty_batch_is_noop():
 
 
 def test_process_columns_fallback_without_fastpath():
-    from repro.core.columnar import EventColumns
-
     engine = GlobalIdEngine()
     assert not engine._fastpath_enabled
     events = [CallEvent(0, 1, engine.graph.root, 1), ReturnEvent(0)]
@@ -237,8 +253,6 @@ def test_process_columns_fallback_without_fastpath():
 
 def test_process_columns_releases_views():
     """The batch is appendable again after processing (views released)."""
-    from repro.core.columnar import EventColumns
-
     engine = _run_engine()
     cols = EventColumns()
     cols.push_call(0, 1, engine.graph.root, 1)
@@ -250,8 +264,6 @@ def test_process_columns_releases_views():
 
 
 def test_process_columns_recompiles_after_reencode():
-    from repro.core.columnar import EventColumns
-
     engine = _run_engine()
     compiles_before = engine.fastpath.compiles
     engine.reencode()

@@ -1,14 +1,17 @@
 """Differential property tests: the fast lane changes speed, not behaviour.
 
-The contract of ``DacceEngine.process_batch`` — and of the columnar
-``process_columns`` path with its code-generated dispatch kernel — is
-*exact* equivalence with one-event-at-a-time dispatch: byte-identical
-decoding state, identical collected samples, identical
-statistics/metrics/cost accounting — across re-encoding (mid-batch and
-mid-stream), warm-start seeding, and fault-policy recovery.
-Hypothesis drives random programs, workloads, batch sizes and
-corruptions through all three paths and compares everything
-observable.
+The contract of ``DacceEngine.process_columns`` and its code-generated
+dispatch kernel is *exact* equivalence with one-event-at-a-time
+dispatch: byte-identical decoding state, identical collected samples,
+identical statistics/metrics/cost accounting — across re-encoding
+(mid-batch and mid-stream), warm-start seeding, and fault-policy
+recovery.  ``process_batch`` is ``process_columns`` over
+``EventColumns.from_compact``, so the suite has two arms: columns and
+per-event.  Hypothesis drives random programs, workloads, batch sizes,
+adaptive check intervals and corruptions through both and compares
+everything observable.  Dense recursion (affinity 0.9) and a 16-call
+check interval make re-encodings fire from general-path events handled
+inside the kernel, which exercises its stale-table exit.
 
 The same discipline is applied to the decode side:
 ``decode_log_parallel`` must reproduce sequential ``decode_log`` output
@@ -21,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
+from repro.core.adaptive import AdaptiveConfig
 from repro.core.columnar import EventColumns
 from repro.core.engine import DacceConfig, DacceEngine
 from repro.core.events import EV_CALL, EV_RETURN, inflate
@@ -66,17 +70,9 @@ def _drive_per_event(engine, records, reencode_at=None):
         engine.on_event(inflate(record))
 
 
-def _drive_batched(engine, records, batch_size, reencode_at=None):
-    cut = len(records) if reencode_at is None else reencode_at
-    for index, part in enumerate((records[:cut], records[cut:])):
-        if index == 1 and reencode_at is not None:
-            engine.reencode()
-        for start in range(0, len(part), batch_size):
-            engine.process_batch(part[start : start + batch_size])
-
-
 def _drive_columnar(engine, records, batch_size, reencode_at=None):
-    """Same shape as ``_drive_batched`` but through ``process_columns``."""
+    """Feed ``records`` in ``batch_size`` column slabs, optionally forcing
+    a re-encoding pass between the slabs before and after ``reencode_at``."""
     cut = len(records) if reencode_at is None else reencode_at
     for index, part in enumerate((records[:cut], records[cut:])):
         if index == 1 and reencode_at is not None:
@@ -104,9 +100,15 @@ def _observable(engine):
     }
 
 
-def _assert_equivalent(per_event, batched):
+def _config(check_interval, **kwargs):
+    return DacceConfig(
+        adaptive=AdaptiveConfig(check_interval=check_interval), **kwargs
+    )
+
+
+def _assert_equivalent(per_event, columnar):
     observed_a = _observable(per_event)
-    observed_b = _observable(batched)
+    observed_b = _observable(columnar)
     for key in observed_a:
         assert observed_a[key] == observed_b[key], "diverged in %r" % key
 
@@ -119,25 +121,23 @@ def _assert_equivalent(per_event, batched):
     workload_seed=st.integers(0, 50),
     calls=st.integers(200, 1500),
     threads=st.integers(0, 2),
-    affinity=st.sampled_from([0.0, 0.3, 0.6]),
+    affinity=st.sampled_from([0.0, 0.3, 0.6, 0.9]),
+    check_interval=st.sampled_from([16, 512]),
     batch_size=st.sampled_from([1, 7, 64, 4096]),
     reencode_frac=st.one_of(st.none(), st.floats(0.1, 0.9)),
 )
 @settings(max_examples=25, deadline=None)
 def test_process_batch_equals_per_event(
-    program_seed, workload_seed, calls, threads, affinity, batch_size,
-    reencode_frac,
+    program_seed, workload_seed, calls, threads, affinity, check_interval,
+    batch_size, reencode_frac,
 ):
     _, records = _stream(program_seed, workload_seed, calls, threads, affinity)
     reencode_at = (
         None if reencode_frac is None else int(len(records) * reencode_frac)
     )
-    per_event = DacceEngine()
+    per_event = DacceEngine(config=_config(check_interval))
     _drive_per_event(per_event, records, reencode_at)
-    batched = DacceEngine()
-    _drive_batched(batched, records, batch_size, reencode_at)
-    _assert_equivalent(per_event, batched)
-    columnar = DacceEngine()
+    columnar = DacceEngine(config=_config(check_interval))
     _drive_columnar(columnar, records, batch_size, reencode_at)
     _assert_equivalent(per_event, columnar)
     # The generated dispatch kernel actually ran (not a silent fallback).
@@ -149,28 +149,29 @@ def test_process_batch_equals_per_event(
     program_seed=st.integers(0, 30),
     workload_seed=st.integers(0, 30),
     calls=st.integers(200, 800),
+    affinity=st.sampled_from([0.3, 0.9]),
+    check_interval=st.sampled_from([16, 512]),
     batch_size=st.sampled_from([1, 32, 4096]),
 )
 @settings(max_examples=15, deadline=None)
 def test_process_batch_equals_per_event_warm_start(
-    program_seed, workload_seed, calls, batch_size
+    program_seed, workload_seed, calls, affinity, check_interval, batch_size
 ):
-    program, records = _stream(program_seed, workload_seed, calls, 0, 0.3)
+    program, records = _stream(program_seed, workload_seed, calls, 0, affinity)
     plan = build_warmstart(extract_program(program))
 
+    # NB: each engine needs its own freshly built plan — a WarmStartPlan
+    # installs CallEdge objects by reference, so sharing one between two
+    # engines would share (and double-consume) edge.invocations.
     def fresh():
-        return DacceEngine(warm_start=build_warmstart(extract_program(program)))
+        return DacceEngine(
+            config=_config(check_interval),
+            warm_start=build_warmstart(extract_program(program)),
+        )
 
     assert plan.seeded_edges > 0
     per_event = fresh()
     _drive_per_event(per_event, records, reencode_at=len(records) // 2)
-    batched = fresh()
-    _drive_batched(batched, records, batch_size, reencode_at=len(records) // 2)
-    assert batched.stats.warmstart_handler_hits_avoided > 0
-    _assert_equivalent(per_event, batched)
-    # NB: each engine needs its own freshly built plan — a WarmStartPlan
-    # installs CallEdge objects by reference, so sharing one between two
-    # engines would share (and double-consume) edge.invocations.
     columnar = fresh()
     _drive_columnar(
         columnar, records, batch_size, reencode_at=len(records) // 2
@@ -206,22 +207,23 @@ def _corrupt(records, seed, rate=0.02):
     workload_seed=st.integers(0, 30),
     corruption_seed=st.integers(0, 100),
     calls=st.integers(200, 800),
+    affinity=st.sampled_from([0.3, 0.9]),
+    check_interval=st.sampled_from([16, 512]),
     batch_size=st.sampled_from([1, 32, 4096]),
 )
 @settings(max_examples=15, deadline=None)
 def test_process_batch_equals_per_event_under_fault_recovery(
-    program_seed, workload_seed, corruption_seed, calls, batch_size
+    program_seed, workload_seed, corruption_seed, calls, affinity,
+    check_interval, batch_size,
 ):
-    _, records = _stream(program_seed, workload_seed, calls, 1, 0.3)
+    _, records = _stream(program_seed, workload_seed, calls, 1, affinity)
     records = _corrupt(records, corruption_seed)
-    config = DacceConfig(fault_policy=FaultPolicy.RECOVER)
-    per_event = DacceEngine(config=config)
+    per_event = DacceEngine(
+        config=_config(check_interval, fault_policy=FaultPolicy.RECOVER)
+    )
     _drive_per_event(per_event, records)
-    batched = DacceEngine(config=DacceConfig(fault_policy=FaultPolicy.RECOVER))
-    _drive_batched(batched, records, batch_size)
-    _assert_equivalent(per_event, batched)
     columnar = DacceEngine(
-        config=DacceConfig(fault_policy=FaultPolicy.RECOVER)
+        config=_config(check_interval, fault_policy=FaultPolicy.RECOVER)
     )
     _drive_columnar(columnar, records, batch_size)
     _assert_equivalent(per_event, columnar)

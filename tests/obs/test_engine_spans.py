@@ -1,4 +1,4 @@
-"""Engine-side spans: reencode passes, kernel compiles, deopt storms."""
+"""Engine-side spans: reencode passes and kernel compiles."""
 
 import pytest
 
@@ -19,7 +19,7 @@ def make_engine(**kwargs):
 
 def discovery_batch(calls=20):
     """Cold-start columns: every call opens a new edge, so the compiled
-    kernel deopts immediately and the storm heuristic must fire."""
+    kernel hands every call to the general path."""
     cols = EventColumns()
     for index in range(calls):
         cols.push_call(0, 100 + index, 0, 10 + index)
@@ -105,14 +105,20 @@ class TestColumnarSpans:
         assert compiles[0]["stage"] == "engine"
         assert compiles[0]["attrs"]["entries"] >= 0
 
-    def test_deopt_storm_span(self):
+    def test_kernel_compile_span_closes_when_codegen_raises(self, monkeypatch):
+        import repro.core.engine as engine_module
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("codegen failed")
+
         engine, spans = make_engine()
-        engine.process_columns(discovery_batch())
-        storms = spans.spans(name="engine.deopt_storm")
-        assert storms, "cold-discovery batch should trip the storm heuristic"
-        assert storms[0]["stage"] == "engine"
-        assert storms[0]["attrs"]["events"] > 0
-        assert engine.fastpath.misses > 0
+        monkeypatch.setattr(engine_module, "compile_columnar_kernel", broken)
+        with pytest.raises(RuntimeError):
+            engine.process_columns(discovery_batch())
+        (record,) = spans.spans(name="engine.kernel_compile")
+        assert record["attrs"]["error"] == "RuntimeError"
+        # Nothing left open to parent later engine spans.
+        assert spans.current() is None
 
     def test_traced_and_untraced_columnar_states_agree(self):
         traced, _ = make_engine()

@@ -18,7 +18,7 @@ from repro.prof import (
     default_names,
 )
 from repro.program.generator import GeneratorConfig, generate_program
-from repro.program.trace import ThreadSpec, WorkloadSpec, run_workload_batched
+from repro.program.trace import ThreadSpec, WorkloadSpec, run_workload_columnar
 
 
 def context(*functions):
@@ -157,7 +157,7 @@ def recorded(tmp_path_factory):
     engine = DacceEngine(root=program.main)
     log = SampleLog()
     engine.install_sample_hook(32, lambda sample, weight: log.append(sample))
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     assert engine.stats.reencodings >= 1, "need >= 2 epochs for merge tests"
     state_path = str(tmp_path_factory.mktemp("prof") / "run.state.json")
     export_decoding_state(engine, state_path)

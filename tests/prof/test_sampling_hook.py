@@ -16,7 +16,7 @@ from repro.program.trace import (
     TraceExecutor,
     ThreadSpec,
     WorkloadSpec,
-    run_workload_batched,
+    run_workload_columnar,
 )
 
 
@@ -42,7 +42,7 @@ def collect_with_hook(every, batched, seed=3, calls=8_000):
         every, lambda sample, weight: collected.append((sample, weight))
     )
     if batched:
-        run_workload_batched(program, spec, engine)
+        run_workload_columnar(program, spec, engine)
     else:
         for event in TraceExecutor(program, spec).events():
             engine.on_event(event)
@@ -107,7 +107,7 @@ def test_hook_charges_sample_category():
 def test_disabled_hook_costs_nothing():
     program, spec = workload()
     engine = DacceEngine(root=program.main)
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     assert engine.stats.profile_samples == 0
     assert dict(engine.cost.report.charges).get("sample", 0.0) == 0.0
 
@@ -122,7 +122,7 @@ def test_weigher_overrides_weight():
         lambda sample, weight: weights.append(weight),
         weigher=lambda: float(next(ticks)),
     )
-    run_workload_batched(program, spec, engine)
+    run_workload_columnar(program, spec, engine)
     assert weights == [float(index + 1) for index in range(len(weights))]
 
 
