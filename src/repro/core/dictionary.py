@@ -92,6 +92,21 @@ class EncodingDictionary:
     def edges(self) -> Iterator[EdgeInfo]:
         return iter(self._edges.values())
 
+    def same_encoding(self, other: "EncodingDictionary") -> bool:
+        """Does ``other`` encode exactly like this one (timestamp aside)?
+
+        Equal edge records mean the same edges with the same back-edge
+        flags and encodings; with equal ``numCC`` and maxID the two
+        dictionaries decode every context identically.
+        """
+        return (
+            self.max_id == other.max_id
+            and self.root == other.root
+            and self.overflow_bits == other.overflow_bits
+            and self._edges == other._edges
+            and self._numcc == other._numcc
+        )
+
     @property
     def num_nodes(self) -> int:
         return len(self._numcc)

@@ -100,6 +100,8 @@ from .fastpath import (
     ColumnarKernel,
     FastPathStats,
     FastPathTable,
+    KernelShape,
+    cached_kernel,
     compile_columnar_kernel,
     compile_table,
 )
@@ -232,6 +234,9 @@ class DacceStats:
     indirect_misses: int = 0
     tail_calls: int = 0
     reencodings: int = 0
+    #: Triggered passes that would have changed nothing and therefore
+    #: committed nothing (no gTimeStamp bump, no dictionary).
+    reencode_noops: int = 0
     reencode_cost_cycles: float = 0.0
     validation_failures: int = 0
     #: ccStack operations caused by edges awaiting their first encoding
@@ -415,20 +420,15 @@ class DacceEngine:
         # per-event dispatch — behaviour first, speed second.
         self._fastpath: Optional[FastPathTable] = None
         self.fastpath = FastPathStats()
-        # Code-generated columnar dispatch kernel (process_columns):
-        # pinned to a table *and* an engine shape — warm-start seeding,
-        # sampling hook presence and the adaptive check interval are
-        # compiled into the generated source, so any of them changing
-        # forces a re-``exec``.
-        self._columnar_kernel: Optional[ColumnarKernel] = None
-        self._columnar_kernel_table: Optional[FastPathTable] = None
-        self._columnar_kernel_shape: Optional[Tuple[bool, bool, int]] = None
         cls = type(self)
         self._fastpath_enabled = (
             cls.on_call is DacceEngine.on_call
             and cls.on_return is DacceEngine.on_return
             and cls._apply_call is DacceEngine._apply_call
             and cls._apply_direct is DacceEngine._apply_direct
+            and cls._push_unencoded is DacceEngine._push_unencoded
+            and cls._would_repeat is DacceEngine._would_repeat
+            and cls._compression_allowed is DacceEngine._compression_allowed
             and cls._maybe_check_triggers is DacceEngine._maybe_check_triggers
         )
         # Shared LRU decode cache: dictionaries are immutable and
@@ -551,6 +551,7 @@ class DacceEngine:
             ("back_edge_calls", stats.back_edge_calls),
             ("tail_calls", stats.tail_calls),
             ("reencodings", stats.reencodings),
+            ("reencode_noops", stats.reencode_noops),
             ("validation_failures", stats.validation_failures),
             ("discovery_ccstack_ops", stats.discovery_ccstack_ops),
             ("static_seeded_edges", stats.static_seeded_edges),
@@ -646,26 +647,39 @@ class DacceEngine:
             self._current, len(self._tail_calling_functions)
         ):
             table = compile_table(
-                self.graph, self._current, self._tail_calling_functions
+                self.graph,
+                self._current,
+                self._tail_calling_functions,
+                self._back_edge_spec,
             )
             self._fastpath = table
             self.fastpath.compiles += 1
         return table
 
+    def _back_edge_spec(self, edge: CallEdge) -> Tuple[List[int], bool]:
+        """What the kernel needs to push over one back edge."""
+        return (
+            self.policy.push_counters(edge.key()),
+            self._compression_allowed(edge),
+        )
+
     def process_columns(self, cols: EventColumns) -> None:
         """Process a struct-of-arrays batch through a generated kernel.
 
         The steady state — a NORMAL call over an edge the current
-        dictionary encodes, and the matching return — runs inside a
-        dispatch function ``exec``-ed per encoding epoch
+        dictionary encodes or over a recursive back edge, and the
+        matching return — runs inside a dispatch function ``exec``-ed
+        once per engine shape and process
         (:func:`repro.core.fastpath.compile_columnar_kernel`), whose
         inner loop iterates raw integer columns with one dict probe and
-        one integer add per hot event, with statistics, window counters,
-        cost charges and telemetry folded into per-run flushes.
+        one integer add per hot event (a ccStack push or pop per
+        back-edge event), with statistics, window counters, cost charges
+        and telemetry folded into per-run flushes.
 
-        Everything else (unencoded or back edges, indirect/tail/PLT
-        calls, samples, thread events, malformed events under the
-        recover policy) *deoptimises* without leaving the kernel: it
+        Everything else (unencoded edges, indirect/tail/PLT calls,
+        tail-chain returns, samples, thread events, malformed events
+        under the recover policy) *deoptimises* without leaving the
+        kernel: it
         calls this batch's ``deopt`` closure, which flushes the folded
         counters, materialises that single compact tuple
         (``cols.record(i)``) and dispatches it through :meth:`on_event`,
@@ -711,12 +725,18 @@ class DacceEngine:
             returns: int,
             id_updates: int,
             tcstack: int,
+            pushes: int,
+            compressions: int,
+            pops: int,
             hits: int,
             pcount: int,
         ) -> Tuple[int, int, bool]:
             if hits:
                 fp.hits += hits
-                flush(calls, returns, id_updates, tcstack)
+                flush(
+                    calls, returns, id_updates, tcstack, pushes, compressions,
+                    pops,
+                )
             fp.misses += 1
             prof = self._prof
             if prof is not None:
@@ -738,8 +758,8 @@ class DacceEngine:
         i = -1
         try:
             while True:
-                kernel = self._ensure_columnar_kernel()
                 table = self._ensure_fastpath()
+                kernel = self._ensure_columnar_kernel()
                 prof = self._prof
                 profiled = prof is not None
                 (
@@ -750,6 +770,9 @@ class DacceEngine:
                     returns,
                     id_updates,
                     tcstack,
+                    pushes,
+                    compressions,
+                    pops,
                     hits,
                     pcount,
                 ) = kernel(
@@ -759,12 +782,20 @@ class DacceEngine:
                     prof.countdown if prof is not None else 0,
                     self._window.calls,
                     deopt,
+                    table.entries.get,
+                    table.back_entries.get,
+                    table.dictionary.max_id + 1,
+                    self.stats,
+                    self._h_ccstack_depth.observe if self._obs else None,
                 )
                 # Flush the folded counters before any general-path work:
                 # everything a sample callback or a trigger check
                 # observes must match per-event state.
                 fp.hits += hits
-                flush(calls, returns, id_updates, tcstack)
+                flush(
+                    calls, returns, id_updates, tcstack, pushes, compressions,
+                    pops,
+                )
                 # A sample callback run by a deopt may have swapped hooks.
                 prof = self._prof
                 if prof is not None:
@@ -782,14 +813,22 @@ class DacceEngine:
                 view.release()
 
     def _flush_fastpath_counters(
-        self, calls: int, returns: int, id_updates: int, tcstack: int
+        self,
+        calls: int,
+        returns: int,
+        id_updates: int,
+        tcstack: int,
+        pushes: int,
+        compressions: int,
+        pops: int,
     ) -> None:
         """Fold per-run kernel counters into engine state.
 
         The charges are exact under folding: the cost parameters
-        involved (baseline 150.0, id_update 1.5, tcstack 5.0) are dyadic
-        rationals, so ``n`` separate float adds and one ``n *`` multiply
-        produce bit-identical sums.
+        involved (baseline 150.0, id_update 1.5, tcstack 5.0, ccStack
+        push/compress/pop 9.0/7.0/6.0) are dyadic rationals, so ``n``
+        separate float adds and one ``n *`` multiply produce
+        bit-identical sums.
         """
         obs = self._obs
         if calls:
@@ -806,48 +845,47 @@ class DacceEngine:
             self.cost.charge_id_update(id_updates)
         if tcstack:
             self.cost.charge_tcstack(tcstack)
+        if pushes or compressions or pops:
+            self.stats.back_edge_calls += pushes + compressions
+            self._window.ccstack_ops += pushes + compressions + pops
+            if pushes:
+                self.cost.charge_ccstack_push(pushes)
+            if compressions:
+                self.cost.charge_ccstack_compress(compressions)
+            if pops:
+                self.cost.charge_ccstack_pop(pops)
 
     def _ensure_columnar_kernel(self) -> ColumnarKernel:
-        """The generated dispatch kernel for the current engine epoch.
+        """The generated dispatch kernel for the current engine shape.
 
-        Recompiled whenever the fast-path table goes stale (re-encoding
-        commit or rollback, tail-set growth) *or* the compiled-in shape
-        changes: warm-start accounting and the sampling countdown exist
-        in the generated source only while those features are live, and
-        the adaptive check interval is inlined as a literal.
+        Warm-start accounting, the sampling countdown and the
+        ccStack-depth histogram exist in the generated source only while
+        those features are live, and the adaptive check interval is
+        inlined as a literal; everything per epoch or per engine is a
+        kernel argument.  Kernels are cached process-wide by shape, so
+        only the first run of a shape in the process compiles (and
+        records an ``engine.kernel_compile`` span).
         """
-        table = self._ensure_fastpath()
-        shape = (
+        shape: KernelShape = (
             bool(self._warm),
             self._prof is not None,
+            self._obs,
             self.config.adaptive.check_interval,
         )
-        kernel = self._columnar_kernel
-        if (
-            kernel is None
-            or self._columnar_kernel_table is not table
-            or self._columnar_kernel_shape != shape
-        ):
+        kernel = cached_kernel(shape)
+        if kernel is None:
             with self.spans.span(
                 "engine.kernel_compile",
                 stage="engine",
                 gts=self._timestamp,
-                entries=len(table),
+                warm=shape[0],
+                profiled=shape[1],
+                obs=shape[2],
+                interval=shape[3],
             ):
                 kernel = compile_columnar_kernel(
-                    table,
-                    gts=self._timestamp,
-                    frame_factory=_Frame,
-                    action_none=_Action.NONE,
-                    action_id=_Action.ID,
-                    stats=self.stats,
-                    warm=shape[0],
-                    profiled=shape[1],
-                    interval=shape[2],
+                    shape, frame_factory=_Frame, actions=_Action
                 )
-            self._columnar_kernel = kernel
-            self._columnar_kernel_table = table
-            self._columnar_kernel_shape = shape
         return kernel
 
     def fastpath_stats(self) -> Dict[str, object]:
@@ -1904,6 +1942,17 @@ class DacceEngine:
         :class:`~repro.core.errors.ReencodeError`; in ``recover`` the
         abort is quarantined and the engine keeps the old encoding.
 
+        A *triggered* pass (one carrying its trigger ``decision``) whose
+        candidate would change nothing — the same encodings and maxID,
+        back-edge flags, compressed set and indirect patch order — is a
+        **no-op**: it bumps no ``gTimeStamp``, adds no dictionary,
+        regenerates no thread and leaves the fast-path table valid.  It
+        appends no ``ReencodeRecord`` and calls no listener; it is
+        counted in ``stats.reencode_noops``, charged the per-edge
+        analysis only, reported with outcome ``no-op``, and the policy
+        backs trigger (c) off (:meth:`AdaptivePolicy.note_noop`).
+        Explicit calls always commit.
+
         Returns ``True`` when the pass committed.
         """
         started = time.perf_counter()
@@ -1940,12 +1989,20 @@ class DacceEngine:
                         gts=self._timestamp,
                         violations=list(violations),
                     )
-            self.dictionaries.add(self._current)
-            self._edges_at_last_encode = self.graph.num_edges
-
-            sites_patched = self._repatch_indirect_sites()
-            for state in self._threads.values():
-                self._regenerate_thread(state)
+            patches = self._indirect_patch_plan()
+            noop = decision is not None and self._changes_nothing(
+                snapshot, compressed_edges, patches
+            )
+            sites_patched = 0
+            if noop:
+                self._timestamp = snapshot["timestamp"]
+                self._current = snapshot["current"]
+            else:
+                self.dictionaries.add(self._current)
+                self._edges_at_last_encode = self.graph.num_edges
+                sites_patched = self._repatch_indirect_sites(patches)
+                for state in self._threads.values():
+                    self._regenerate_thread(state)
         except Exception as error:
             self._rollback_reencode(snapshot)
             failed_ts = snapshot["timestamp"] + 1
@@ -1974,36 +2031,53 @@ class DacceEngine:
             )
             return False
 
+        # A no-op still paid for the analysis, but suspended no thread.
+        threads = 0 if noop else len(self._threads)
         cost = (
             self.graph.num_edges * self.cost.parameters.reencode_per_edge
-            + len(self._threads) * self.cost.parameters.thread_suspend
+            + threads * self.cost.parameters.thread_suspend
         )
-        self.cost.charge_reencode(self.graph.num_edges, len(self._threads))
-        self.stats.reencodings += 1
+        self.cost.charge_reencode(self.graph.num_edges, threads)
         self.stats.reencode_cost_cycles += cost
-        pass_record = ReencodeRecord(
-            timestamp=self._timestamp,
-            at_call=self.stats.calls,
-            nodes=self.graph.num_nodes,
-            edges=self.graph.num_edges,
-            max_id=self._current.max_id,
-            reasons=reasons,
-            cost_cycles=cost,
-        )
-        self.reencode_log.append(pass_record)
-        for listener in self.reencode_listeners:
-            try:
-                listener(pass_record)
-            except Exception:
-                logger.exception("reencode listener %r failed", listener)
-        logger.debug(
-            "re-encoding pass %d at call %d: reasons=%s edges=%d maxID=%d",
-            self._timestamp, self.stats.calls, ",".join(reasons),
-            self.graph.num_edges, self._current.max_id,
-        )
+        if noop:
+            outcome = "no-op"
+            self.stats.reencode_noops += 1
+            self.policy.note_noop()
+            logger.debug(
+                "re-encoding pass at call %d changed nothing: reasons=%s",
+                self.stats.calls, ",".join(reasons),
+            )
+        else:
+            outcome = "committed"
+            self.stats.reencodings += 1
+            self.policy.note_commit()
+            pass_record = ReencodeRecord(
+                timestamp=self._timestamp,
+                at_call=self.stats.calls,
+                nodes=self.graph.num_nodes,
+                edges=self.graph.num_edges,
+                max_id=self._current.max_id,
+                reasons=reasons,
+                cost_cycles=cost,
+            )
+            self.reencode_log.append(pass_record)
+            for listener in self.reencode_listeners:
+                try:
+                    listener(pass_record)
+                except Exception:
+                    logger.exception("reencode listener %r failed", listener)
+            logger.debug(
+                "re-encoding pass %d at call %d: reasons=%s edges=%d maxID=%d",
+                self._timestamp, self.stats.calls, ",".join(reasons),
+                self.graph.num_edges, self._current.max_id,
+            )
         span_field = None
         if pass_span is not None:
-            pass_span.set(gts=self._timestamp, max_id=self._current.max_id)
+            pass_span.set(
+                gts=self._timestamp,
+                max_id=self._current.max_id,
+                outcome=outcome,
+            )
             pass_span.__exit__(None, None, None)
             span_field = {
                 "trace": pass_span.trace_id,
@@ -2022,16 +2096,36 @@ class DacceEngine:
                     encoded_edges=self._current.num_encoded_edges,
                     max_id=self._current.max_id,
                     previous_max_id=previous_max_id,
-                    threads_regenerated=len(self._threads),
+                    threads_regenerated=threads,
                     indirect_sites_patched=sites_patched,
                     compressed_edges=len(compressed_edges),
                     duration_seconds=time.perf_counter() - started,
                     cost_cycles=cost,
                     window=decision.window_dict() if decision else None,
                     span=span_field,
+                    outcome=outcome,
                 )
             )
-        return True
+        return not noop
+
+    def _changes_nothing(
+        self,
+        snapshot: Dict[str, Any],
+        compressed_edges: Set[Tuple[CallSiteId, FunctionId]],
+        patches: Dict[CallSiteId, List[FunctionId]],
+    ) -> bool:
+        """Would committing the candidate pass leave everything as is?
+
+        The candidate dictionary's edge records carry every edge's
+        encoding and back-edge flag, so equal records plus an equal
+        maxID cover both; the compressed set and the indirect patch
+        order are compared directly.
+        """
+        return (
+            self._current.same_encoding(snapshot["current"])
+            and compressed_edges == snapshot["compressed"]
+            and self.indirect.patched_as(patches)
+        )
 
     def _commit_gate(self, dictionary: EncodingDictionary) -> List[str]:
         """Soundness check gating a re-encoding pass (overridable seam).
@@ -2079,30 +2173,39 @@ class DacceEngine:
                 state.ccstack = ccstack
                 state.frames = frames
 
-    def _repatch_indirect_sites(self) -> int:
-        """Install per-site target sets ordered hottest-first (Figure 3(d)).
-
-        Returns the number of sites patched; promotions to the hash
-        strategy (Figure 4) are traced when telemetry is enabled.
-        """
+    def _indirect_patch_plan(self) -> Dict[CallSiteId, List[FunctionId]]:
+        """Per-site target lists ordered hottest-first (Figure 3(d))."""
         by_site: Dict[CallSiteId, List[CallEdge]] = {}
         for edge in self.graph.edges():
             if edge.kind is CallKind.INDIRECT:
                 by_site.setdefault(edge.callsite, []).append(edge)
-        for callsite, edges in by_site.items():
-            ordered = sorted(edges, key=lambda e: -e.invocations)
+        return {
+            callsite: [
+                e.callee for e in sorted(edges, key=lambda e: -e.invocations)
+            ]
+            for callsite, edges in by_site.items()
+        }
+
+    def _repatch_indirect_sites(
+        self, plan: Dict[CallSiteId, List[FunctionId]]
+    ) -> int:
+        """Install the planned per-site target sets.
+
+        Returns the number of sites patched; promotions to the hash
+        strategy (Figure 4) are traced when telemetry is enabled.
+        """
+        for callsite, targets in plan.items():
             promoted = self.indirect.site(callsite).patch(
-                [e.callee for e in ordered],
-                hash_threshold=self.config.hash_threshold,
+                targets, hash_threshold=self.config.hash_threshold
             )
             if promoted and self._obs:
                 self.telemetry.emit(
                     "indirect-promotion",
                     callsite=callsite,
-                    targets=len(ordered),
+                    targets=len(targets),
                     gts=self._timestamp,
                 )
-        return len(by_site)
+        return len(plan)
 
     def _regenerate_thread(self, state: _ThreadState) -> None:
         """Rebuild id/ccStack/frames under the new dictionary.

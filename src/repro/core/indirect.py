@@ -182,6 +182,18 @@ class IndirectDispatchTable:
             for callsite, site in self._sites.items()
         }
 
+    def patched_as(self, plan: Dict[CallSiteId, List[FunctionId]]) -> bool:
+        """Does every site in ``plan`` already carry exactly its targets?
+
+        The strategy follows from the target count and the fixed hash
+        threshold, so an equal order means re-patching changes nothing.
+        """
+        for callsite, targets in plan.items():
+            site = self._sites.get(callsite)
+            if site is None or site.order != targets:
+                return False
+        return True
+
     def restore_patches(self, snapshot: Dict[CallSiteId, tuple]) -> None:
         """Restore patch state; drops sites created after the snapshot.
 

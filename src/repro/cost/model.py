@@ -142,14 +142,14 @@ class CostModel:
     def charge_id_update(self, count: int = 1) -> None:
         self.report.add("id_update", count * self.parameters.id_update)
 
-    def charge_ccstack_push(self) -> None:
-        self.report.add("ccstack", self.parameters.ccstack_push)
+    def charge_ccstack_push(self, count: int = 1) -> None:
+        self.report.add("ccstack", count * self.parameters.ccstack_push)
 
-    def charge_ccstack_pop(self) -> None:
-        self.report.add("ccstack", self.parameters.ccstack_pop)
+    def charge_ccstack_pop(self, count: int = 1) -> None:
+        self.report.add("ccstack", count * self.parameters.ccstack_pop)
 
-    def charge_ccstack_compress(self) -> None:
-        self.report.add("ccstack", self.parameters.ccstack_compress)
+    def charge_ccstack_compress(self, count: int = 1) -> None:
+        self.report.add("ccstack", count * self.parameters.ccstack_compress)
 
     def charge_comparisons(self, count: int) -> None:
         self.report.add("indirect", count * self.parameters.compare)

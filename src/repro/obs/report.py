@@ -53,6 +53,10 @@ class ReencodePassReport:
     #: Span identity of the ``engine.reencode`` span covering this pass
     #: (``{"trace": ..., "span": ...}``), when span tracing is on.
     span: Optional[Dict[str, str]] = None
+    #: ``"committed"``, or ``"no-op"`` for a triggered pass whose
+    #: candidate changed nothing (no gTimeStamp bump; ``timestamp`` is
+    #: then the unchanged current one).
+    outcome: str = "committed"
 
     def to_dict(self) -> Dict[str, Any]:
         out = {
@@ -72,6 +76,7 @@ class ReencodePassReport:
             "duration_seconds": self.duration_seconds,
             "cost_cycles": self.cost_cycles,
             "window": dict(self.window) if self.window else None,
+            "outcome": self.outcome,
         }
         # Additive: only span-traced passes carry the key, so existing
         # report consumers see an unchanged shape when tracing is off.

@@ -9,9 +9,14 @@ recovery.  ``process_batch`` is ``process_columns`` over
 ``EventColumns.from_compact``, so the suite has two arms: columns and
 per-event.  Hypothesis drives random programs, workloads, batch sizes,
 adaptive check intervals and corruptions through both and compares
-everything observable.  Dense recursion (affinity 0.9) and a 16-call
-check interval make re-encodings fire from general-path events handled
-inside the kernel, which exercises its stale-table exit.
+everything observable — including the adaptive policy's recursion
+counters and compressed set, every thread's frames and ccStack entries,
+and the telemetry registry.  Dense recursion (affinity 0.9) and a
+16-call check interval make re-encodings fire from general-path events
+handled inside the kernel, which exercises its stale-table exit; draws
+over the compression mode and telemetry cover every back-edge shape the
+kernel handles.  A third arm replays recursion streams recorded from
+the real Python tracer (fib, mutual and tree recursion).
 
 The same discipline is applied to the decode side:
 ``decode_log_parallel`` must reproduce sequential ``decode_log`` output
@@ -19,6 +24,7 @@ exactly, including best-effort ``PartialDecode`` fault ordering.
 """
 
 import dataclasses
+import functools
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,11 +32,13 @@ import random
 
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.columnar import EventColumns
-from repro.core.engine import DacceConfig, DacceEngine
-from repro.core.events import EV_CALL, EV_RETURN, inflate
+from repro.core.engine import CompressionMode, DacceConfig, DacceEngine
+from repro.core.events import EV_CALL, EV_RETURN, EV_SAMPLE, inflate
 from repro.core.faults import FaultPolicy
 from repro.core.serialize import decoding_state_to_dict
+from repro.obs import Telemetry
 from repro.program.generator import GeneratorConfig, generate_program
+from repro.pytrace import PythonDacceTracer
 from repro.program.trace import ThreadSpec, TraceExecutor, WorkloadSpec
 from repro.static.synthetic import extract_program
 from repro.static.warmstart import build_warmstart
@@ -87,8 +95,11 @@ def _observable(engine):
     """Everything the fast lane must leave bit-identical."""
     snapshot = engine.stats_snapshot()
     # The specialisation counters themselves are the *only* permitted
-    # difference between the two paths.
+    # difference between the two paths (pass reports also carry their
+    # wall-clock duration).
     snapshot.pop("fastpath")
+    for report in snapshot.get("reencode_passes", ()):
+        report.pop("duration_seconds")
     return {
         "state": decoding_state_to_dict(engine),
         "stats": engine.stats,
@@ -97,12 +108,45 @@ def _observable(engine):
         "snapshot": snapshot,
         "ccstack": engine.ccstack_stats(),
         "faults": [record.to_dict() for record in engine.faults.records()],
+        "recursion_pushes": engine.policy.recursion_pushes,
+        "compressed": engine.policy.compressed_edges,
+        "threads": {
+            thread: (
+                state.id_value,
+                list(state.frames),
+                [
+                    (e.id, e.callsite, e.target, e.count, e.discovery)
+                    for e in state.ccstack._entries
+                ],
+                state.ccstack.depth(),
+            )
+            for thread, state in engine._threads.items()
+        },
+        "telemetry": {
+            name: metric
+            for name, metric in engine.telemetry.snapshot().items()
+            if name not in SPECIALISATION_METRICS
+        },
     }
+
+
+#: Telemetry series allowed to differ: the fast-path counters and the
+#: wall-clock pass durations.
+SPECIALISATION_METRICS = (
+    "dacce_fastpath_total",
+    "dacce_reencode_duration_seconds",
+)
 
 
 def _config(check_interval, **kwargs):
     return DacceConfig(
         adaptive=AdaptiveConfig(check_interval=check_interval), **kwargs
+    )
+
+
+def _engine(config, telemetry=False):
+    return DacceEngine(
+        config=config, telemetry=Telemetry() if telemetry else None
     )
 
 
@@ -125,19 +169,22 @@ def _assert_equivalent(per_event, columnar):
     check_interval=st.sampled_from([16, 512]),
     batch_size=st.sampled_from([1, 7, 64, 4096]),
     reencode_frac=st.one_of(st.none(), st.floats(0.1, 0.9)),
+    compression=st.sampled_from(list(CompressionMode)),
+    telemetry=st.booleans(),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 def test_process_batch_equals_per_event(
     program_seed, workload_seed, calls, threads, affinity, check_interval,
-    batch_size, reencode_frac,
+    batch_size, reencode_frac, compression, telemetry,
 ):
     _, records = _stream(program_seed, workload_seed, calls, threads, affinity)
     reencode_at = (
         None if reencode_frac is None else int(len(records) * reencode_frac)
     )
-    per_event = DacceEngine(config=_config(check_interval))
+    config = _config(check_interval, compression=compression)
+    per_event = _engine(config, telemetry)
     _drive_per_event(per_event, records, reencode_at)
-    columnar = DacceEngine(config=_config(check_interval))
+    columnar = _engine(config, telemetry)
     _drive_columnar(columnar, records, batch_size, reencode_at)
     _assert_equivalent(per_event, columnar)
     # The generated dispatch kernel actually ran (not a silent fallback).
@@ -227,3 +274,111 @@ def test_process_batch_equals_per_event_under_fault_recovery(
     )
     _drive_columnar(columnar, records, batch_size)
     _assert_equivalent(per_event, columnar)
+
+
+# ----------------------------------------------------------------------
+# recorded real-Python recursion
+# ----------------------------------------------------------------------
+def _record_tracer(program):
+    """The compact event stream a traced run feeds its engine.
+
+    Column batches are captured as the tracer drains them and each
+    ``tracer.sample()`` becomes a sample record at its position.
+    """
+    tracer = PythonDacceTracer()
+    engine = tracer.engine
+    records = []
+    process_columns = engine.process_columns
+    on_sample = engine.on_sample
+
+    def recording_columns(cols):
+        records.extend(cols.iter_compact())
+        process_columns(cols)
+
+    def recording_sample(event):
+        records.append((EV_SAMPLE, event.thread))
+        return on_sample(event)
+
+    engine.process_columns = recording_columns
+    engine.on_sample = recording_sample
+    tracer.run(program, tracer)
+    return records
+
+
+def _fib_program(tracer):
+    def fib(n):
+        if n < 2:
+            if n:
+                tracer.sample()
+            return n
+        return fib(n - 1) + fib(n - 2)
+
+    return fib(13)
+
+
+def _mutual_program(tracer):
+    def is_even(n):
+        if n == 0:
+            tracer.sample()
+            return True
+        return is_odd(n - 1)
+
+    def is_odd(n):
+        if n == 0:
+            return False
+        return is_even(n - 1)
+
+    return [is_even(n) for n in (10, 31, 64, 7, 120)]
+
+
+def _tree_program(tracer):
+    rng = random.Random(5)
+    children = [[] for _ in range(80)]
+    for node in range(1, 80):
+        children[rng.randrange(max(0, node - 3), node)].append(node)
+
+    def tree_sum(node):
+        if not children[node]:
+            tracer.sample()
+            return node
+        return node + sum(tree_sum(child) for child in children[node])
+
+    return [tree_sum(0) for _ in range(6)]
+
+
+PYTHON_PROGRAMS = {
+    "fib": _fib_program,
+    "mutual": _mutual_program,
+    "tree": _tree_program,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _python_stream(name):
+    return tuple(_record_tracer(PYTHON_PROGRAMS[name]))
+
+
+@given(
+    name=st.sampled_from(sorted(PYTHON_PROGRAMS)),
+    check_interval=st.sampled_from([16, 64, 512]),
+    batch_size=st.sampled_from([1, 7, 64, 4096]),
+    reencode_frac=st.one_of(st.none(), st.floats(0.1, 0.9)),
+    compression=st.sampled_from(list(CompressionMode)),
+    telemetry=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_recorded_python_recursion_equals_per_event(
+    name, check_interval, batch_size, reencode_frac, compression, telemetry
+):
+    records = list(_python_stream(name))
+    reencode_at = (
+        None if reencode_frac is None else int(len(records) * reencode_frac)
+    )
+    config = _config(check_interval, compression=compression)
+    per_event = _engine(config, telemetry)
+    _drive_per_event(per_event, records, reencode_at)
+    columnar = _engine(config, telemetry)
+    _drive_columnar(columnar, records, batch_size, reencode_at)
+    _assert_equivalent(per_event, columnar)
+    assert columnar.stats.back_edge_calls > 100
+    assert columnar.stats.samples > 0

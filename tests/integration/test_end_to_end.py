@@ -98,7 +98,8 @@ def test_aggressive_reencoding_still_exact():
     engine = DacceEngine(root=program.main, config=config)
     result = validate_run(program, spec, engine)
     assert result.ok, result.failures[:2]
-    assert engine.stats.reencodings > 20
+    # Triggered passes: committed ones plus those that changed nothing.
+    assert engine.stats.reencodings + engine.stats.reencode_noops > 20
     assert len(engine.dictionaries) == engine.stats.reencodings + 1
 
 

@@ -91,21 +91,36 @@ class TestReencodeSpans:
         for event in TraceExecutor(program, spec).events():
             engine.on_event(event)
         passes = spans.spans(name="engine.reencode")
-        assert len(passes) == engine.stats.reencodings
+        assert len(passes) == (
+            engine.stats.reencodings + engine.stats.reencode_noops
+        )
         assert engine.stats.reencodings > 0
         assert all("rolled_back" not in r.get("attrs", {}) for r in passes)
+        outcomes = [r["attrs"]["outcome"] for r in passes]
+        assert outcomes.count("committed") == engine.stats.reencodings
+        assert outcomes.count("no-op") == engine.stats.reencode_noops
+
+
+@pytest.fixture
+def empty_kernel_cache(monkeypatch):
+    """A process-wide kernel cache with nothing generated yet."""
+    import repro.core.fastpath as fastpath
+
+    monkeypatch.setattr(fastpath, "_KERNELS", {})
 
 
 class TestColumnarSpans:
-    def test_kernel_compile_span(self):
+    def test_kernel_compile_span(self, empty_kernel_cache):
         engine, spans = make_engine()
         engine.process_columns(discovery_batch())
-        compiles = spans.spans(name="engine.kernel_compile")
-        assert len(compiles) == engine.fastpath.compiles
-        assert compiles[0]["stage"] == "engine"
-        assert compiles[0]["attrs"]["entries"] >= 0
+        (record,) = spans.spans(name="engine.kernel_compile")
+        assert record["stage"] == "engine"
+        assert record["attrs"]["interval"] == 512
+        assert record["attrs"]["profiled"] is False
 
-    def test_kernel_compile_span_closes_when_codegen_raises(self, monkeypatch):
+    def test_kernel_compile_span_closes_when_codegen_raises(
+        self, monkeypatch, empty_kernel_cache
+    ):
         import repro.core.engine as engine_module
 
         def broken(*args, **kwargs):

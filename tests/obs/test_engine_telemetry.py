@@ -63,6 +63,7 @@ class TestMetricsMigration:
         assert runtime["calls"] == engine.stats.calls
         assert runtime["handler_invocations"] == engine.stats.handler_invocations
         assert runtime["reencodings"] == engine.stats.reencodings
+        assert runtime["reencode_noops"] == engine.stats.reencode_noops
 
     def test_ccstack_ops_match_merged_totals(self, instrumented_run):
         engine, telemetry = instrumented_run
@@ -97,10 +98,16 @@ class TestMetricsMigration:
 class TestPassReports:
     def test_reports_align_with_reencode_log(self, instrumented_run):
         engine, telemetry = instrumented_run
-        assert len(telemetry.pass_reports) == engine.stats.reencodings
-        for report, record in zip(
-            telemetry.pass_reports, engine.reencode_log
-        ):
+        assert len(telemetry.pass_reports) == (
+            engine.stats.reencodings + engine.stats.reencode_noops
+        )
+        committed = [
+            report
+            for report in telemetry.pass_reports
+            if report.outcome == "committed"
+        ]
+        assert len(committed) == len(engine.reencode_log)
+        for report, record in zip(committed, engine.reencode_log):
             assert report.timestamp == record.timestamp
             assert report.reasons == record.reasons
             assert report.at_call == record.at_call
@@ -160,7 +167,9 @@ class TestExports:
     def test_json_snapshot_round_trips(self, instrumented_run):
         engine, telemetry = instrumented_run
         document = parse_json_snapshot(telemetry.to_json())
-        assert len(document["reencode_passes"]) == engine.stats.reencodings
+        assert len(document["reencode_passes"]) == (
+            engine.stats.reencodings + engine.stats.reencode_noops
+        )
         assert document["reencode_passes"][0]["reasons"]
 
     def test_stats_snapshot_backward_compatible(self, instrumented_run):
@@ -170,7 +179,9 @@ class TestExports:
         for key, value in summary.items():
             assert snapshot[key] == value
         assert snapshot["telemetry_enabled"] is True
-        assert len(snapshot["reencode_passes"]) == engine.stats.reencodings
+        assert len(snapshot["reencode_passes"]) == (
+            engine.stats.reencodings + engine.stats.reencode_noops
+        )
 
 
 class TestDisabledTelemetry:
