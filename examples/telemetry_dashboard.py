@@ -1,8 +1,8 @@
 """Live telemetry for a DACCE run, rendered as a terminal dashboard.
 
-Runs a phase-shifting multi-threaded synthetic workload with the
-telemetry layer enabled, then renders what the metrics registry, the
-structured trace and the re-encoding pass reports captured:
+Runs a phase-shifting multi-threaded synthetic workload with telemetry
+and span tracing enabled, then renders what the metrics registry, the
+engine's re-encoding pass reports and its span log captured:
 
 * event throughput and indirect-dispatch hit rate,
 * the ccStack depth histogram (the Figure 10 signal, live),
@@ -14,7 +14,10 @@ Everything shown here is also available machine-readable via
 ``dacce metrics`` / ``dacce trace`` commands.
 """
 
+from collections import Counter
+
 from repro import DacceEngine, GeneratorConfig, Telemetry, generate_program
+from repro.obs import SpanRecorder
 from repro.program.trace import (
     PhaseSpec,
     ThreadSpec,
@@ -48,7 +51,8 @@ def main() -> None:
     )
 
     telemetry = Telemetry()
-    engine = DacceEngine(root=program.main, telemetry=telemetry)
+    spans = SpanRecorder("engine")
+    engine = DacceEngine(root=program.main, telemetry=telemetry, spans=spans)
     for event in TraceExecutor(program, spec).events():
         engine.on_event(event)
 
@@ -90,7 +94,7 @@ def main() -> None:
         )
 
     print("\nre-encoding passes (gTS | trigger reasons | effect | cost):")
-    for report in telemetry.pass_reports:
+    for report in engine.reencode_passes:
         print(
             "  gTS=%-3d %-40s edges=%-4d maxID=%-5d %6.2fms"
             % (
@@ -101,14 +105,16 @@ def main() -> None:
                 1000 * report.duration_seconds,
             )
         )
-    counts = telemetry.pass_reports.reason_counts()
+    counts = Counter(
+        reason for report in engine.reencode_passes for reason in report.reasons
+    )
     print(
         "\ntrigger totals: %s"
         % "  ".join("%s=%d" % item for item in sorted(counts.items()))
     )
     print(
-        "trace: %d structured records emitted (%d retained)"
-        % (telemetry.trace.emitted, len(telemetry.trace))
+        "spans: %d engine span records emitted (%d retained)"
+        % (spans.emitted, len(spans))
     )
 
 

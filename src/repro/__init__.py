@@ -37,7 +37,7 @@ from .core import (
     encode_graph,
 )
 from .baselines import CctEngine, PccEngine, PcceEngine, StackWalkEngine
-from .obs import MetricsRegistry, Telemetry, TelemetryConfig
+from .obs import MetricsRegistry, Telemetry
 from .program import (
     GeneratorConfig,
     Program,
@@ -71,7 +71,6 @@ __all__ = [
     "Program",
     "StackWalkEngine",
     "Telemetry",
-    "TelemetryConfig",
     "TraceExecutor",
     "WorkloadSpec",
     "encode_graph",

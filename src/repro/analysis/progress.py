@@ -8,9 +8,9 @@ quickly, and later phase changes trigger occasional adjustments (with
 xalancbmk's famous maxID *decrease* when a re-encoding reclassifies a
 back edge).
 
-The engine already logs every re-encoding (:class:`ReencodeRecord`); this
-module turns that log into an evenly sampled time series comparable with
-the paper's plots.
+The engine already logs every committed re-encoding
+(``engine.reencode_log``); this module turns that log into an evenly
+sampled time series comparable with the paper's plots.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ reproduction cannot run those binaries; instead each benchmark is a
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -169,7 +170,7 @@ class BenchmarkSpec:
         library_functions = max(4, functions // 40)
         return GeneratorConfig(
             name=self.name,
-            seed=hash(self.name) % 100_000 + self.seed,
+            seed=_name_digest(self.name) % 100_000 + self.seed,
             functions=functions,
             edges=edges,
             static_only_functions=static_fn,
@@ -213,7 +214,7 @@ class BenchmarkSpec:
         depth_target = 12 if paper.depth < 1 else 18
         return WorkloadSpec(
             calls=calls,
-            seed=seed + (hash(self.name) % 1000),
+            seed=seed + (_name_digest(self.name) % 1000),
             sample_period=max(11, calls // 1200),
             target_depth=depth_target,
             max_depth=400,
@@ -222,6 +223,12 @@ class BenchmarkSpec:
             threads=threads,
             phases=phases,
         )
+
+
+def _name_digest(name: str) -> int:
+    """A seed component derived from ``name`` that is the same in every
+    process (``hash(str)`` is salted per process by PYTHONHASHSEED)."""
+    return zlib.crc32(name.encode())
 
 
 def _phase_positions(count: int) -> List[float]:

@@ -828,8 +828,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    """Run an instrumented workload; emit the structured JSONL trace."""
-    from .obs import Telemetry
+    """Run a span-traced workload; emit the engine's JSONL span log."""
+    from .obs import SpanRecorder
     from .program.trace import TraceExecutor
 
     if args.input:
@@ -878,28 +878,25 @@ def cmd_trace(args) -> int:
     except OSError as error:
         return _fault("trace output unwritable: %s" % error)
     try:
-        telemetry = Telemetry(trace_stream=handle)
-        engine = DacceEngine(root=program.main, telemetry=telemetry)
+        spans = SpanRecorder("engine", stream=handle)
+        engine = DacceEngine(root=program.main, spans=spans)
         for event in TraceExecutor(program, spec).events():
             engine.on_event(event)
     finally:
         if handle is not None:
             handle.close()
     if args.output:
-        print(
-            "wrote %d trace records to %s"
-            % (telemetry.trace.emitted, args.output)
-        )
+        print("wrote %d span records to %s" % (spans.emitted, args.output))
     else:
         shown = 0
-        for record in telemetry.trace.events():
+        for record in spans.spans():
             if args.limit and shown >= args.limit:
                 print(
                     "... (%d more retained, %d emitted)"
-                    % (len(telemetry.trace) - shown, telemetry.trace.emitted)
+                    % (len(spans) - shown, spans.emitted)
                 )
                 break
-            print(json.dumps(record))
+            print(json.dumps(record, sort_keys=True))
             shown += 1
     return 0
 
@@ -1102,7 +1099,7 @@ def cmd_profile_serve(args) -> int:
     from dataclasses import replace
 
     from .core.engine import DacceConfig
-    from .obs import RotatingTraceStream, Telemetry
+    from .obs import RotatingTraceStream, SpanRecorder, Telemetry
     from .prof import CCTAggregator, ProfileServer, ProfileService, names_from_program
     from .program.trace import run_workload_columnar
 
@@ -1131,12 +1128,17 @@ def cmd_profile_serve(args) -> int:
         sample_period=0,
         recursion_affinity=0.4,
     )
-    telemetry = Telemetry(trace_stream=trace_stream)
+    telemetry = Telemetry()
     # Hook samples feed the CCT; nothing needs retaining on the engine.
     engine = DacceEngine(
         root=program.main,
         config=DacceConfig(retain_samples=False),
         telemetry=telemetry,
+        spans=(
+            SpanRecorder("engine", stream=trace_stream)
+            if trace_stream is not None
+            else None
+        ),
     )
     aggregator = CCTAggregator(names=names_from_program(program))
 
@@ -1707,16 +1709,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser(
         "trace",
-        help="run an instrumented workload; print the JSONL engine trace",
+        help="run a span-traced workload; print the engine's JSONL span log",
     )
     p.add_argument("--calls", type=int, default=20_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--limit", type=int, default=50,
                    help="max records printed to stdout (0 = all)")
     p.add_argument("--output", default=None,
-                   help="stream JSONL records to this path instead")
+                   help="stream JSONL span records to this path instead")
     p.add_argument("--input", default=None,
-                   help="print an existing JSONL trace (reads rotated "
+                   help="print an existing JSONL log (reads rotated "
                         "shards PATH.N..PATH.1 then PATH, oldest first) "
                         "instead of running a workload")
     p.add_argument("--follow", action="store_true",
@@ -1801,7 +1803,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--duration", type=float, default=0.0,
                    help="stop after this many seconds (0 = until Ctrl-C)")
     p.add_argument("--trace-output", default=None,
-                   help="mirror the engine trace to this JSONL file "
+                   help="mirror the engine's span log to this JSONL file "
                         "(size/age-rotated)")
     p.add_argument("--trace-max-bytes", type=int, default=None)
     p.add_argument("--trace-max-age", type=float, default=0.0)

@@ -13,7 +13,6 @@ from .engine import (
     DacceConfig,
     DacceEngine,
     DacceStats,
-    ReencodeRecord,
     SampleCallback,
     SampleHook,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "ProgramModelError",
     "RecoveryAction",
     "ReencodeError",
-    "ReencodeRecord",
     "SampleCallback",
     "SampleHook",
     "ReturnEvent",

@@ -41,8 +41,8 @@ class AdaptiveConfig:
 
     The paper does not publish its constants.  With these defaults the
     reproduction's Table 1 subset (``benchmarks/bench_table1.py``)
-    measures 1-32 committed re-encodings (``gTS``) per benchmark, and the
-    trigger ablation's most aggressive setting reaches 91; triggered
+    measures 1-31 committed re-encodings (``gTS``) per benchmark, and the
+    trigger ablation's most aggressive setting reaches 92; triggered
     passes that would change nothing are not counted (they commit
     nothing, see ``DacceEngine.reencode``).
     """

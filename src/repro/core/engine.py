@@ -51,6 +51,7 @@ from typing import (
 
 from ..cost.model import CostModel
 from ..obs import (
+    DEFAULT_DEPTH_BUCKETS,
     NULL_SPANS,
     NULL_TELEMETRY,
     ReencodePassReport,
@@ -208,19 +209,6 @@ class _ThreadState:
 
 
 @dataclass
-class ReencodeRecord:
-    """One re-encoding pass — the Figure 9 time series and Table 1 costs."""
-
-    timestamp: int
-    at_call: int
-    nodes: int
-    edges: int
-    max_id: int
-    reasons: Tuple[str, ...]
-    cost_cycles: float
-
-
-@dataclass
 class DacceStats:
     """Aggregate runtime statistics (feeds Table 1 and Figure 10)."""
 
@@ -360,11 +348,15 @@ class DacceEngine:
         # strict hot path pays a single guard per event, nothing else.
         self._recover = self.config.fault_policy is FaultPolicy.RECOVER
         self.samples: List[CollectedSample] = []
-        self.reencode_log: List[ReencodeRecord] = []
-        #: Called synchronously with each committed pass's record — the
+        #: Every re-encoding pass, committed or no-op, in order: the one
+        #: record of each pass that every export is derived from.
+        self.reencode_passes: List[ReencodePassReport] = []
+        #: Called synchronously with each committed pass's report — the
         #: ingest plane's frame-emission hook (see ``repro.ingest``).
         #: Listener exceptions are logged, never raised into the pass.
-        self.reencode_listeners: List[Callable[[ReencodeRecord], None]] = []
+        self.reencode_listeners: List[
+            Callable[[ReencodePassReport], None]
+        ] = []
         self.thread_parents: Dict[ThreadId, CollectedSample] = {}
         self._timestamp = 0
         self._window = WindowStats()
@@ -467,9 +459,10 @@ class DacceEngine:
     # telemetry wiring
     # ------------------------------------------------------------------
     def _init_telemetry(self) -> None:
-        """Create push-mode instruments and the pull-mode collector."""
+        """Create push-mode instruments and the pull-mode collector;
+        hand the telemetry this engine's pass list to export."""
         registry = self.telemetry.registry
-        depth_buckets = self.telemetry.config.depth_buckets
+        self.telemetry.passes = self.reencode_passes
         events = registry.counter(
             "events_total",
             "Engine events processed, by type.",
@@ -483,12 +476,12 @@ class DacceEngine:
         self._h_ccstack_depth = registry.histogram(
             "ccstack_depth",
             "Logical ccStack depth observed at each push/pop.",
-            buckets=depth_buckets,
+            buckets=DEFAULT_DEPTH_BUCKETS,
         )
         self._h_callstack_depth = registry.histogram(
             "callstack_depth",
             "Logical call-stack depth at each collected sample.",
-            buckets=depth_buckets,
+            buckets=DEFAULT_DEPTH_BUCKETS,
         )
         registry.register_collector(self._collect_metrics)
         # Pull-mode instruments fed by the collector below.
@@ -596,6 +589,11 @@ class DacceEngine:
     def timestamp(self) -> int:
         """The current ``gTimeStamp``."""
         return self._timestamp
+
+    @property
+    def reencode_log(self) -> List[ReencodePassReport]:
+        """Committed passes in order — the Figure 9 series (a copy)."""
+        return [r for r in self.reencode_passes if r.outcome == "committed"]
 
     @property
     def current_dictionary(self) -> EncodingDictionary:
@@ -1091,7 +1089,7 @@ class DacceEngine:
         recovery: RecoveryAction = RecoveryAction.DROPPED,
         **detail,
     ) -> FaultRecord:
-        """Append one fault to the bounded log; mirror it to telemetry."""
+        """Append one fault to the bounded log; mirror it to the span log."""
         record = FaultRecord(
             kind=kind,
             message=message,
@@ -1104,17 +1102,26 @@ class DacceEngine:
         )
         self.faults.record(record)
         logger.debug("quarantined fault: %s", message)
-        if self._obs:
-            self.telemetry.emit(
-                "fault",
-                kind=kind.value,
-                thread=thread,
-                gts=self._timestamp,
-                at_call=self.stats.calls,
-                recovery=recovery.value,
-                message=message,
-            )
+        self._event(
+            "fault",
+            kind=kind.value,
+            thread=thread,
+            gts=self._timestamp,
+            at_call=self.stats.calls,
+            recovery=recovery.value,
+            message=message,
+        )
         return record
+
+    def _event(self, name: str, **attrs: Any) -> None:
+        """Record ``engine.<name>`` as a zero-duration span record."""
+        if self.spans.enabled:
+            self.spans.record(
+                "engine." + name,
+                stage="engine",
+                parent=self.spans.current(),
+                attrs=attrs,
+            )
 
     def decoder(self) -> Decoder:
         """A decoder over every dictionary produced so far.
@@ -1335,8 +1342,8 @@ class DacceEngine:
                 "to decode: %s",
                 sample.timestamp, sample.context_id, thread, error,
             )
-            self.telemetry.emit(
-                "validation-failure",
+            self._event(
+                "validation_failure",
                 thread=thread,
                 gts=sample.timestamp,
                 context_id=sample.context_id,
@@ -1353,8 +1360,8 @@ class DacceEngine:
                 "from the shadow stack (gTS=%d, id=%d)",
                 thread, sample.timestamp, sample.context_id,
             )
-            self.telemetry.emit(
-                "validation-failure",
+            self._event(
+                "validation_failure",
                 thread=thread,
                 gts=sample.timestamp,
                 context_id=sample.context_id,
@@ -1402,14 +1409,13 @@ class DacceEngine:
         )
         self.graph.add_node(event.entry)
         self._threads[event.thread] = state
-        if self._obs:
-            self.telemetry.emit(
-                "thread-start",
-                thread=event.thread,
-                parent=event.parent,
-                entry=event.entry,
-                gts=self._timestamp,
-            )
+        self._event(
+            "thread_start",
+            thread=event.thread,
+            parent=event.parent,
+            entry=event.entry,
+            gts=self._timestamp,
+        )
 
     def on_thread_exit(self, event: ThreadExitEvent) -> None:
         state = self._state(event.thread)
@@ -1431,16 +1437,15 @@ class DacceEngine:
             self._retired_ccstack["max_depth"], stats.max_depth
         )
         del self._threads[event.thread]
-        if self._obs:
-            self.telemetry.emit(
-                "thread-exit",
-                thread=event.thread,
-                gts=self._timestamp,
-                ccstack_pushes=stats.pushes,
-                ccstack_pops=stats.pops,
-                ccstack_compressions=stats.compressions,
-                ccstack_max_depth=stats.max_depth,
-            )
+        self._event(
+            "thread_exit",
+            thread=event.thread,
+            gts=self._timestamp,
+            ccstack_pushes=stats.pushes,
+            ccstack_pops=stats.pops,
+            ccstack_compressions=stats.compressions,
+            ccstack_max_depth=stats.max_depth,
+        )
 
     # ------------------------------------------------------------------
     # oracles / introspection
@@ -1592,7 +1597,9 @@ class DacceEngine:
                 "sinks": len(self._targeted.sinks),
             }
         if self._obs:
-            snapshot["reencode_passes"] = self.telemetry.pass_reports.to_list()
+            snapshot["reencode_passes"] = [
+                report.to_dict() for report in self.reencode_passes
+            ]
         return snapshot
 
     def ccstack_stats(self) -> Dict[str, int]:
@@ -1927,9 +1934,11 @@ class DacceEngine:
         Suspends the world (cost-modelled), reclassifies back edges,
         re-encodes with frequency ordering, re-patches indirect sites,
         bumps ``gTimeStamp``, and regenerates every thread's live id and
-        ccStack under the new dictionary.  When telemetry is enabled a
-        structured :class:`~repro.obs.report.ReencodePassReport` records
-        the trigger decision, what changed, and the wall-clock cost.
+        ccStack under the new dictionary.  Every pass that completes
+        appends one :class:`~repro.obs.report.ReencodePassReport` to
+        ``reencode_passes`` — the trigger decision, what changed, and the
+        wall-clock cost — and the ``engine.reencode`` span carries the
+        same report as its attributes.
 
         The pass is a transaction: the new dictionary is built against a
         snapshot of the mutable state and must pass the commit gate
@@ -1947,7 +1956,7 @@ class DacceEngine:
         back-edge flags, compressed set and indirect patch order — is a
         **no-op**: it bumps no ``gTimeStamp``, adds no dictionary,
         regenerates no thread and leaves the fast-path table valid.  It
-        appends no ``ReencodeRecord`` and calls no listener; it is
+        is absent from ``reencode_log`` and calls no listener; it is
         counted in ``stats.reencode_noops``, charged the per-edge
         analysis only, reported with outcome ``no-op``, and the policy
         backs trigger (c) off (:meth:`AdaptivePolicy.note_noop`).
@@ -1958,7 +1967,7 @@ class DacceEngine:
         started = time.perf_counter()
         pass_span = (
             self.spans.span(
-                "engine.reencode", stage="engine", reasons=",".join(reasons)
+                "engine.reencode", stage="engine", reasons=list(reasons)
             )
             if self.spans.enabled
             else None
@@ -2039,8 +2048,27 @@ class DacceEngine:
         )
         self.cost.charge_reencode(self.graph.num_edges, threads)
         self.stats.reencode_cost_cycles += cost
+        report = ReencodePassReport(
+            timestamp=self._timestamp,
+            reasons=tuple(reasons),
+            at_call=self.stats.calls,
+            nodes=self.graph.num_nodes,
+            edges=self.graph.num_edges,
+            edges_reclassified=edges_reclassified,
+            new_edges=new_edges,
+            encoded_edges=self._current.num_encoded_edges,
+            max_id=self._current.max_id,
+            previous_max_id=previous_max_id,
+            threads_regenerated=threads,
+            indirect_sites_patched=sites_patched,
+            compressed_edges=len(compressed_edges),
+            duration_seconds=time.perf_counter() - started,
+            cost_cycles=cost,
+            window=decision.window_dict() if decision else None,
+            outcome="no-op" if noop else "committed",
+        )
+        self.reencode_passes.append(report)
         if noop:
-            outcome = "no-op"
             self.stats.reencode_noops += 1
             self.policy.note_noop()
             logger.debug(
@@ -2048,22 +2076,11 @@ class DacceEngine:
                 self.stats.calls, ",".join(reasons),
             )
         else:
-            outcome = "committed"
             self.stats.reencodings += 1
             self.policy.note_commit()
-            pass_record = ReencodeRecord(
-                timestamp=self._timestamp,
-                at_call=self.stats.calls,
-                nodes=self.graph.num_nodes,
-                edges=self.graph.num_edges,
-                max_id=self._current.max_id,
-                reasons=reasons,
-                cost_cycles=cost,
-            )
-            self.reencode_log.append(pass_record)
             for listener in self.reencode_listeners:
                 try:
-                    listener(pass_record)
+                    listener(report)
                 except Exception:
                     logger.exception("reencode listener %r failed", listener)
             logger.debug(
@@ -2071,41 +2088,11 @@ class DacceEngine:
                 self._timestamp, self.stats.calls, ",".join(reasons),
                 self.graph.num_edges, self._current.max_id,
             )
-        span_field = None
         if pass_span is not None:
-            pass_span.set(
-                gts=self._timestamp,
-                max_id=self._current.max_id,
-                outcome=outcome,
-            )
+            pass_span.set(**report.to_dict())
             pass_span.__exit__(None, None, None)
-            span_field = {
-                "trace": pass_span.trace_id,
-                "span": pass_span.span_id,
-            }
         if self._obs:
-            self.telemetry.record_pass(
-                ReencodePassReport(
-                    timestamp=self._timestamp,
-                    reasons=tuple(reasons),
-                    at_call=self.stats.calls,
-                    nodes=self.graph.num_nodes,
-                    edges=self.graph.num_edges,
-                    edges_reclassified=edges_reclassified,
-                    new_edges=new_edges,
-                    encoded_edges=self._current.num_encoded_edges,
-                    max_id=self._current.max_id,
-                    previous_max_id=previous_max_id,
-                    threads_regenerated=threads,
-                    indirect_sites_patched=sites_patched,
-                    compressed_edges=len(compressed_edges),
-                    duration_seconds=time.perf_counter() - started,
-                    cost_cycles=cost,
-                    window=decision.window_dict() if decision else None,
-                    span=span_field,
-                    outcome=outcome,
-                )
-            )
+            self.telemetry.record_pass(report)
         return not noop
 
     def _changes_nothing(
@@ -2192,15 +2179,15 @@ class DacceEngine:
         """Install the planned per-site target sets.
 
         Returns the number of sites patched; promotions to the hash
-        strategy (Figure 4) are traced when telemetry is enabled.
+        strategy (Figure 4) are recorded on the span log when it is on.
         """
         for callsite, targets in plan.items():
             promoted = self.indirect.site(callsite).patch(
                 targets, hash_threshold=self.config.hash_threshold
             )
-            if promoted and self._obs:
-                self.telemetry.emit(
-                    "indirect-promotion",
+            if promoted:
+                self._event(
+                    "indirect_promotion",
                     callsite=callsite,
                     targets=len(targets),
                     gts=self._timestamp,

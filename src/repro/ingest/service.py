@@ -459,7 +459,7 @@ class IngestService:
                 stage="admit" if stage == "validate" else stage,
                 duration=duration,
                 parent=parent,
-                **attrs,
+                attrs=attrs,
             )
             exemplar = {"trace": record["trace"], "span": record["span"]}
         self._h_stage.labels(stage).observe(duration, exemplar)

@@ -1,7 +1,8 @@
-"""Unified observability layer: metrics, traces, pass reports.
+"""Unified observability layer: metrics, spans, pass reports.
 
-See :mod:`repro.obs.registry` (instruments), :mod:`repro.obs.trace`
-(structured JSONL event stream), :mod:`repro.obs.report` (re-encoding
+See :mod:`repro.obs.registry` (instruments), :mod:`repro.obs.spans`
+(the span log, the one JSONL timeline), :mod:`repro.obs.trace` (rotated
+JSONL files and their readers), :mod:`repro.obs.report` (re-encoding
 pass reports), :mod:`repro.obs.exporters` (Prometheus / JSON rendering)
 and :mod:`repro.obs.telemetry` (the engine-facing facade).
 """
@@ -23,7 +24,7 @@ from .registry import (
     NULL_INSTRUMENT,
     null_registry,
 )
-from .report import PassReportLog, ReencodePassReport
+from .report import ReencodePassReport
 from .spans import (
     DEFAULT_SPAN_CAPACITY,
     NULL_SPANS,
@@ -37,13 +38,11 @@ from .spans import (
     load_span_records,
     stage_summary,
 )
-from .telemetry import NULL_TELEMETRY, Telemetry, TelemetryConfig
+from .telemetry import NULL_TELEMETRY, Telemetry
 from .trace import (
     DEFAULT_ROTATE_BACKUPS,
     DEFAULT_ROTATE_BYTES,
-    DEFAULT_TRACE_CAPACITY,
     RotatingTraceStream,
-    TraceEmitter,
     follow_rotated_jsonl,
     read_rotated_jsonl,
     rotated_files,
@@ -56,7 +55,6 @@ __all__ = [
     "DEFAULT_ROTATE_BACKUPS",
     "DEFAULT_ROTATE_BYTES",
     "DEFAULT_SPAN_CAPACITY",
-    "DEFAULT_TRACE_CAPACITY",
     "RotatingTraceStream",
     "Gauge",
     "Histogram",
@@ -66,7 +64,6 @@ __all__ = [
     "NULL_SPANS",
     "NULL_TELEMETRY",
     "PIPELINE_STAGES",
-    "PassReportLog",
     "ReencodePassReport",
     "SNAPSHOT_FORMAT_VERSION",
     "SPAN_SCHEMA",
@@ -74,8 +71,6 @@ __all__ = [
     "SpanContext",
     "SpanRecorder",
     "Telemetry",
-    "TelemetryConfig",
-    "TraceEmitter",
     "build_waterfall",
     "follow_rotated_jsonl",
     "group_traces",

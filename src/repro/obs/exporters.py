@@ -116,7 +116,6 @@ def _pass_report_lines(reports: List[ReencodePassReport]) -> List[str]:
 def to_json_snapshot(
     snapshot: Dict[str, Dict[str, Any]],
     pass_reports: Iterable[ReencodePassReport] = (),
-    extra: Optional[Dict[str, Any]] = None,
     indent: Optional[int] = None,
 ) -> str:
     """Render a snapshot as one JSON document (round-trippable)."""
@@ -125,8 +124,6 @@ def to_json_snapshot(
         "metrics": snapshot,
         "reencode_passes": [report.to_dict() for report in pass_reports],
     }
-    if extra:
-        document.update(extra)
     return json.dumps(document, indent=indent, sort_keys=True)
 
 

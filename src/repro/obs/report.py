@@ -1,17 +1,20 @@
 """Structured re-encoding pass reports.
 
-Every ``gTimeStamp`` bump answers three questions the scattered counters
+Every re-encoding pass answers three questions the scattered counters
 could not: *why* did the pass fire (which Section 4 triggers), *what*
 did it change (edges reclassified, dictionary size, maxID movement),
 and *what did it cost* (wall-clock pass duration plus the cost-model
-cycles).  :class:`ReencodePassReport` captures all of it per pass;
-:class:`PassReportLog` keeps the run's history and aggregates.
+cycles).  :class:`ReencodePassReport` captures all of it per pass.  It
+is the only record of a pass: the engine keeps one list of them
+(``engine.reencode_passes``) and every export — ``reencode_log``, the
+``engine.reencode`` span, the ``reencode.pass`` frame, the metrics and
+the JSON snapshots — is derived from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -50,16 +53,13 @@ class ReencodePassReport:
     cost_cycles: float
     #: Raw window counters behind the trigger decision, when available.
     window: Optional[Dict[str, int]] = None
-    #: Span identity of the ``engine.reencode`` span covering this pass
-    #: (``{"trace": ..., "span": ...}``), when span tracing is on.
-    span: Optional[Dict[str, str]] = None
     #: ``"committed"``, or ``"no-op"`` for a triggered pass whose
     #: candidate changed nothing (no gTimeStamp bump; ``timestamp`` is
     #: then the unchanged current one).
     outcome: str = "committed"
 
     def to_dict(self) -> Dict[str, Any]:
-        out = {
+        return {
             "timestamp": self.timestamp,
             "reasons": list(self.reasons),
             "at_call": self.at_call,
@@ -78,42 +78,3 @@ class ReencodePassReport:
             "window": dict(self.window) if self.window else None,
             "outcome": self.outcome,
         }
-        # Additive: only span-traced passes carry the key, so existing
-        # report consumers see an unchanged shape when tracing is off.
-        if self.span is not None:
-            out["span"] = dict(self.span)
-        return out
-
-
-@dataclass
-class PassReportLog:
-    """The run's re-encoding history with simple aggregates."""
-
-    reports: List[ReencodePassReport] = field(default_factory=list)
-
-    def append(self, report: ReencodePassReport) -> None:
-        self.reports.append(report)
-
-    def __len__(self) -> int:
-        return len(self.reports)
-
-    def __iter__(self):
-        return iter(self.reports)
-
-    def last(self) -> Optional[ReencodePassReport]:
-        return self.reports[-1] if self.reports else None
-
-    @property
-    def total_duration_seconds(self) -> float:
-        return sum(r.duration_seconds for r in self.reports)
-
-    def reason_counts(self) -> Dict[str, int]:
-        """How often each trigger reason fired across the run."""
-        counts: Dict[str, int] = {}
-        for report in self.reports:
-            for reason in report.reasons:
-                counts[reason] = counts.get(reason, 0) + 1
-        return counts
-
-    def to_list(self) -> List[Dict[str, Any]]:
-        return [report.to_dict() for report in self.reports]

@@ -11,7 +11,7 @@ recorder, so a single ``trace_id`` covers emit → spool/send → admit →
 fold → publish even though the halves run in different processes and
 write different span logs.
 
-Design rules, mirroring :mod:`repro.obs.trace`:
+Design rules:
 
 - **Strictly no-op when disabled.**  Call sites guard on one boolean
   (``spans.enabled``) and the shared :data:`NULL_SPANS` singleton makes
@@ -301,12 +301,15 @@ class SpanRecorder:
         ts: Optional[float] = None,
         parent: Optional[SpanContext] = None,
         trace_id: Optional[str] = None,
-        **attrs: Any,
+        attrs: Optional[Dict[str, Any]] = None,
     ) -> SpanRecord:
         """Record an already-measured span after the fact.
 
         For work timed outside the recorder (the HTTP handler measures
-        admission before it knows which trace the body continues).
+        admission before it knows which trace the body continues) and
+        for instantaneous events (the engine's zero-duration records).
+        ``attrs`` is a mapping, so its keys never collide with this
+        method's own parameters.
         """
         own_trace, span_id = self._id_source()
         parent_id: Optional[str] = None
@@ -328,7 +331,7 @@ class SpanRecorder:
         if parent_id is not None:
             record["parent"] = parent_id
         if attrs:
-            record["attrs"] = attrs
+            record["attrs"] = dict(attrs)
         self._append(record)
         return record
 

@@ -1,11 +1,15 @@
 """The engine-facing telemetry facade.
 
-:class:`Telemetry` bundles the three observability surfaces — metrics
-registry, structured trace stream, re-encoding pass reports — behind one
-object the engine can hold.  A disabled engine holds
-:data:`NULL_TELEMETRY` instead, whose ``enabled`` flag short-circuits
-every hot-path hook to a single boolean test and whose instruments are
-shared no-ops, so the telemetry layer costs nothing unless asked for.
+:class:`Telemetry` bundles the metrics registry and the re-encoding
+pass metrics behind one object the engine can hold.  A disabled engine
+holds :data:`NULL_TELEMETRY` instead, whose ``enabled`` flag
+short-circuits every hot-path hook to a single boolean test and whose
+instruments are shared no-ops, so the telemetry layer costs nothing
+unless asked for.
+
+The pass reports themselves live on the engine
+(``engine.reencode_passes``); the engine hands that list to its
+telemetry, which renders it into both exports without copying it.
 
 Typical use::
 
@@ -18,62 +22,32 @@ Typical use::
 
     exposition = telemetry.to_prometheus()      # Prometheus text format
     document = telemetry.to_json(indent=2)      # JSON snapshot
-    passes = telemetry.pass_reports.to_list()   # why each gTS bump fired
+    passes = engine.reencode_passes             # why each pass fired
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO, Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence
 
 from .exporters import to_json_snapshot, to_prometheus_text
-from .registry import (
-    DEFAULT_DEPTH_BUCKETS,
-    DEFAULT_DURATION_BUCKETS,
-    MetricsRegistry,
-    NULL_INSTRUMENT,
-)
-from .report import PassReportLog, ReencodePassReport
-from .trace import DEFAULT_TRACE_CAPACITY, TraceEmitter
-
-
-@dataclass
-class TelemetryConfig:
-    """Knobs for the telemetry surfaces."""
-
-    #: Retained trace records (older records are evicted, counted).
-    trace_capacity: int = DEFAULT_TRACE_CAPACITY
-    #: ccStack / call-stack depth histogram bucket upper bounds.
-    depth_buckets: Tuple[float, ...] = DEFAULT_DEPTH_BUCKETS
-    #: Re-encoding pass duration buckets, seconds.
-    duration_buckets: Tuple[float, ...] = DEFAULT_DURATION_BUCKETS
-    #: Metric name prefix.
-    namespace: str = "dacce"
+from .registry import DEFAULT_DURATION_BUCKETS, MetricsRegistry
+from .report import ReencodePassReport
 
 
 class Telemetry:
-    """Live telemetry: registry + trace emitter + pass-report log."""
+    """Live telemetry: the metrics registry plus the pass metrics."""
 
     enabled = True
 
-    def __init__(
-        self,
-        config: Optional[TelemetryConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
-        trace_stream: Optional[IO[str]] = None,
-    ):
-        self.config = config or TelemetryConfig()
-        self.registry = registry or MetricsRegistry(
-            enabled=True, namespace=self.config.namespace
-        )
-        self.trace = TraceEmitter(
-            capacity=self.config.trace_capacity, stream=trace_stream
-        )
-        self.pass_reports = PassReportLog()
+    def __init__(self):
+        self.registry = MetricsRegistry(enabled=True)
+        #: The pass reports of the engine this telemetry serves — the
+        #: engine's own list, not a copy (set when the engine attaches).
+        self.passes: Sequence[ReencodePassReport] = ()
         self._pass_duration = self.registry.histogram(
             "reencode_duration_seconds",
             "Wall-clock duration of re-encoding passes.",
-            buckets=self.config.duration_buckets,
+            buckets=DEFAULT_DURATION_BUCKETS,
         )
         self._pass_count = self.registry.counter(
             "reencode_passes_total",
@@ -83,31 +57,20 @@ class Telemetry:
 
     # ------------------------------------------------------------------
     def record_pass(self, report: ReencodePassReport) -> None:
-        """Store one pass report; updates metrics and emits a trace record."""
-        self.pass_reports.append(report)
+        """Count one pass into the duration histogram and reason counter."""
         self._pass_duration.observe(report.duration_seconds)
         for reason in report.reasons:
             self._pass_count.labels(reason).inc()
-        self.trace.emit("reencode-pass", **report.to_dict())
-
-    def emit(self, event: str, **fields: Any) -> None:
-        """Forward a structured event to the trace stream."""
-        self.trace.emit(event, **fields)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         return self.registry.snapshot()
 
     def to_prometheus(self) -> str:
-        return to_prometheus_text(self.snapshot(), self.pass_reports)
+        return to_prometheus_text(self.snapshot(), self.passes)
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        return to_json_snapshot(
-            self.snapshot(),
-            self.pass_reports,
-            extra={"trace_dropped": self.trace.dropped},
-            indent=indent,
-        )
+        return to_json_snapshot(self.snapshot(), self.passes, indent=indent)
 
 
 class _NullTelemetry:
@@ -119,25 +82,11 @@ class _NullTelemetry:
     """
 
     enabled = False
-    config = TelemetryConfig()
 
     def __init__(self):
         self.registry = MetricsRegistry(enabled=False)
-        self.pass_reports = PassReportLog()
-        self._pass_duration = NULL_INSTRUMENT
-        self._pass_count = NULL_INSTRUMENT
-
-    @property
-    def trace(self):
-        raise AttributeError(
-            "telemetry is disabled; construct the engine with "
-            "telemetry=Telemetry() to record traces"
-        )
 
     def record_pass(self, report: ReencodePassReport) -> None:
-        pass
-
-    def emit(self, event: str, **fields: Any) -> None:
         pass
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:

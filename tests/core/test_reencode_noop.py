@@ -4,7 +4,7 @@ Recursion keeps trigger (c) ("the ccStack is frequently accessed")
 firing, but back-edge traffic cannot be encoded away: over a graph that
 stopped growing, each such pass reproduces the current dictionary.  A
 no-op pass bumps no gTimeStamp, adds no dictionary, regenerates no
-thread, appends no ``ReencodeRecord``, calls no listener and keeps the
+thread, stays out of ``reencode_log``, calls no listener and keeps the
 fast-path table; the policy then ignores ``ccstack-traffic``-only
 decisions for 1, 2, 4, ... windows.
 """
@@ -70,7 +70,7 @@ class TestNoopPass:
 
     def test_reported_with_outcome(self, recursed):
         engine, telemetry, spans, _listened = recursed
-        reports = list(telemetry.pass_reports)
+        reports = list(engine.reencode_passes)
         outcomes = [report.outcome for report in reports]
         assert outcomes[:2] == ["committed", "committed"]
         assert outcomes.count("no-op") == engine.stats.reencode_noops

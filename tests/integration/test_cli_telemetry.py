@@ -46,15 +46,19 @@ def test_trace_stdout_jsonl(capsys):
     ]
     assert lines
     records = [json.loads(line) for line in lines]
-    assert any(record["event"] == "reencode-pass" for record in records)
+    assert any(record["name"] == "engine.reencode" for record in records)
+    assert any(record["name"] == "engine.thread_start" for record in records)
 
 
 def test_trace_output_file(tmp_path, capsys):
+    from repro.obs.spans import is_span_record
+
     path = tmp_path / "trace.jsonl"
     assert main(["trace", "--calls", "6000", "--output", str(path)]) == 0
-    assert "trace records" in capsys.readouterr().out
+    assert "span records" in capsys.readouterr().out
     records = [
         json.loads(line) for line in path.read_text().splitlines() if line
     ]
-    assert any(record["event"] == "reencode-pass" for record in records)
-    assert all("seq" in record and "ts" in record for record in records)
+    assert any(record["name"] == "engine.reencode" for record in records)
+    assert all(is_span_record(record) for record in records)
+    assert all(record["stage"] == "engine" for record in records)

@@ -34,32 +34,18 @@ class TestReencodeSpans:
         (record,) = spans.spans(name="engine.reencode")
         assert record["stage"] == "engine"
         assert record["svc"] == "engine-test"
-        assert record["attrs"]["reasons"] == "manual"
-        assert record["attrs"]["gts"] == engine.timestamp
+        assert record["attrs"]["reasons"] == ["manual"]
+        assert record["attrs"]["timestamp"] == engine.timestamp
         assert record["attrs"]["max_id"] == engine.max_id
         assert record["dur"] >= 0.0
 
-    def test_span_identity_linked_into_pass_report(self):
-        telemetry = Telemetry()
-        engine = DacceEngine(
-            telemetry=telemetry, spans=SpanRecorder("engine-test")
-        )
+    def test_span_carries_pass_report(self):
+        engine, spans = make_engine(telemetry=Telemetry())
         engine.reencode()
-        (record,) = engine.spans.spans(name="engine.reencode")
-        report = telemetry.pass_reports.last()
-        assert report.span == {
-            "trace": record["trace"],
-            "span": record["span"],
-        }
-        assert report.to_dict()["span"] == report.span
-
-    def test_untraced_report_omits_span_key(self):
-        telemetry = Telemetry()
-        engine = DacceEngine(telemetry=telemetry)
-        engine.reencode()
-        report = telemetry.pass_reports.last()
-        assert report.span is None
-        assert "span" not in report.to_dict()
+        (record,) = spans.spans(name="engine.reencode")
+        (report,) = engine.reencode_passes
+        assert record["attrs"] == report.to_dict()
+        assert record["attrs"]["outcome"] == "committed"
 
     def test_rollback_span_records_error(self):
         engine, spans = make_engine()

@@ -1,4 +1,4 @@
-"""Engine + telemetry integration: hooks, pass reports, exports."""
+"""Engine + telemetry integration: hooks, pass reports, spans, exports."""
 
 import json
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.engine import DacceEngine
 from repro.core.events import CallKind
-from repro.obs import Telemetry, parse_json_snapshot
+from repro.obs import SpanRecorder, Telemetry, parse_json_snapshot
 from repro.program.generator import GeneratorConfig, generate_program
 from repro.program.trace import (
     PhaseSpec,
@@ -36,7 +36,9 @@ def instrumented_run():
         phases=[PhaseSpec(at_call=7_500, seed=7)],
     )
     telemetry = Telemetry()
-    engine = DacceEngine(root=program.main, telemetry=telemetry)
+    engine = DacceEngine(
+        root=program.main, telemetry=telemetry, spans=SpanRecorder("engine")
+    )
     for event in TraceExecutor(program, spec).events():
         engine.on_event(event)
     return engine, telemetry
@@ -98,24 +100,25 @@ class TestMetricsMigration:
 class TestPassReports:
     def test_reports_align_with_reencode_log(self, instrumented_run):
         engine, telemetry = instrumented_run
-        assert len(telemetry.pass_reports) == (
+        assert len(engine.reencode_passes) == (
             engine.stats.reencodings + engine.stats.reencode_noops
         )
+        assert telemetry.passes is engine.reencode_passes
         committed = [
             report
-            for report in telemetry.pass_reports
+            for report in engine.reencode_passes
             if report.outcome == "committed"
         ]
         assert len(committed) == len(engine.reencode_log)
         for report, record in zip(committed, engine.reencode_log):
-            assert report.timestamp == record.timestamp
-            assert report.reasons == record.reasons
-            assert report.at_call == record.at_call
-            assert report.max_id == record.max_id
+            assert report is record
+        assert [r.timestamp for r in engine.reencode_log] == list(
+            range(1, engine.stats.reencodings + 1)
+        )
 
     def test_reports_carry_trigger_evidence(self, instrumented_run):
-        _engine, telemetry = instrumented_run
-        report = telemetry.pass_reports.reports[0]
+        engine, _telemetry = instrumented_run
+        report = engine.reencode_passes[0]
         assert report.reasons
         assert set(report.reasons) <= {
             "new-edges", "hot-paths-changed", "ccstack-traffic",
@@ -125,15 +128,19 @@ class TestPassReports:
         assert report.duration_seconds > 0
 
     def test_reason_counts(self, instrumented_run):
-        _engine, telemetry = instrumented_run
-        counts = telemetry.pass_reports.reason_counts()
-        assert sum(counts.values()) >= len(telemetry.pass_reports)
+        engine, telemetry = instrumented_run
+        series = telemetry.snapshot()["dacce_reencode_passes_total"]["series"]
+        counts = {s["labels"]["reason"]: s["value"] for s in series}
+        assert sum(counts.values()) == sum(
+            len(report.reasons) for report in engine.reencode_passes
+        )
+        assert sum(counts.values()) >= len(engine.reencode_passes)
 
     def test_manual_reencode_reported(self):
         telemetry = Telemetry()
         engine = DacceEngine(root=0, telemetry=telemetry)
         engine.reencode()
-        report = telemetry.pass_reports.last()
+        report = engine.reencode_passes[-1]
         assert report.reasons == ("manual",)
         assert report.window is None
         assert report.timestamp == engine.timestamp
@@ -141,16 +148,17 @@ class TestPassReports:
 
 class TestTraceStream:
     def test_reencode_events_traced(self, instrumented_run):
-        _engine, telemetry = instrumented_run
-        passes = telemetry.trace.events("reencode-pass")
+        engine, _telemetry = instrumented_run
+        passes = engine.spans.spans(name="engine.reencode")
         assert passes
-        assert passes[0]["reasons"]
-        assert "timestamp" in passes[0]
+        assert passes[0]["attrs"]["reasons"]
+        assert "timestamp" in passes[0]["attrs"]
 
     def test_thread_lifecycle_traced(self, instrumented_run):
-        _engine, telemetry = instrumented_run
-        starts = telemetry.trace.events("thread-start")
-        assert [record["thread"] for record in starts] == [1]
+        engine, _telemetry = instrumented_run
+        starts = engine.spans.spans(name="engine.thread_start")
+        assert [record["attrs"]["thread"] for record in starts] == [1]
+        assert all(record["dur"] == 0.0 for record in starts)
 
 
 class TestExports:
@@ -220,8 +228,8 @@ def test_trace_jsonl_from_engine(tmp_path, small_program):
     import io
 
     stream = io.StringIO()
-    telemetry = Telemetry(trace_stream=stream)
-    engine = DacceEngine(root=small_program.main, telemetry=telemetry)
+    spans = SpanRecorder("engine", stream=stream)
+    engine = DacceEngine(root=small_program.main, spans=spans)
     spec = WorkloadSpec(calls=4_000, seed=5, sample_period=37,
                         recursion_affinity=0.4)
     for event in TraceExecutor(small_program, spec).events():
@@ -229,4 +237,5 @@ def test_trace_jsonl_from_engine(tmp_path, small_program):
     lines = [line for line in stream.getvalue().splitlines() if line]
     assert lines
     parsed = [json.loads(line) for line in lines]
-    assert any(record["event"] == "reencode-pass" for record in parsed)
+    assert parsed == spans.spans()
+    assert any(record["name"] == "engine.reencode" for record in parsed)

@@ -113,7 +113,7 @@ class TestSpanRecorder:
         parent = SpanContext("ab" * 16, "cd" * 8)
         record = recorder.record(
             "ingest.admit", stage="admit", duration=0.25, parent=parent,
-            outcome="folded",
+            attrs={"outcome": "folded"},
         )
         assert record["trace"] == parent.trace_id
         assert record["parent"] == parent.span_id
