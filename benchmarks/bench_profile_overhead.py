@@ -15,7 +15,9 @@ configurations:
 The callback is intentionally cheap (append to a list): the point is
 the *hook's* marginal cost — the countdown decrement plus the sample
 materialisations — not the client's aggregation work, which
-``tests/prof`` and the profile server account separately.
+``bench_ingest_overhead.py`` (frame emission) and the pipeline
+benchmark's ``py_stdlib_profiled`` workload (emission plus ingest fold)
+measure separately.
 
 Results merge into ``BENCH_CORE.json`` as a ``profile_overhead``
 section alongside the existing encode/decode numbers (read-modify-write:

@@ -1094,13 +1094,50 @@ def cmd_profile_diff(args) -> int:
     return 0
 
 
+def _live_profile(engine, program, sample_every: int):
+    """Attach ``profile serve``'s in-process ingest plane to ``engine``.
+
+    A :class:`~repro.ingest.FrameEmitter` samples the engine into a
+    :class:`~repro.ingest.MemorySink`; the returned ``fold()`` flushes
+    the emitter and drains the sink into the returned
+    :class:`~repro.ingest.IngestService`.
+    This is the emitter -> sink -> ``ingest_lines`` path a remote
+    producer takes, minus the transport.  Returns
+    ``(emitter, service, fold)``.
+    """
+    from .ingest import FrameEmitter, IngestService, MemorySink, new_run_id
+
+    run = new_run_id()
+    sink = MemorySink()
+    emitter = FrameEmitter(sink, run=run, producer="dacce-profile-serve")
+    emitter.attach(
+        engine,
+        every=sample_every,
+        names={fn.id: fn.name for fn in program.functions()},
+    )
+    service = IngestService()
+
+    def fold() -> None:
+        emitter.flush()
+        lines, sink.lines = sink.lines, []
+        service.ingest_lines(run, lines)
+
+    return emitter, service, fold
+
+
 def cmd_profile_serve(args) -> int:
-    """Serve a live profile of a continuously running synthetic workload."""
+    """Serve a live profile of a continuously running synthetic workload.
+
+    The CCT is folded by an in-process ingest plane after every workload
+    pass and served by :class:`~repro.ingest.IngestServer`; the
+    self-overhead table is printed at exit.
+    """
     from dataclasses import replace
 
     from .core.engine import DacceConfig
-    from .obs import RotatingTraceStream, SpanRecorder, Telemetry
-    from .prof import CCTAggregator, ProfileServer, ProfileService, names_from_program
+    from .ingest import IngestServer
+    from .obs import RotatingTraceStream, SpanRecorder
+    from .prof import render_overhead, self_overhead_account
     from .program.trace import run_workload_columnar
 
     from .obs.trace import DEFAULT_ROTATE_BACKUPS, DEFAULT_ROTATE_BYTES
@@ -1128,28 +1165,19 @@ def cmd_profile_serve(args) -> int:
         sample_period=0,
         recursion_affinity=0.4,
     )
-    telemetry = Telemetry()
     # Hook samples feed the CCT; nothing needs retaining on the engine.
     engine = DacceEngine(
         root=program.main,
         config=DacceConfig(retain_samples=False),
-        telemetry=telemetry,
         spans=(
             SpanRecorder("engine", stream=trace_stream)
             if trace_stream is not None
             else None
         ),
     )
-    aggregator = CCTAggregator(names=names_from_program(program))
-
-    def deliver(sample, weight) -> None:
-        aggregator.decoder = engine.decoder()
-        aggregator.add_sample(sample, weight)
-
-    engine.install_sample_hook(args.sample_every, deliver)
-    service = ProfileService(aggregator, engine=engine, telemetry=telemetry)
+    emitter, service, fold = _live_profile(engine, program, args.sample_every)
     try:
-        server = ProfileServer(service, host=args.host, port=args.port)
+        server = IngestServer(service, host=args.host, port=args.port)
     except OSError as error:
         return _fault("cannot bind %s:%d: %s" % (args.host, args.port, error))
     server.start()
@@ -1163,18 +1191,23 @@ def cmd_profile_serve(args) -> int:
                 program, replace(spec, seed=spec.seed + passes), engine
             )
             passes += 1
+            fold()
     except KeyboardInterrupt:
         pass
     finally:
+        emitter.complete()
+        fold()
         server.shutdown()
         if trace_stream is not None:
             trace_stream.close()
-    stats = aggregator.stats()
+    stats = service.aggregator.stats()
     print(
         "served %d workload pass(es): %d samples into %d CCT nodes "
         "across %d epoch(s)"
         % (passes, stats["samples"], stats["nodes"], stats["epochs"])
     )
+    print()
+    print(render_overhead(self_overhead_account(engine)))
     return 0
 
 

@@ -29,8 +29,9 @@ Sample batches carry **decoded paths**, not compact ids: the producer
 owns the dictionaries and decodes through its memoized
 :class:`~repro.core.decoder.DecodeCache`, so the ingestion plane stays
 state-free and a persisted run log replays deterministically with no
-decoding state on the service side (the same split
-``cmd_profile_serve``'s in-process ``deliver`` hook already uses).
+decoding state on the service side.  ``dacce profile serve`` uses the
+same split in-process: its emitter writes to a memory sink that an
+in-process service folds.
 """
 
 from __future__ import annotations

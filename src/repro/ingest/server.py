@@ -1,8 +1,9 @@
 """HTTP front-end for the ingestion service: POST frames, stream events.
 
-Stdlib-only (``http.server``), mirroring the profile server's shape: a
+Stdlib-only (``http.server``) and the repository's one HTTP surface: a
 transport-free :class:`IngestService` does all the work and the handler
-just maps routes.  Endpoints:
+just maps routes.  ``dacce serve`` feeds the service from remote
+producers; ``dacce profile serve`` feeds it in-process.  Endpoints:
 
 * ``POST /ingest?run=<id>`` — NDJSON frame lines in the body; responds
   with the per-batch ingest summary as JSON.
@@ -15,19 +16,21 @@ just maps routes.  Endpoints:
 * ``GET /runs/<id>/events`` — the canonical ``events.ndjson`` log as an
   NDJSON download.
 * ``GET /cct`` / ``/flame`` / ``/top`` / ``/metrics`` / ``/healthz`` —
-  the merged many-producer view, same documents the profile server
-  serves for a single in-process engine.
+  the merged view of every run the service has folded.
 * ``GET /spans`` — recent service-side spans plus per-stage timing
   histograms (span-id exemplars included); see docs/OBSERVABILITY.md.
 
 Every response carries an explicit ``Content-Type`` and
 ``Cache-Control: no-store``; unknown routes return a structured JSON
-404.
+404, malformed integer parameters (query values, ``Content-Length``) a
+JSON 400, and a GET route that raises a logged JSON 500 (an SSE stream
+whose headers are already sent just closes).
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import queue
 import threading
 import time
@@ -38,8 +41,28 @@ from urllib.parse import parse_qs, urlparse
 from .envelope import Envelope
 from .service import IngestError, IngestService
 
+logger = logging.getLogger(__name__)
+
 #: Seconds between SSE keep-alive comments when no events arrive.
 SSE_KEEPALIVE_SECONDS = 15.0
+
+
+class _BadRequest(ValueError):
+    """A malformed request parameter, answered with a JSON 400."""
+
+
+def _query_int(query: Dict[str, Any], name: str, default: int) -> int:
+    raw = query.get(name, [str(default)])[0]
+    try:
+        return int(raw)
+    except ValueError:
+        raise _BadRequest(
+            "%s must be an integer, got %r" % (name, raw)
+        ) from None
+
+
+def _bad_request(detail: str) -> Tuple[int, str, str]:
+    return 400, *_json_body({"error": "bad-request", "detail": detail})
 
 
 def _json_body(obj: Any) -> Tuple[str, str]:
@@ -65,6 +88,9 @@ class _IngestHandler(BaseHTTPRequestHandler):
 
     service: IngestService
     protocol_version = "HTTP/1.1"
+    #: Set once an SSE stream's headers are on the wire; an error after
+    #: that point can no longer be answered with a status line.
+    _streaming = False
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -96,7 +122,18 @@ class _IngestHandler(BaseHTTPRequestHandler):
             return
         query = parse_qs(parsed.query)
         run_id = query.get("run", ["default"])[0]
-        length = int(self.headers.get("Content-Length", "0"))
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot be
+            # reused for another request.
+            self._send(
+                *_bad_request("Content-Length must be a non-negative integer"),
+                extra_headers={"Connection": "close"},
+            )
+            return
         admitted, retry_after = self.service.admit(length)
         if not admitted:
             # Overload: shed the request before reading its body.  The
@@ -133,10 +170,7 @@ class _IngestHandler(BaseHTTPRequestHandler):
                     admit_seconds=admit_seconds,
                 )
             except IngestError as error:
-                self._send(
-                    400,
-                    *_json_body({"error": "bad-request", "detail": str(error)}),
-                )
+                self._send(*_bad_request(str(error)))
                 return
             self._send(200, *_json_body(summary))
         finally:
@@ -145,16 +179,29 @@ class _IngestHandler(BaseHTTPRequestHandler):
     # -- reads ---------------------------------------------------------
     def do_GET(self) -> None:
         parsed = urlparse(self.path)
-        query = parse_qs(parsed.query)
         path = parsed.path
+        try:
+            self._route_get(path, parse_qs(parsed.query))
+        except _BadRequest as error:
+            self._send(*_bad_request(str(error)))
+        except Exception:
+            logger.exception("ingest route %s failed", path)
+            if not self._streaming:
+                self._send(
+                    500,
+                    *_json_body(
+                        {"error": "internal", "detail": "see the server log"}
+                    ),
+                )
+
+    def _route_get(self, path: str, query: Dict[str, Any]) -> None:
         if path == "/events":
             self._stream_events(query)
             return
         if path.startswith("/runs/") and path.endswith("/events"):
             self._download_run(path[len("/runs/"):-len("/events")])
             return
-        status, content_type, body = self._document(path, query)
-        self._send(status, content_type, body)
+        self._send(*self._document(path, query))
 
     def _document(
         self, path: str, query: Dict[str, Any]
@@ -179,14 +226,12 @@ class _IngestHandler(BaseHTTPRequestHandler):
         if path == "/flame":
             return 200, "text/plain; charset=utf-8", service.flame_text()
         if path == "/top":
-            n = int(query.get("n", ["10"])[0])
+            n = _query_int(query, "n", 10)
             by = query.get("by", ["self"])[0]
             try:
                 rows = service.top_rows(n=n, by=by)
             except ValueError as error:
-                return 400, *_json_body(
-                    {"error": "bad-request", "detail": str(error)}
-                )
+                return _bad_request(str(error))
             return 200, *_json_body(rows)
         if path == "/metrics":
             return (
@@ -195,7 +240,7 @@ class _IngestHandler(BaseHTTPRequestHandler):
                 service.metrics_text(),
             )
         if path == "/spans":
-            limit = int(query.get("limit", ["512"])[0])
+            limit = _query_int(query, "limit", 512)
             return 200, "application/json", service.spans_json(limit=limit)
         if path == "/runs":
             return 200, *_json_body(service.runs())
@@ -222,14 +267,15 @@ class _IngestHandler(BaseHTTPRequestHandler):
 
     def _stream_events(self, query: Dict[str, Any]) -> None:
         run = query.get("run", [None])[0]
-        limit = int(query.get("limit", ["0"])[0])
-        backlog = int(query.get("backlog", ["0"])[0])
+        limit = _query_int(query, "limit", 0)
+        backlog = _query_int(query, "backlog", 0)
         subscriber = self.service.subscribe(run=run, backlog=backlog)
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-store")
         self.send_header("Connection", "close")
         self.end_headers()
+        self._streaming = True
         sent = 0
         try:
             while True:
@@ -287,6 +333,9 @@ class IngestServer:
         return "http://%s:%d" % (self.host, self.port)
 
     def start(self) -> "IngestServer":
+        """Serve on a daemon thread; returns self for chaining."""
+        if self._thread is not None:
+            raise RuntimeError("ingest server already started")
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="dacce-ingest-server",

@@ -7,10 +7,12 @@ Context Tree.  The subsystem splits into:
 * :mod:`repro.prof.cct` — the tree and the epoch-merging aggregator;
 * :mod:`repro.prof.export` — folded stacks / JSON / top-N exporters;
 * :mod:`repro.prof.diff` — node-by-node profile comparison;
-* :mod:`repro.prof.overhead` — the profiler's self-overhead account;
-* :mod:`repro.prof.server` — the live stdlib-HTTP profile endpoint.
+* :mod:`repro.prof.overhead` — the profiler's self-overhead account.
 
-CLI surface: ``dacce profile {record,report,flame,diff,serve}``.
+CLI surface: ``dacce profile {record,report,flame,diff,serve}``.  Live
+serving goes through the ingestion plane: ``profile serve`` folds the
+engine's sample frames into an in-process
+:class:`~repro.ingest.IngestService` (:mod:`repro.ingest`).
 """
 
 from .cct import (
@@ -34,7 +36,6 @@ from .export import (
     top_contexts,
 )
 from .overhead import render_overhead, self_overhead_account
-from .server import ProfileServer, ProfileService, serve_profile
 
 __all__ = [
     "CCT",
@@ -58,7 +59,4 @@ __all__ = [
     "top_contexts",
     "render_overhead",
     "self_overhead_account",
-    "ProfileServer",
-    "ProfileService",
-    "serve_profile",
 ]

@@ -22,7 +22,7 @@ equals the total recorded weight and the damage is visible as its own
 subtree instead of a silent hole.
 
 Thread safety: a :class:`CCTAggregator` may be fed by one thread while
-exporters and the profile server read it from others; all mutation and
+exporters and the ingest server read it from others; all mutation and
 traversal happens under the aggregator's internal lock.
 """
 

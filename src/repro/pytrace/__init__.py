@@ -16,6 +16,7 @@ __all__ = [
     "walk_stack",
 ]
 
-# ``PythonDacceTracer.attach_aggregator`` streams samples into a live
-# :class:`repro.prof.CCTAggregator`; import :mod:`repro.prof` directly
-# for the CCT, exporters, diffing and the profile server.
+# For a live CCT, attach a :class:`repro.ingest.FrameEmitter` to
+# ``tracer.engine`` and fold its frames into a
+# :class:`repro.ingest.IngestService`; import :mod:`repro.prof` directly
+# for the CCT, exporters and diffing.

@@ -206,11 +206,6 @@ class PythonDacceTracer:
         #: storage, so a long trace never reallocates the slab.
         self._buffer_limit = 512
         self._columns = EventColumns.with_capacity(self._buffer_limit)
-        #: Samples delivered by the engine hook while an aggregator is
-        #: attached; decoded and folded in one batch per flush instead
-        #: of per sample inside the hot callback.
-        self._pending_cct: List[Tuple[CollectedSample, float]] = []
-        self._cct_aggregator: Optional[Any] = None
         #: True while engine machinery runs under an active profile hook
         #: (flush / sample / decode called from traced code); the hook
         #: ignores those interpreter events — they belong to the tracer,
@@ -340,8 +335,6 @@ class PythonDacceTracer:
             finally:
                 self._in_engine = False
                 cols.clear()
-        if self._pending_cct:
-            self._drain_cct_samples()
 
     # ------------------------------------------------------------------
     def _profile(self, frame: FrameType, event: str, arg: Any) -> None:
@@ -511,62 +504,6 @@ class PythonDacceTracer:
         previous = self._last_sample_time
         self._last_sample_time = now
         return now - previous if previous is not None else 0.0
-
-    def attach_aggregator(
-        self,
-        aggregator: Any,
-        every: int = 64,
-        wall_time: Optional[bool] = None,
-    ) -> Any:
-        """Stream engine-hook samples into a ``CCTAggregator``.
-
-        Installs the engine's continuous-profiling hook
-        (:meth:`~repro.core.engine.DacceEngine.install_sample_hook`)
-        with a callback that only *records* the sample — the decode and
-        CCT fold run batched at the next :meth:`flush` (and at
-        :meth:`stop`), with the aggregator's decoder refreshed once per
-        drain instead of once per sample.  Deferral is lossless:
-        dictionaries are immutable and grow-only, so a decoder built at
-        drain time decodes every earlier-epoch sample identically.
-        ``wall_time`` overrides the tracer-level weight mode; in call
-        mode each sample weighs ``every`` calls, so total CCT weight
-        tracks total traced calls.
-        """
-        use_wall = self.wall_time if wall_time is None else wall_time
-        weigher: Optional[Callable[[], float]] = None
-        if use_wall:
-            last = [time.perf_counter()]
-
-            def weigher() -> float:
-                now = time.perf_counter()
-                delta = now - last[0]
-                last[0] = now
-                return delta
-
-        self._cct_aggregator = aggregator
-        pending = self._pending_cct
-
-        def deliver(sample: CollectedSample, weight: float) -> None:
-            # Hot callback: one list append.  The decode happens in
-            # ``_drain_cct_samples`` at the batched flush.
-            pending.append((sample, weight))
-
-        return self.engine.install_sample_hook(every, deliver, weigher=weigher)
-
-    def _drain_cct_samples(self) -> None:
-        """Decode and fold hook samples collected since the last drain."""
-        aggregator = self._cct_aggregator
-        if aggregator is None:
-            return
-        batch = self._pending_cct[:]
-        del self._pending_cct[:]
-        self._in_engine = True
-        try:
-            aggregator.decoder = self.engine.decoder()
-            for sample, weight in batch:
-                aggregator.add_sample(sample, weight)
-        finally:
-            self._in_engine = False
 
     def decode(self, sample: CollectedSample) -> CallingContext:
         """Decode a sample back into the full Python call path."""

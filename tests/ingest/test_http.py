@@ -1,5 +1,6 @@
 """IngestServer HTTP surface: POST ingest, documents, SSE, downloads."""
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -8,6 +9,7 @@ import urllib.request
 import pytest
 
 from repro.ingest import (
+    IngestServer,
     IngestService,
     frame_line,
     make_frame,
@@ -77,6 +79,71 @@ def test_unknown_route_is_structured_json_404(server):
     document = json.loads(error.read())
     assert document["error"] == "not-found"
     assert "/cct" in document["routes"]
+
+
+def assert_json_400(error):
+    assert error.code == 400
+    assert error.headers["Content-Type"] == "application/json"
+    assert error.headers["Cache-Control"] == "no-store"
+    assert json.loads(error.read())["error"] == "bad-request"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "/top?n=nope", "/top?by=bogus", "/spans?limit=x",
+        "/events?limit=x", "/events?backlog=x",
+    ],
+)
+def test_bad_query_value_is_json_400(server, path):
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        get(server, path)
+    assert_json_400(excinfo.value)
+
+
+@pytest.mark.parametrize("length", ["nope", "-5"])
+def test_bad_content_length_is_json_400(server, length):
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        connection.putrequest("POST", "/ingest?run=r1")
+        connection.putheader("Content-Length", length)
+        connection.endheaders()
+        response = connection.getresponse()
+        assert response.status == 400
+        assert response.headers["Content-Type"] == "application/json"
+        assert response.headers["Cache-Control"] == "no-store"
+        assert json.loads(response.read())["error"] == "bad-request"
+    finally:
+        connection.close()
+
+
+def test_handler_error_returns_500():
+    class Broken(IngestService):
+        def cct_json(self):
+            raise RuntimeError("boom")
+
+    server = IngestServer(Broken()).start()
+    try:
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            get(server, "/cct")
+        assert caught.value.code == 500
+        assert caught.value.headers["Content-Type"] == "application/json"
+        assert caught.value.headers["Cache-Control"] == "no-store"
+        assert json.loads(caught.value.read())["error"] == "internal"
+        # The server keeps serving after a failed route.
+        with get(server, "/healthz") as response:
+            assert response.status == 200
+    finally:
+        server.shutdown()
+
+
+def test_server_start_twice_rejected():
+    server = IngestServer(IngestService()).start()
+    try:
+        with pytest.raises(RuntimeError):
+            server.start()
+    finally:
+        server.shutdown()
 
 
 def test_bad_run_id_is_400(server):

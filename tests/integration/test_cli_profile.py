@@ -1,18 +1,23 @@
 """CLI profiling surfaces: ``dacce profile {record,report,flame,diff,serve}``
 plus the structured-error conventions the observability verbs share."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _live_profile, _telemetry_workload, main
+from repro.core.engine import DacceConfig, DacceEngine
 from repro.core.samplelog import SampleLog
-from repro.prof import parse_folded
+from repro.prof import CCTAggregator, names_from_program, parse_folded
+from repro.program.trace import WorkloadSpec, run_workload_columnar
 
 
 @pytest.fixture(scope="module")
@@ -168,17 +173,61 @@ def test_serve_subprocess_end_to_end(tmp_path):
         with urllib.request.urlopen(url + "/metrics", timeout=5) as response:
             metrics = response.read().decode()
         assert "dacce_prof_samples_total" in metrics
-        with urllib.request.urlopen(url + "/overhead", timeout=5) as response:
-            account = json.loads(response.read())
-        assert account["profiler_cycles"] > 0
+        assert (
+            'dacce_ingest_frames_total{kind="profile.samples",outcome="folded"}'
+            in metrics
+        )
         out, err = process.communicate(timeout=60)
         assert process.returncode == 0, err
         assert "served" in out
+        # The self-overhead account is printed at exit, and the
+        # sampling hook's own cost is a non-zero row of it.
+        assert "self-overhead account" in out
+        profiler_row = re.search(r"profiler \(sample\):\s+(\d+)", out)
+        assert profiler_row is not None, out
+        assert int(profiler_row.group(1)) > 0
         assert os.path.exists(trace_path)
     finally:
         if process.poll() is None:
             process.kill()
             process.communicate()
+
+
+def test_serve_pipeline_matches_per_sample_reference():
+    """``profile serve``'s in-process ingest plane builds the same CCT
+    document as decoding every sample on arrival with a fresh decoder."""
+    program, _ = _telemetry_workload(argparse.Namespace(seed=1, calls=20_000))
+    spec = WorkloadSpec(
+        calls=20_000, seed=2, sample_period=0, recursion_affinity=0.4
+    )
+
+    def run_passes(engine, after_pass):
+        for index in range(6):
+            run_workload_columnar(
+                program, replace(spec, seed=spec.seed + index), engine
+            )
+            after_pass()
+
+    config = DacceConfig(retain_samples=False)
+    reference_engine = DacceEngine(root=program.main, config=config)
+    aggregator = CCTAggregator(names=names_from_program(program))
+
+    def deliver(sample, weight):
+        aggregator.decoder = reference_engine.decoder()
+        aggregator.add_sample(sample, weight)
+
+    reference_engine.install_sample_hook(64, deliver)
+    run_passes(reference_engine, lambda: None)
+
+    engine = DacceEngine(root=program.main, config=config)
+    emitter, service, fold = _live_profile(engine, program, 64)
+    run_passes(engine, fold)
+    emitter.complete()
+    fold()
+
+    stats = aggregator.stats()
+    assert stats["samples"] > 1000 and stats["epochs"] > 1, stats
+    assert service.cct_json() == json.dumps(aggregator.to_dict(), indent=2) + "\n"
 
 
 # ----------------------------------------------------------------------

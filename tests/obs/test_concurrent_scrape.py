@@ -1,8 +1,9 @@
 """Concurrent scrape safety.
 
-The profile server scrapes engine statistics and the Prometheus
-exposition from daemon threads while the workload thread is inside
-``process_batch`` — including mid-stream re-encoding passes.  The
+Scrapers (a ``/metrics`` poller, a dashboard) read engine statistics
+and the Prometheus exposition from daemon threads while the workload
+thread is inside ``process_batch`` — including mid-stream re-encoding
+passes.  The
 engine gives no stronger guarantee than "reads never raise and counters
 never go backwards"; this suite pins exactly that.
 """
