@@ -803,13 +803,12 @@ def _telemetry_workload(args):
 def cmd_metrics(args) -> int:
     """Run an instrumented workload; emit the metrics snapshot."""
     from .obs import Telemetry
-    from .program.trace import TraceExecutor
+    from .program.trace import run_workload_columnar
 
     program, spec = _telemetry_workload(args)
     telemetry = Telemetry()
     engine = DacceEngine(root=program.main, telemetry=telemetry)
-    for event in TraceExecutor(program, spec).events():
-        engine.on_event(event)
+    run_workload_columnar(program, spec, engine)
 
     if args.format == "json":
         output = telemetry.to_json(indent=2)
@@ -830,7 +829,7 @@ def cmd_metrics(args) -> int:
 def cmd_trace(args) -> int:
     """Run a span-traced workload; emit the engine's JSONL span log."""
     from .obs import SpanRecorder
-    from .program.trace import TraceExecutor
+    from .program.trace import run_workload_columnar
 
     if args.input:
         if args.follow:
@@ -880,8 +879,7 @@ def cmd_trace(args) -> int:
     try:
         spans = SpanRecorder("engine", stream=handle)
         engine = DacceEngine(root=program.main, spans=spans)
-        for event in TraceExecutor(program, spec).events():
-            engine.on_event(event)
+        run_workload_columnar(program, spec, engine)
     finally:
         if handle is not None:
             handle.close()

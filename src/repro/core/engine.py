@@ -148,11 +148,6 @@ class DacceConfig:
     #: semantics), ``RECOVER`` quarantines the event into ``engine.faults``,
     #: resynchronises the thread and keeps encoding (docs/ROBUSTNESS.md).
     fault_policy: FaultPolicy = FaultPolicy.STRICT
-    #: Retained quarantine records (older ones are evicted but counted).
-    fault_log_capacity: int = 1024
-    #: Run ``invariants.check_dictionary`` as the commit gate of every
-    #: re-encoding pass; a failing pass is rolled back completely.
-    reencode_commit_gate: bool = True
 
 
 class _Action(enum.Enum):
@@ -343,9 +338,9 @@ class DacceEngine:
         self.policy = AdaptivePolicy(self.config.adaptive)
         self.indirect = IndirectDispatchTable(self.config.hash_threshold)
         self.stats = DacceStats()
-        self.faults = FaultLog(capacity=self.config.fault_log_capacity)
-        # Fault policy behind one boolean (same pattern as telemetry): the
-        # strict hot path pays a single guard per event, nothing else.
+        self.faults = FaultLog()
+        # Fault policy behind one boolean, read only when a fault fires
+        # (:meth:`_fault` and the ``on_event`` backstop).
         self._recover = self.config.fault_policy is FaultPolicy.RECOVER
         self.samples: List[CollectedSample] = []
         #: Every re-encoding pass, committed or no-op, in order: the one
@@ -609,26 +604,50 @@ class DacceEngine:
             self.on_event(event)
 
     def on_event(self, event: Event) -> None:
-        if self._recover:
-            self._on_event_recover(event)
-            return
-        if isinstance(event, CallEvent):
-            self.on_call(event)
-        elif isinstance(event, ReturnEvent):
-            self.on_return(event)
-        elif isinstance(event, SampleEvent):
-            self.on_sample(event)
-        elif isinstance(event, ThreadStartEvent):
-            self.on_thread_start(event)
-        elif isinstance(event, ThreadExitEvent):
-            self.on_thread_exit(event)
-        elif isinstance(event, LibraryLoadEvent):
-            pass  # functions become callable; nothing to patch yet
-        else:
-            raise TraceError(
-                "unknown event %r" % (event,),
-                event=repr(event),
-                gts=self._timestamp,
+        """Dispatch one event to its handler — the one general path.
+
+        Each handler checks its own fault conditions before changing any
+        state and reports them through :meth:`_fault`, so both fault
+        policies share this dispatch.  Under ``recover`` any other
+        :class:`DacceError` escaping a handler (e.g. a ccStack capacity
+        trap mid-apply) is quarantined as ``trace-error`` and the thread
+        is resynchronised from its shadow stack.
+        """
+        try:
+            if isinstance(event, CallEvent):
+                self.on_call(event)
+            elif isinstance(event, ReturnEvent):
+                self.on_return(event)
+            elif isinstance(event, SampleEvent):
+                self.on_sample(event)
+            elif isinstance(event, ThreadStartEvent):
+                self.on_thread_start(event)
+            elif isinstance(event, ThreadExitEvent):
+                self.on_thread_exit(event)
+            elif isinstance(event, LibraryLoadEvent):
+                pass  # functions become callable; nothing to patch yet
+            else:
+                self._fault(
+                    FaultKind.UNKNOWN_EVENT, "unknown event %r" % (event,), event
+                )
+        except DacceError as error:
+            if not self._recover:
+                raise
+            thread = getattr(event, "thread", None)
+            state = self._threads.get(thread) if thread is not None else None
+            if state is not None:
+                self._regenerate_thread(state)
+            self._quarantine(
+                FaultKind.TRACE_ERROR,
+                str(error),
+                thread=thread,
+                event=event,
+                recovery=(
+                    RecoveryAction.RESYNCED
+                    if state is not None
+                    else RecoveryAction.DROPPED
+                ),
+                error=type(error).__name__,
             )
 
     # ------------------------------------------------------------------
@@ -675,13 +694,12 @@ class DacceEngine:
         and telemetry folded into per-run flushes.
 
         Everything else (unencoded edges, indirect/tail/PLT calls,
-        tail-chain returns, samples, thread events, malformed events
-        under the recover policy) *deoptimises* without leaving the
-        kernel: it
-        calls this batch's ``deopt`` closure, which flushes the folded
-        counters, materialises that single compact tuple
-        (``cols.record(i)``) and dispatches it through :meth:`on_event`,
-        so the general path — fault quarantine, warm-start accounting,
+        tail-chain returns, samples, thread events, malformed events)
+        *deoptimises* without leaving the kernel: it calls this batch's
+        ``deopt`` closure, which flushes the folded counters,
+        materialises that single compact tuple (``cols.record(i)``) and
+        dispatches it through :meth:`on_event`, so the general path —
+        fault checks under either policy, warm-start accounting,
         adaptive re-encoding — behaves exactly as in per-event
         processing.  The kernel exits only when the batch is done, a
         sample fires, the adaptive window fills or a general-path event
@@ -896,189 +914,37 @@ class DacceEngine:
         return snapshot
 
     # ------------------------------------------------------------------
-    # fault quarantine (recover policy)
+    # fault reporting
     # ------------------------------------------------------------------
-    def _on_event_recover(self, event: Event) -> None:
-        """Event dispatch under ``FaultPolicy.RECOVER``.
+    def _fault(
+        self,
+        kind: FaultKind,
+        message: str,
+        event: Optional[Event],
+        recovery: RecoveryAction = RecoveryAction.DROPPED,
+        **detail: Any,
+    ) -> None:
+        """Report a malformed event — the one place the policy is read.
 
-        Malformed events are detected *before* they mutate state where
-        possible, quarantined into ``self.faults``, and the affected
-        thread is resynchronised against its own shadow stack (the
-        paper's ccStack escape hatch: when the compact encoding state is
-        suspect, rebuild it from a stack walk).  Nothing raises.
+        Handlers call this when a check fails, before changing any
+        state.  Under ``strict`` it raises :class:`TraceError` with
+        ``thread``, ``gts``, ``event`` and ``reason`` (the kind's value)
+        plus ``detail``; under ``recover`` it quarantines the event and
+        returns, and the handler carries out ``recovery``.
         """
-        try:
-            if isinstance(event, CallEvent):
-                state = self._threads.get(event.thread)
-                if state is None:
-                    self._quarantine(
-                        FaultKind.UNKNOWN_THREAD,
-                        "call on unknown thread %d" % event.thread,
-                        thread=event.thread,
-                        event=event,
-                    )
-                    return
-                if state.frames[-1].function != event.caller:
-                    self._recover_caller_mismatch(state, event)
-                    return
-                if event.kind is CallKind.TAIL and len(state.frames) <= 1:
-                    self._quarantine(
-                        FaultKind.TAIL_BOTTOM,
-                        "thread %d: tail call from the bottom frame"
-                        % event.thread,
-                        thread=event.thread,
-                        event=event,
-                    )
-                    return
-                self.on_call(event)
-            elif isinstance(event, ReturnEvent):
-                state = self._threads.get(event.thread)
-                if state is None:
-                    self._quarantine(
-                        FaultKind.UNKNOWN_THREAD,
-                        "return on unknown thread %d" % event.thread,
-                        thread=event.thread,
-                        event=event,
-                    )
-                    return
-                if len(state.frames) <= 1:
-                    self._quarantine(
-                        FaultKind.RETURN_BOTTOM,
-                        "thread %d: return from the bottom frame"
-                        % event.thread,
-                        thread=event.thread,
-                        event=event,
-                    )
-                    return
-                self.on_return(event)
-            elif isinstance(event, SampleEvent):
-                if event.thread not in self._threads:
-                    # The thread-exit-then-sample race: the sampler fired
-                    # after the thread's TLS block was torn down.
-                    self._quarantine(
-                        FaultKind.UNKNOWN_THREAD,
-                        "sample on unknown thread %d" % event.thread,
-                        thread=event.thread,
-                        event=event,
-                    )
-                    return
-                self.on_sample(event)
-            elif isinstance(event, ThreadStartEvent):
-                if event.thread in self._threads:
-                    self._quarantine(
-                        FaultKind.DUPLICATE_THREAD,
-                        "thread %d already exists" % event.thread,
-                        thread=event.thread,
-                        event=event,
-                    )
-                    return
-                if event.parent not in self._threads:
-                    self._quarantine(
-                        FaultKind.UNKNOWN_THREAD,
-                        "thread %d spawned by unknown parent %d"
-                        % (event.thread, event.parent),
-                        thread=event.thread,
-                        event=event,
-                    )
-                    return
-                self.on_thread_start(event)
-            elif isinstance(event, ThreadExitEvent):
-                state = self._threads.get(event.thread)
-                if state is None:
-                    self._quarantine(
-                        FaultKind.UNKNOWN_THREAD,
-                        "exit of unknown thread %d" % event.thread,
-                        thread=event.thread,
-                        event=event,
-                    )
-                    return
-                if len(state.frames) > 1:
-                    # Missed returns: unwind to the bottom frame, resync
-                    # the encoding state, then let the exit proceed.
-                    dropped = len(state.frames) - 1
-                    del state.frames[1:]
-                    self._resync_thread(state)
-                    self._quarantine(
-                        FaultKind.THREAD_EXIT_LIVE_FRAMES,
-                        "thread %d exited with %d live frames"
-                        % (event.thread, dropped + 1),
-                        thread=event.thread,
-                        event=event,
-                        recovery=RecoveryAction.UNWOUND,
-                        dropped_frames=dropped,
-                    )
-                self.on_thread_exit(event)
-            elif isinstance(event, LibraryLoadEvent):
-                pass
-            else:
-                self._quarantine(
-                    FaultKind.UNKNOWN_EVENT,
-                    "unknown event %r" % (event,),
-                    event=event,
-                )
-        except DacceError as error:
-            # Backstop: any inconsistency the pre-checks did not cover
-            # (e.g. a ccStack capacity trap mid-apply).  Quarantine and
-            # resynchronise the thread so encoding can continue.
-            thread = getattr(event, "thread", None)
-            state = self._threads.get(thread) if thread is not None else None
-            if state is not None:
-                self._resync_thread(state)
-            self._quarantine(
-                FaultKind.TRACE_ERROR,
-                str(error),
+        thread = getattr(event, "thread", None)
+        if not self._recover:
+            raise TraceError(
+                message,
                 thread=thread,
+                gts=self._timestamp,
                 event=event,
-                recovery=(
-                    RecoveryAction.RESYNCED
-                    if state is not None
-                    else RecoveryAction.DROPPED
-                ),
-                error=type(error).__name__,
+                reason=kind.value,
+                **detail,
             )
-
-    def _recover_caller_mismatch(self, state: _ThreadState, event: CallEvent) -> None:
-        """Quarantine a call whose caller is not the current function.
-
-        If the claimed caller is live deeper in the shadow stack the
-        mismatch is a run of missed returns: unwind to that frame,
-        resynchronise, and apply the call normally.  Otherwise the call
-        has no consistent interpretation and is dropped.
-        """
-        for index in range(len(state.frames) - 2, -1, -1):
-            if state.frames[index].function == event.caller:
-                dropped = len(state.frames) - 1 - index
-                del state.frames[index + 1:]
-                self._resync_thread(state)
-                self._quarantine(
-                    FaultKind.CALLER_MISMATCH,
-                    "thread %d: call from %d reached with %d frames unwound"
-                    % (event.thread, event.caller, dropped),
-                    thread=event.thread,
-                    event=event,
-                    recovery=RecoveryAction.UNWOUND,
-                    dropped_frames=dropped,
-                )
-                self.on_call(event)
-                return
         self._quarantine(
-            FaultKind.CALLER_MISMATCH,
-            "thread %d: call from %d but current function is %d"
-            % (event.thread, event.caller, state.frames[-1].function),
-            thread=event.thread,
-            event=event,
-            expected_function=state.frames[-1].function,
+            kind, message, thread=thread, event=event, recovery=recovery, **detail
         )
-
-    def _resync_thread(self, state: _ThreadState) -> None:
-        """The ccStack escape hatch: rebuild encoding state by stack walk.
-
-        Regenerates the thread's live id and ccStack from its shadow
-        frames under the current dictionary — exactly what the freshly
-        patched instrumentation would have produced — so decoding stays
-        consistent with the shadow stack after a quarantined fault.
-        """
-        self._regenerate_thread(state)
 
     def _quarantine(
         self,
@@ -1212,17 +1078,49 @@ class DacceEngine:
     # event handlers
     # ------------------------------------------------------------------
     def on_call(self, event: CallEvent) -> None:
-        state = self._state(event.thread)
-        top = state.frames[-1]
-        if top.function != event.caller:
-            raise TraceError(
-                "thread %d: call from %d but current function is %d"
-                % (event.thread, event.caller, top.function),
-                thread=event.thread,
-                gts=self._timestamp,
-                event=event,
-                expected_function=top.function,
+        state = self._threads.get(event.thread)
+        if state is None:
+            self._fault(
+                FaultKind.UNKNOWN_THREAD,
+                "call on unknown thread %d" % event.thread,
+                event,
             )
+            return
+        frames = state.frames
+        if frames[-1].function != event.caller:
+            # A caller live deeper in the shadow stack means missed
+            # returns: recover unwinds to it, resynchronises the thread
+            # and applies the call.  Any other caller is dropped.
+            for index in range(len(frames) - 2, -1, -1):
+                if frames[index].function == event.caller:
+                    break
+            else:
+                self._fault(
+                    FaultKind.CALLER_MISMATCH,
+                    "thread %d: call from %d but current function is %d"
+                    % (event.thread, event.caller, frames[-1].function),
+                    event,
+                    expected_function=frames[-1].function,
+                )
+                return
+            dropped = len(frames) - 1 - index
+            self._fault(
+                FaultKind.CALLER_MISMATCH,
+                "thread %d: call from %d reached with %d frames unwound"
+                % (event.thread, event.caller, dropped),
+                event,
+                recovery=RecoveryAction.UNWOUND,
+                dropped_frames=dropped,
+            )
+            del frames[index + 1:]
+            self._regenerate_thread(state)
+        if event.kind is CallKind.TAIL and len(state.frames) <= 1:
+            self._fault(
+                FaultKind.TAIL_BOTTOM,
+                "thread %d: tail call from the bottom frame" % event.thread,
+                event,
+            )
+            return
         self.stats.calls += 1
         self._window.calls += 1
         self.cost.charge_call_baseline()
@@ -1260,58 +1158,71 @@ class DacceEngine:
                 self._fire_profile_sample(hook, event.thread)
 
     def on_return(self, event: ReturnEvent) -> None:
-        state = self._state(event.thread)
-        if len(state.frames) <= 1:
-            raise TraceError(
-                "thread %d: return from the bottom frame" % event.thread,
-                thread=event.thread,
-                gts=self._timestamp,
-                event=event,
+        state = self._threads.get(event.thread)
+        if state is None:
+            self._fault(
+                FaultKind.UNKNOWN_THREAD,
+                "return on unknown thread %d" % event.thread,
+                event,
             )
+            return
+        if len(state.frames) <= 1:
+            self._fault(
+                FaultKind.RETURN_BOTTOM,
+                "thread %d: return from the bottom frame" % event.thread,
+                event,
+            )
+            return
         frame = state.frames.pop()
         self.stats.returns += 1
         if self._obs:
             self._m_returns.inc()
 
+        action = frame.action
         if frame.is_tail_chain:
             # TcStack restoration: one restore covers the whole chain.
             state.ccstack.restore(frame.cc_state)
-            if frame.action is not _Action.UNTRACKED:
+            if action is not _Action.UNTRACKED:
                 # A chain that never left untracked code pushed nothing
                 # and carries no TcStack instrumentation to charge.
                 self.cost.charge_tcstack()
-        elif frame.action is _Action.PUSH or frame.action is _Action.COMPRESS:
-            state.ccstack.pop()
-            self.cost.charge_ccstack_pop()
-            self._window.ccstack_ops += 1
-            if self._obs:
-                self._h_ccstack_depth.observe(state.ccstack.depth())
-        elif frame.action is _Action.DISCOVERY_PUSH:
-            state.ccstack.pop()
-            self._charge_discovery_pop()
-            self.stats.discovery_ccstack_ops += 1
-            self._window.ccstack_ops += 1
-            if self._obs:
-                self._h_ccstack_depth.observe(state.ccstack.depth())
         elif (
-            frame.action is _Action.BOUNDARY_DEP
-            or frame.action is _Action.BOUNDARY_RE
+            action is _Action.PUSH
+            or action is _Action.COMPRESS
+            or action is _Action.BOUNDARY_DEP
+            or action is _Action.BOUNDARY_RE
         ):
             state.ccstack.pop()
             self.cost.charge_ccstack_pop()
             self._window.ccstack_ops += 1
             if self._obs:
                 self._h_ccstack_depth.observe(state.ccstack.depth())
-        elif frame.action is _Action.UNTRACKED:
-            pass  # interior untracked return: the shadow pop is all
-        elif frame.action is _Action.ID:
+        elif action is _Action.DISCOVERY_PUSH:
+            state.ccstack.pop()
+            self._charge_discovery_pop()
+            self.stats.discovery_ccstack_ops += 1
+            self._window.ccstack_ops += 1
+            if self._obs:
+                self._h_ccstack_depth.observe(state.ccstack.depth())
+        elif action is _Action.ID:
             self.cost.charge_id_update()
+        # NONE and UNTRACKED returns: restoring the id is all.
         state.id_value = frame.restore_id
 
         self._maybe_check_triggers()
 
-    def on_sample(self, event: SampleEvent) -> CollectedSample:
-        state = self._state(event.thread)
+    def on_sample(self, event: SampleEvent) -> Optional[CollectedSample]:
+        """Take a sample of the thread's context (``None`` if quarantined)."""
+        state = self._threads.get(event.thread)
+        if state is None:
+            # The thread-exit-then-sample race (Section 5.3): the sampler
+            # fired after the thread's TLS block was torn down.
+            self._fault(
+                FaultKind.UNKNOWN_THREAD,
+                "sample on unknown thread %d" % event.thread,
+                event,
+            )
+            return None
         sample = CollectedSample(
             timestamp=self._timestamp,
             context_id=state.id_value,
@@ -1370,13 +1281,21 @@ class DacceEngine:
 
     def on_thread_start(self, event: ThreadStartEvent) -> None:
         if event.thread in self._threads:
-            raise TraceError(
+            self._fault(
+                FaultKind.DUPLICATE_THREAD,
                 "thread %d already exists" % event.thread,
-                thread=event.thread,
-                gts=self._timestamp,
-                event=event,
+                event,
             )
-        parent = self._state(event.parent)
+            return
+        parent = self._threads.get(event.parent)
+        if parent is None:
+            self._fault(
+                FaultKind.UNKNOWN_THREAD,
+                "thread %d spawned by unknown parent %d"
+                % (event.thread, event.parent),
+                event,
+            )
+            return
         # Intercepted ``clone``: record the spawning context (Section 5.3).
         self.thread_parents[event.thread] = CollectedSample(
             timestamp=self._timestamp,
@@ -1418,16 +1337,28 @@ class DacceEngine:
         )
 
     def on_thread_exit(self, event: ThreadExitEvent) -> None:
-        state = self._state(event.thread)
-        if len(state.frames) > 1:
-            raise TraceError(
-                "thread %d exited with %d live frames"
-                % (event.thread, len(state.frames)),
-                thread=event.thread,
-                gts=self._timestamp,
-                event=event,
-                live_frames=len(state.frames),
+        state = self._threads.get(event.thread)
+        if state is None:
+            self._fault(
+                FaultKind.UNKNOWN_THREAD,
+                "exit of unknown thread %d" % event.thread,
+                event,
             )
+            return
+        if len(state.frames) > 1:
+            # Missed returns: recover unwinds to the bottom frame and
+            # resynchronises the encoding state, then lets the exit run.
+            dropped = len(state.frames) - 1
+            self._fault(
+                FaultKind.THREAD_EXIT_LIVE_FRAMES,
+                "thread %d exited with %d live frames"
+                % (event.thread, dropped + 1),
+                event,
+                recovery=RecoveryAction.UNWOUND,
+                dropped_frames=dropped,
+            )
+            del state.frames[1:]
+            self._regenerate_thread(state)
         stats = state.ccstack.stats
         self._retired_ccstack["pushes"] += stats.pushes
         self._retired_ccstack["pops"] += stats.pops
@@ -1623,10 +1554,8 @@ class DacceEngine:
         try:
             return self._threads[thread]
         except KeyError:
-            # Samples racing a thread's exit land here (Section 5.3): the
-            # sampler fires after the TLS block is torn down.  Strict mode
-            # reports it with full context; recover mode quarantines it
-            # (see _on_event_recover).
+            # Introspection of a thread that is not live; the event
+            # handlers report unknown threads through _fault instead.
             raise TraceError(
                 "unknown thread %d" % thread,
                 thread=thread,
@@ -1789,13 +1718,6 @@ class DacceEngine:
     ) -> None:
         """Replace the top frame (Figure 7); restoration via TcStack."""
         self.stats.tail_calls += 1
-        if len(state.frames) <= 1:
-            raise TraceError(
-                "tail call from the bottom frame",
-                thread=event.thread,
-                gts=self._timestamp,
-                event=event,
-            )
         old = state.frames.pop()
         self._tail_calling_functions.add(old.function)
 
@@ -1845,13 +1767,6 @@ class DacceEngine:
             return False
 
         if event.kind is CallKind.TAIL:
-            if len(state.frames) <= 1:
-                raise TraceError(
-                    "tail call from the bottom frame",
-                    thread=event.thread,
-                    gts=self._timestamp,
-                    event=event,
-                )
             old = state.frames.pop()
             if old.function in fns:
                 self._tail_calling_functions.add(old.function)
@@ -1863,32 +1778,21 @@ class DacceEngine:
             restore_id = state.id_value
             cc_state = state.ccstack.saved_state()
 
-        if caller_in:  # departure
+        if caller_in or callee_in:  # departure or re-entry
             if event.kind is CallKind.TAIL:
                 self.stats.tail_calls += 1
             self.stats.boundary_crossings += 1
             state.ccstack.push(
-                state.id_value, UNTRACKED_CALLSITE, event.caller
+                state.id_value,
+                UNTRACKED_CALLSITE,
+                event.caller if caller_in else event.callee,
             )
             self.cost.charge_ccstack_push()
             self._window.ccstack_ops += 1
             if self._obs:
                 self._h_ccstack_depth.observe(state.ccstack.depth())
             state.id_value = self._current.max_id + 1
-            action = _Action.BOUNDARY_DEP
-        elif callee_in:  # re-entry
-            if event.kind is CallKind.TAIL:
-                self.stats.tail_calls += 1
-            self.stats.boundary_crossings += 1
-            state.ccstack.push(
-                state.id_value, UNTRACKED_CALLSITE, event.callee
-            )
-            self.cost.charge_ccstack_push()
-            self._window.ccstack_ops += 1
-            if self._obs:
-                self._h_ccstack_depth.observe(state.ccstack.depth())
-            state.id_value = self._current.max_id + 1
-            action = _Action.BOUNDARY_RE
+            action = _Action.BOUNDARY_DEP if caller_in else _Action.BOUNDARY_RE
         else:  # interior untracked
             self.stats.untracked_calls += 1
             action = _Action.UNTRACKED
@@ -1989,15 +1893,14 @@ class DacceEngine:
             )
             encoder = Encoder(order_policy=order, id_bits=self.config.id_bits)
             self._current = encoder.encode(self.graph, timestamp=self._timestamp)
-            if self.config.reencode_commit_gate:
-                violations = self._commit_gate(self._current)
-                if violations:
-                    raise ReencodeError(
-                        "re-encoding pass %d failed its commit gate: %s"
-                        % (self._timestamp, "; ".join(violations)),
-                        gts=self._timestamp,
-                        violations=list(violations),
-                    )
+            violations = self._commit_gate(self._current)
+            if violations:
+                raise ReencodeError(
+                    "re-encoding pass %d failed its commit gate: %s"
+                    % (self._timestamp, "; ".join(violations)),
+                    gts=self._timestamp,
+                    violations=list(violations),
+                )
             patches = self._indirect_patch_plan()
             noop = decision is not None and self._changes_nothing(
                 snapshot, compressed_edges, patches

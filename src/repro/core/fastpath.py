@@ -16,8 +16,10 @@ over a back edge pushes (or compresses) ``<id, callsite, target>`` on
 the ccStack and its return pops it, exactly as Figure 5(e) describes,
 without leaving the kernel.  Anything else (an unencoded edge, an
 indirect/tail/PLT call, a tail-chain return, a sample, a thread event,
-a fault-policy recovery) misses and deoptimises to the existing general
-path, so behaviour is identical and only speed changes.
+a malformed event) misses and deoptimises to the general path — the
+engine's event handlers, which check every fault condition and apply
+the fault policy themselves — so behaviour is identical under either
+policy and only speed changes.
 
 Invalidation is by identity: a table is valid exactly while the engine's
 current dictionary is the *object* it was compiled from and the

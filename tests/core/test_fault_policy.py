@@ -4,6 +4,8 @@ The hand-built streams make each malformed-event class hit its specific
 recovery path; the hypothesis sweeps live in ``tests/faultinject``.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.engine import DacceConfig, DacceEngine
@@ -153,6 +155,148 @@ def test_strict_unknown_event_raises():
     with pytest.raises(TraceError) as info:
         engine.on_event(object())
     assert info.value.event is not None
+
+
+# ----------------------------------------------------------------------
+# one check per fault class, shared by both policies
+# ----------------------------------------------------------------------
+_SPAWN = ThreadStartEvent(thread=1, parent=0, entry=B)
+
+#: ``id -> (setup events, faulting event, FaultKind recover records)``.
+FAULT_CASES = {
+    "call-unknown-thread": (
+        [],
+        CallEvent(thread=9, callsite=1, caller=A, callee=B),
+        FaultKind.UNKNOWN_THREAD,
+    ),
+    "caller-mismatch-dropped": (
+        [CallEvent(thread=0, callsite=1, caller=A, callee=B)],
+        CallEvent(thread=0, callsite=2, caller=D, callee=C),
+        FaultKind.CALLER_MISMATCH,
+    ),
+    "caller-mismatch-unwound": (
+        [
+            CallEvent(thread=0, callsite=1, caller=A, callee=B),
+            CallEvent(thread=0, callsite=2, caller=B, callee=C),
+        ],
+        CallEvent(thread=0, callsite=3, caller=A, callee=D),
+        FaultKind.CALLER_MISMATCH,
+    ),
+    "tail-bottom": (
+        [CallEvent(thread=0, callsite=1, caller=A, callee=B),
+         ReturnEvent(thread=0)],
+        CallEvent(thread=0, callsite=4, caller=A, callee=C, kind=CallKind.TAIL),
+        FaultKind.TAIL_BOTTOM,
+    ),
+    "return-unknown-thread": (
+        [], ReturnEvent(thread=9), FaultKind.UNKNOWN_THREAD,
+    ),
+    "return-bottom": (
+        [CallEvent(thread=0, callsite=1, caller=A, callee=B),
+         ReturnEvent(thread=0)],
+        ReturnEvent(thread=0),
+        FaultKind.RETURN_BOTTOM,
+    ),
+    "sample-unknown-thread": (
+        [_SPAWN, ThreadExitEvent(thread=1)],
+        SampleEvent(thread=1),
+        FaultKind.UNKNOWN_THREAD,
+    ),
+    "duplicate-thread": (
+        [_SPAWN], ThreadStartEvent(thread=1, parent=0, entry=C),
+        FaultKind.DUPLICATE_THREAD,
+    ),
+    "unknown-parent": (
+        [], ThreadStartEvent(thread=2, parent=7, entry=C),
+        FaultKind.UNKNOWN_THREAD,
+    ),
+    "exit-unknown-thread": (
+        [], ThreadExitEvent(thread=9), FaultKind.UNKNOWN_THREAD,
+    ),
+    "exit-live-frames": (
+        [_SPAWN, CallEvent(thread=1, callsite=5, caller=B, callee=C)],
+        ThreadExitEvent(thread=1),
+        FaultKind.THREAD_EXIT_LIVE_FRAMES,
+    ),
+    "unknown-event": ([], object(), FaultKind.UNKNOWN_EVENT),
+}
+
+
+def _untouched(engine):
+    """Everything a faulting event must leave alone under strict."""
+    return (
+        dataclasses.asdict(engine.stats),
+        dataclasses.asdict(engine._window),
+        engine.graph.num_nodes,
+        [
+            (e.caller, e.callee, e.callsite, e.invocations, e.is_back)
+            for e in engine.graph.edges()
+        ],
+        {
+            thread: (
+                state.id_value,
+                list(state.frames),
+                state.ccstack.snapshot(),
+            )
+            for thread, state in engine._threads.items()
+        },
+        sorted(engine._tail_calling_functions),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_strict_raises_structured_before_any_mutation(case):
+    setup, bad, kind = FAULT_CASES[case]
+    recover = DacceEngine(
+        root=A, config=DacceConfig(fault_policy=FaultPolicy.RECOVER)
+    )
+    for event in setup + [bad]:
+        recover.on_event(event)
+    assert recover.faults.records()[-1].kind is kind
+
+    strict = DacceEngine(root=A)
+    for event in setup:
+        strict.on_event(event)
+    before = _untouched(strict)
+    with pytest.raises(TraceError) as info:
+        strict.on_event(bad)
+    assert info.value.reason == kind.value
+    assert info.value.thread == getattr(bad, "thread", None)
+    assert info.value.gts == strict.timestamp
+    assert info.value.event is bad
+    assert _untouched(strict) == before
+    assert strict.faults.total == 0
+
+
+def test_tail_call_after_unwind_to_bottom_is_tail_bottom(recover_engine):
+    """A caller mismatch that unwinds to the bottom frame leaves a tail
+    call with no frame to replace: it is dropped as ``tail-bottom``."""
+    engine = recover_engine
+    engine.on_event(CallEvent(thread=0, callsite=1, caller=A, callee=B))
+    calls = engine.stats.calls
+    engine.on_event(
+        CallEvent(thread=0, callsite=2, caller=A, callee=C, kind=CallKind.TAIL)
+    )
+    first, second = engine.faults.records()
+    assert first.kind is FaultKind.CALLER_MISMATCH
+    assert first.recovery is RecoveryAction.UNWOUND
+    assert second.kind is FaultKind.TAIL_BOTTOM
+    assert second.recovery is RecoveryAction.DROPPED
+    assert engine.stats.calls == calls
+    assert engine.stats.tail_calls == 0
+    sample = engine.on_sample(SampleEvent(thread=0))
+    assert [s.function for s in engine.decoder().decode(sample).steps] == [A]
+
+
+def test_direct_handler_calls_follow_the_policy(recover_engine):
+    """Handlers called without ``on_event`` (as tracers do) quarantine too."""
+    engine = recover_engine
+    assert engine.on_sample(SampleEvent(thread=5)) is None
+    engine.on_return(ReturnEvent(thread=0))
+    assert engine.faults.counts_by_kind() == {
+        "unknown-thread": 1,
+        "return-bottom": 1,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI telemetry surfaces: ``dacce metrics`` and ``dacce trace``."""
 
 import json
+import re
 
 from repro.cli import main
 
@@ -17,6 +18,9 @@ def test_metrics_prometheus_output(capsys):
     assert 'gts="1"' in out
     assert 'reasons="' in out
     assert "# TYPE dacce_events_total counter" in out
+    # The workload runs through the columnar kernel, not per event.
+    hits = re.search(r'^dacce_fastpath_total\{result="hit"\} (\d+)', out, re.M)
+    assert hits is not None and int(hits.group(1)) > 0
 
 
 def test_metrics_json_output(capsys):
@@ -50,9 +54,12 @@ def test_trace_stdout_jsonl(capsys):
     assert any(record["name"] == "engine.thread_start" for record in records)
 
 
-def test_trace_output_file(tmp_path, capsys):
+def test_trace_output_file(tmp_path, capsys, monkeypatch):
+    from repro.core import fastpath
     from repro.obs.spans import is_span_record
 
+    # Start from an empty kernel cache so this run compiles its kernel.
+    monkeypatch.setattr(fastpath, "_KERNELS", {})
     path = tmp_path / "trace.jsonl"
     assert main(["trace", "--calls", "6000", "--output", str(path)]) == 0
     assert "span records" in capsys.readouterr().out
@@ -60,5 +67,6 @@ def test_trace_output_file(tmp_path, capsys):
         json.loads(line) for line in path.read_text().splitlines() if line
     ]
     assert any(record["name"] == "engine.reencode" for record in records)
+    assert any(record["name"] == "engine.kernel_compile" for record in records)
     assert all(is_span_record(record) for record in records)
     assert all(record["stage"] == "engine" for record in records)
