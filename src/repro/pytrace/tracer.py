@@ -2,12 +2,21 @@
 
 The paper instruments x86 binaries; this frontend instruments the Python
 interpreter itself through ``sys.setprofile``, mapping code objects to
-function ids and (caller code object, bytecode offset) pairs to call
+function ids and (caller function, bytecode offset) pairs to call
 sites.  Every Python call/return drives the same :class:`DacceEngine`
 used by the synthetic substrate, so real programs get real dynamic
 calling-context encoding: ids stay compact, recursion lands on the
 ccStack, re-encoding adapts to the program's call mix, and any collected
 sample decodes back to the exact Python call path.
+
+The profile hook is one closure per tracer mode (untargeted or
+targeted), built once by :meth:`PythonDacceTracer._make_hook`.  Per
+call it does one identity-keyed code-cache probe, one per-caller
+call-site probe and four integer stores into the event slab.  Code
+objects are classified (package filter, targeted-plan disposition,
+function id) once, on their first call: CPython 3.11 does not cache a
+code object's hash, so every code-keyed dict probe rehashes its bytecode
+and constants.
 
 This is the reproduction's end-to-end validation path: decoded contexts
 are cross-checked against genuine interpreter stack walks
@@ -30,6 +39,7 @@ from ..core.columnar import EventColumns
 from ..core.context import CallingContext, CollectedSample
 from ..core.engine import DacceConfig, DacceEngine
 from ..core.errors import TraceError
+from ..core.events import EV_CALL, EV_RETURN, SampleEvent
 
 #: Function id reserved for the tracing root (the ``main`` node).
 ROOT_FUNCTION = 0
@@ -44,6 +54,20 @@ _REGION_INNER = 2
 #: The tracer never traces the repro package itself — its own engine
 #: calls (sampling, decoding) run while the profile hook is active.
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Code-cache function id of code the tracer never traces: the repro
+#: package and ``<frozen`` stdlib modules.
+_SKIP = -1
+
+#: The one sample request the tracer hands the engine (immutable).
+_SAMPLE = SampleEvent(thread=0)
+
+#: A code-cache entry: ``(code, function id, call sites, static sites)``.
+#: The strong reference to the code object keeps its ``id()`` from being
+#: reused while the entry lives.  ``call sites`` maps the function's
+#: bytecode offsets to call-site ids when it is the caller; ``static
+#: sites`` maps callee ids to the seeded static call site (targeted mode).
+_Entry = Tuple[Optional[CodeType], int, Dict[int, int], Dict[int, int]]
 
 
 @dataclass
@@ -74,6 +98,12 @@ class PythonDacceTracer:
     Samples are taken with :meth:`sample` (callable from inside the
     traced code), or automatically every ``sample_every`` calls.
 
+    The profile hook is built once per tracer (:meth:`_make_hook`).  A
+    code object is classified on its first call and found by identity
+    after that; the caller is the top of a shadow stack of cache
+    entries, and events go straight into a column slab that reaches the
+    engine in batches.
+
     Limitations (documented, by design): C-level calls are not traced
     (no Python frame), and the tracer follows a single thread — the
     multi-threaded machinery is exercised by the synthetic substrate.
@@ -94,16 +124,19 @@ class PythonDacceTracer:
         # no callsite mapping and (inside an untracked region) no engine
         # events at all.  Under ``sys.setprofile`` the interpreter still
         # invokes the hook, so the modeled saving is everything past the
-        # disposition-cache probe; a real deployment (sys.monitoring's
-        # per-code DISABLE, or binary patching as in the paper) would
-        # also skip the callback itself.
+        # code-cache probe; a real deployment (sys.monitoring's per-code
+        # DISABLE, or binary patching as in the paper) would also skip
+        # the callback itself.
         self.targeted = targeted
         self._plan_fns: Optional[set] = None
         self.skipped_code_objects = 0
         self.suppressed_events = 0
+        #: Plan disposition by code *equality*, so equal code objects are
+        #: classified (and counted in ``skipped_code_objects``) once.
         self._disposition: Dict[CodeType, bool] = {}
         self._frame_kinds: List[int] = []
-        self._static_site: Dict[Tuple[int, int], int] = {}
+        #: Caller id -> {callee id: seeded static call site}.
+        self._static_sites: Dict[int, Dict[int, int]] = {}
         if targeted is not None:
             if targeted.warm_start.graph.root != ROOT_FUNCTION:
                 raise TraceError(
@@ -128,10 +161,10 @@ class PythonDacceTracer:
             # several static sites collapse onto the smallest — a
             # deliberate precision trade documented in the docs).
             for edge in targeted.static_graph.edges():
-                key = (edge.caller, edge.callee)
-                site = self._static_site.get(key)
+                sites = self._static_sites.setdefault(edge.caller, {})
+                site = sites.get(edge.callee)
                 if site is None or edge.callsite < site:
-                    self._static_site[key] = edge.callsite
+                    sites[edge.callee] = edge.callsite
             self.engine = DacceEngine(config=config, targeted=targeted)
         else:
             self.engine = DacceEngine(root=ROOT_FUNCTION, config=config)
@@ -153,6 +186,10 @@ class PythonDacceTracer:
                 UNTRACKED_FUNCTION, "<untracked>", "<targeted>", 0
             )
         self._callsites: Dict[Tuple[int, int], int] = {}
+        #: Caller id -> {bytecode offset: call site}: the hook's view of
+        #: ``_callsites``, one dict per caller function, so a call-site
+        #: probe builds no tuple.
+        self._caller_sites: Dict[int, Dict[int, int]] = {}
         self._next_function = ROOT_FUNCTION + 1
         self._next_callsite = 1
         # Code-object -> static-function-id mapping.  With a
@@ -194,16 +231,26 @@ class PythonDacceTracer:
                 self._next_callsite = max(self._next_callsite, top_site + 1)
         #: Frames we have emitted CallEvents for, bottom first.
         self._live_frames: List[FrameType] = []
+        #: Code-cache entries of ``_live_frames``, parallel to it: the
+        #: top entry is the caller of the next call, with no lookup.
+        self._live_entries: List[_Entry] = []
+        #: ``id(code)`` -> code-cache entry; filled by :meth:`_classify`
+        #: on a code object's first call and kept for the tracer's life.
+        self._code_cache: Dict[int, _Entry] = {}
         self._active = False
         self._calls_since_sample = 0
         self._base_frame: Optional[FrameType] = None
         #: Pending events as a preallocated struct-of-arrays slab,
         #: drained through the engine's code-generated columnar fast
-        #: lane.  The per-call profile-hook work is a handful of integer
-        #: column stores; anything that observes engine state (sampling,
-        #: decoding, the shadow-stack oracle, ``stop``) flushes first,
-        #: so observable behaviour is unchanged.  ``clear()`` keeps the
-        #: storage, so a long trace never reallocates the slab.
+        #: lane.  The profile hook stores ``op``/``callsite``/``caller``/
+        #: ``callee`` straight into the arrays and bumps the length; the
+        #: slab only ever holds thread 0 and kind 0, so those columns stay
+        #: zero.  It flushes at ``_buffer_limit`` (the capacity, fixed
+        #: when the hook is built), so a store never runs past the end.
+        #: Anything that observes engine state (sampling, decoding, the
+        #: shadow-stack oracle, ``stop``) flushes first, so observable
+        #: behaviour is unchanged.  ``clear()`` keeps the storage, so a
+        #: long trace never reallocates the slab.
         self._buffer_limit = 512
         self._columns = EventColumns.with_capacity(self._buffer_limit)
         #: True while engine machinery runs under an active profile hook
@@ -211,6 +258,7 @@ class PythonDacceTracer:
         #: ignores those interpreter events — they belong to the tracer,
         #: not the traced program.
         self._in_engine = False
+        self._hook = self._make_hook()
 
     # ------------------------------------------------------------------
     # identity mapping
@@ -256,23 +304,40 @@ class PythonDacceTracer:
             (module, code.co_name, code.co_firstlineno)
         )
 
-    def _code_disposition(self, code: CodeType) -> bool:
-        """Whether ``code`` is inside the targeted plan (cached).
+    def _classify(self, code: CodeType) -> _Entry:
+        """Cache and return the code-cache entry of ``code``.
 
-        Each code object is classified exactly once; out-of-plan code
-        never gets a function id or call-site allocation.  Everything
-        past this cache probe — id mapping, event construction, engine
-        work — is what targeted mode skips for untracked code.
+        Runs once per code object, on its first call: the package and
+        ``<frozen`` filter, the targeted-plan disposition, then
+        :meth:`_function_id` (keyed by code equality, so equal code
+        objects share one id).  Out-of-plan code never gets a function
+        id or call-site allocation.
         """
-        tracked = self._disposition.get(code)
-        if tracked is None:
-            assert self._plan_fns is not None
-            static_id = self._static_function_id(code)
-            tracked = static_id is not None and static_id in self._plan_fns
-            self._disposition[code] = tracked
-            if not tracked:
-                self.skipped_code_objects += 1
-        return tracked
+        filename = code.co_filename
+        if filename.startswith(_PACKAGE_ROOT) or filename.startswith("<frozen"):
+            function = _SKIP  # never trace the tracer/engine machinery itself
+        elif self._plan_fns is None:
+            function = self._function_id(code)
+        else:
+            tracked = self._disposition.get(code)
+            if tracked is None:
+                static_id = self._static_function_id(code)
+                tracked = static_id is not None and static_id in self._plan_fns
+                self._disposition[code] = tracked
+                if not tracked:
+                    self.skipped_code_objects += 1
+            function = self._function_id(code) if tracked else UNTRACKED_FUNCTION
+        entry = self._entry(code, function)
+        self._code_cache[id(code)] = entry
+        return entry
+
+    def _entry(self, code: Optional[CodeType], function: int) -> _Entry:
+        return (
+            code,
+            function,
+            self._caller_sites.setdefault(function, {}),
+            self._static_sites.get(function, {}),
+        )
 
     def _callsite_id(self, caller: int, lasti: int) -> int:
         key = (caller, lasti)
@@ -308,7 +373,7 @@ class PythonDacceTracer:
         # Frames at or above the base frame belong to the harness, not
         # the traced program; they map onto the engine's root node.
         self._base_frame = sys._getframe(1)
-        sys.setprofile(self._profile)
+        sys.setprofile(self._hook)
 
     def stop(self) -> None:
         if not self._active:
@@ -319,6 +384,7 @@ class PythonDacceTracer:
         # call may terminate via an exception caught above us).
         while self._live_frames:
             self._live_frames.pop()
+            self._live_entries.pop()
             if self._frame_kinds and self._frame_kinds.pop() == _REGION_INNER:
                 continue
             self._columns.push_return(0)
@@ -337,144 +403,185 @@ class PythonDacceTracer:
                 cols.clear()
 
     # ------------------------------------------------------------------
-    def _profile(self, frame: FrameType, event: str, arg: Any) -> None:
-        if self._in_engine:
-            return
-        if event == "call":
-            self._on_call(frame)
-        elif event == "return":
-            self._on_return(frame)
-        # c_call / c_return / exception events carry no Python frame
-        # transition we need to encode.
+    # the profile hook
+    # ------------------------------------------------------------------
+    def _make_hook(self) -> Callable[[FrameType, str, Any], None]:
+        """Build the profile hook for this tracer's mode (once, at init).
 
-    def _on_call(self, frame: FrameType) -> None:
-        filename = frame.f_code.co_filename
-        if filename.startswith(_PACKAGE_ROOT) or filename.startswith("<frozen"):
-            return  # never trace the tracer/engine machinery itself
-        if self._plan_fns is not None:
-            self._on_call_targeted(frame)
-            return
-        parent = frame.f_back
-        if self._live_frames:
-            if parent is not self._live_frames[-1]:
-                # A call from outside the traced stack (e.g. a callback
-                # from C code whose Python parent we never saw): skip it
-                # and everything below it would desynchronise — attach
-                # it to the current top instead.
-                caller_id = self._function_id(self._live_frames[-1].f_code)
-            else:
-                caller_id = self._function_id(parent.f_code)
-            lasti = parent.f_lasti if parent is not None else 0
-        else:
-            caller_id = ROOT_FUNCTION
-            lasti = 0
-        callee_id = self._function_id(frame.f_code)
-        callsite = self._callsite_id(caller_id, lasti)
-        self._columns.push_call(0, callsite, caller_id, callee_id)
-        self._live_frames.append(frame)
-        if self.sample_every:
-            self._calls_since_sample += 1
-            if self._calls_since_sample >= self.sample_every:
-                self._calls_since_sample = 0
-                self._record_sample()
-        if len(self._columns) >= self._buffer_limit:
-            self.flush()
-
-    def _on_call_targeted(self, frame: FrameType) -> None:
+        Per call: a code-cache probe by ``id(code)`` (a miss classifies
+        the code object), the caller's entry from the top of
+        ``_live_entries``, a per-caller ``lasti -> site`` probe (a miss
+        allocates through :meth:`_callsite_id`), and direct column
+        stores.  A call whose parent is not the top live frame (a
+        callback from C, or from skipped code) attaches to the top frame,
+        which is also the caller when the parent *is* the top frame.
+        c_call / c_return / exception events carry no Python frame
+        transition to encode.
+        """
+        cache_get = self._code_cache.get
+        classify = self._classify
+        callsite_id = self._callsite_id
+        live = self._live_frames
+        entries = self._live_entries
         kinds = self._frame_kinds
-        in_region = bool(kinds) and kinds[-1] != _TRACKED
-        if self._code_disposition(frame.f_code):
-            if in_region:
-                # Re-entry from an untracked region: the true call path
-                # passed through unencoded code, so the caller is the
-                # merged ``<untracked>`` pseudo-function (the engine
-                # pushes the boundary ccStack entry Algorithm 1 needs).
-                caller_id = UNTRACKED_FUNCTION
-                lasti = 0
-            else:
-                parent = frame.f_back
-                if self._live_frames:
-                    if parent is not self._live_frames[-1]:
-                        caller_id = self._function_id(
-                            self._live_frames[-1].f_code
-                        )
-                    else:
-                        caller_id = self._function_id(parent.f_code)
+        root = self._entry(None, ROOT_FUNCTION)
+        cols = self._columns
+        op = cols.op
+        callsites = cols.callsite
+        callers = cols.caller
+        callees = cols.callee
+        limit = self._buffer_limit
+        flush = self.flush
+        sample = self._record_sample
+
+        def hook(frame: FrameType, event: str, arg: Any) -> None:
+            if self._in_engine:
+                return
+            if event == "call":
+                code = frame.f_code
+                entry = cache_get(id(code)) or classify(code)
+                callee = entry[1]
+                if callee == _SKIP:
+                    return
+                if live:
+                    top = entries[-1]
+                    parent = frame.f_back
                     lasti = parent.f_lasti if parent is not None else 0
                 else:
-                    caller_id = ROOT_FUNCTION
+                    top = root
                     lasti = 0
-            callee_id = self._function_id(frame.f_code)
-            kind = _TRACKED
-            if caller_id != UNTRACKED_FUNCTION:
-                site = self._static_site.get((caller_id, callee_id))
-                if site is not None:
-                    self._emit_targeted(frame, site, caller_id, callee_id, kind)
-                    return
-        elif in_region:
-            # Interior of an untracked region: zero engine events.  This
-            # is the tracer-side saving of targeted mode — with per-code
-            # DISABLE (sys.monitoring) or binary patching the
-            # interpreter would not even invoke the hook here.
-            self._live_frames.append(frame)
-            kinds.append(_REGION_INNER)
-            self.suppressed_events += 1
-            return
-        else:
-            # Departure into untracked code: one boundary event opens
-            # the region, attributed to the real call site in the
-            # tracked caller; everything beneath it is suppressed.
-            if self._live_frames:
-                top = self._live_frames[-1]
-                caller_id = self._function_id(top.f_code)
-                parent = frame.f_back
-                lasti = parent.f_lasti if parent is top else 0
-            else:
-                caller_id = ROOT_FUNCTION
-                lasti = 0
-            callee_id = UNTRACKED_FUNCTION
-            kind = _REGION_OPEN
-        self._emit_targeted(
-            frame,
-            self._callsite_id(caller_id, lasti),
-            caller_id,
-            callee_id,
-            kind,
-        )
+                sites = top[2]
+                site = sites.get(lasti)
+                if site is None:
+                    site = sites[lasti] = callsite_id(top[1], lasti)
+                i = cols._n
+                op[i] = EV_CALL
+                callsites[i] = site
+                callers[i] = top[1]
+                callees[i] = callee
+                cols._n = i + 1
+                live.append(frame)
+                entries.append(entry)
+                if self.sample_every:
+                    self._calls_since_sample += 1
+                    if self._calls_since_sample >= self.sample_every:
+                        self._calls_since_sample = 0
+                        sample()  # flushes: the slab is empty after it
+                        return
+                if i + 1 >= limit:
+                    flush()
+            elif event == "return":
+                if not live or live[-1] is not frame:
+                    return  # the return of an untraced frame
+                live.pop()
+                entries.pop()
+                i = cols._n
+                op[i] = EV_RETURN
+                callsites[i] = 0
+                callers[i] = 0
+                callees[i] = 0
+                cols._n = i + 1
+                if i + 1 >= limit:
+                    flush()
 
-    def _emit_targeted(
-        self,
-        frame: FrameType,
-        callsite: int,
-        caller_id: int,
-        callee_id: int,
-        kind: int,
-    ) -> None:
-        """Common tail of every event-emitting targeted call path."""
-        self._columns.push_call(0, callsite, caller_id, callee_id)
-        self._live_frames.append(frame)
-        self._frame_kinds.append(kind)
-        if self.sample_every:
-            self._calls_since_sample += 1
-            if self._calls_since_sample >= self.sample_every:
-                self._calls_since_sample = 0
-                self._record_sample()
-        if len(self._columns) >= self._buffer_limit:
-            self.flush()
+        if self._plan_fns is None:
+            return hook
+        untracked = self._entry(None, UNTRACKED_FUNCTION)
 
-    def _on_return(self, frame: FrameType) -> None:
-        if not self._live_frames:
-            return
-        if self._live_frames[-1] is not frame:
-            return  # return of an untracked frame
-        self._live_frames.pop()
-        if self._frame_kinds:
-            if self._frame_kinds.pop() == _REGION_INNER:
-                self.suppressed_events += 1
+        def targeted_hook(frame: FrameType, event: str, arg: Any) -> None:
+            if self._in_engine:
                 return
-        self._columns.push_return(0)
-        if len(self._columns) >= self._buffer_limit:
-            self.flush()
+            if event == "call":
+                code = frame.f_code
+                entry = cache_get(id(code)) or classify(code)
+                callee = entry[1]
+                if callee == _SKIP:
+                    return
+                in_region = bool(kinds) and kinds[-1] != _TRACKED
+                if callee != UNTRACKED_FUNCTION:
+                    kind = _TRACKED
+                    if in_region:
+                        # Re-entry from an untracked region: the true
+                        # call path passed through unencoded code, so the
+                        # caller is the merged ``<untracked>``
+                        # pseudo-function (the engine pushes the boundary
+                        # ccStack entry Algorithm 1 needs).
+                        top = untracked
+                        lasti = 0
+                    elif live:
+                        top = entries[-1]
+                        parent = frame.f_back
+                        lasti = parent.f_lasti if parent is not None else 0
+                    else:
+                        top = root
+                        lasti = 0
+                    # A tracked pair takes its seeded static site.
+                    site = top[3].get(callee)
+                elif in_region:
+                    # Interior of an untracked region: zero engine
+                    # events.  This is the tracer-side saving of targeted
+                    # mode — with per-code DISABLE (sys.monitoring) or
+                    # binary patching the interpreter would not even
+                    # invoke the hook here.
+                    live.append(frame)
+                    entries.append(entry)
+                    kinds.append(_REGION_INNER)
+                    self.suppressed_events += 1
+                    return
+                else:
+                    # Departure into untracked code: one boundary event
+                    # opens the region, attributed to the real call site
+                    # in the tracked caller; everything beneath it is
+                    # suppressed.
+                    kind = _REGION_OPEN
+                    if live:
+                        top = entries[-1]
+                        parent = frame.f_back
+                        lasti = parent.f_lasti if parent is live[-1] else 0
+                    else:
+                        top = root
+                        lasti = 0
+                    site = None
+                if site is None:
+                    sites = top[2]
+                    site = sites.get(lasti)
+                    if site is None:
+                        site = sites[lasti] = callsite_id(top[1], lasti)
+                i = cols._n
+                op[i] = EV_CALL
+                callsites[i] = site
+                callers[i] = top[1]
+                callees[i] = callee
+                cols._n = i + 1
+                live.append(frame)
+                entries.append(entry)
+                kinds.append(kind)
+                if self.sample_every:
+                    self._calls_since_sample += 1
+                    if self._calls_since_sample >= self.sample_every:
+                        self._calls_since_sample = 0
+                        sample()  # flushes: the slab is empty after it
+                        return
+                if i + 1 >= limit:
+                    flush()
+            elif event == "return":
+                if not live or live[-1] is not frame:
+                    return  # the return of an untraced frame
+                live.pop()
+                entries.pop()
+                if kinds.pop() == _REGION_INNER:
+                    self.suppressed_events += 1
+                    return
+                i = cols._n
+                op[i] = EV_RETURN
+                callsites[i] = 0
+                callers[i] = 0
+                callees[i] = 0
+                cols._n = i + 1
+                if i + 1 >= limit:
+                    flush()
+
+        return targeted_hook
 
     # ------------------------------------------------------------------
     # sampling / decoding
@@ -484,12 +591,10 @@ class PythonDacceTracer:
         return self._record_sample()
 
     def _record_sample(self) -> CollectedSample:
-        from ..core.events import SampleEvent
-
         self.flush()
         self._in_engine = True
         try:
-            sample = self.engine.on_sample(SampleEvent(thread=0))
+            sample = self.engine.on_sample(_SAMPLE)
         finally:
             self._in_engine = False
         self.samples.append(sample)

@@ -52,8 +52,14 @@ class ContextCoverage:
 
     # ------------------------------------------------------------------
     def touch(self, thread: ThreadId = 0) -> bool:
-        """Record the current context; True if it was new coverage."""
+        """Record the current context; True if it was new coverage.
+
+        A sample the engine quarantines (``FaultPolicy.RECOVER``, unknown
+        thread) covers nothing: False.
+        """
         sample = self.engine.on_sample(SampleEvent(thread=thread))
+        if sample is None:
+            return False
         signature = (
             sample.timestamp,
             sample.context_id,

@@ -76,11 +76,15 @@ class ContextEventLog:
         """Log one event at the thread's current context.
 
         Returns the retained record, or ``None`` when the event was
-        redundant (same kind from the same context already logged).
+        redundant (same kind from the same context already logged) or
+        its sample was quarantined (``FaultPolicy.RECOVER``, unknown
+        thread): observed, not retained.
         """
         self._sequence += 1
         self.stats.observed += 1
         sample = self.engine.on_sample(SampleEvent(thread=thread))
+        if sample is None:
+            return None
         signature = (
             kind,
             sample.timestamp,

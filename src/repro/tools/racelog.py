@@ -55,8 +55,14 @@ class RaceLogger:
         thread: ThreadId = 0,
         is_write: bool = False,
     ) -> None:
-        """Log one monitored access at the thread's current context."""
+        """Log one monitored access at the thread's current context.
+
+        An access whose sample the engine quarantines
+        (``FaultPolicy.RECOVER``, unknown thread) is not logged.
+        """
         sample = self.engine.on_sample(SampleEvent(thread=thread))
+        if sample is None:
+            return
         record = AccessRecord(
             location=location, thread=thread, is_write=is_write, sample=sample
         )

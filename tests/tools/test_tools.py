@@ -2,15 +2,26 @@
 
 import pytest
 
-from repro.core.engine import DacceEngine
+from repro.core.engine import DacceConfig, DacceEngine
 from repro.core.events import (
     CallEvent,
     ReturnEvent,
     SampleEvent,
     ThreadStartEvent,
 )
+from repro.core.faults import FaultPolicy
 from repro.tools import ContextCoverage, ContextEventLog, RaceLogger
 from tests.conftest import A, B, C, D
+
+
+@pytest.fixture
+def recover_engine():
+    """An engine that quarantines a sample on an unknown thread."""
+    engine = DacceEngine(
+        root=A, config=DacceConfig(fault_policy=FaultPolicy.RECOVER)
+    )
+    engine.on_event(CallEvent(thread=0, callsite=1, caller=A, callee=B))
+    return engine
 
 
 @pytest.fixture
@@ -71,6 +82,14 @@ class TestEventLog:
         log.record("alloc")
         assert [s.function for s in log.decode(record).steps] == [A, B]
 
+    def test_quarantined_sample_observed_not_retained(self, recover_engine):
+        log = ContextEventLog(recover_engine)
+        assert log.record("alloc", thread=9) is None
+        assert len(log) == 0
+        assert log.stats.observed == 1
+        assert log.stats.retained == 0
+        assert log.record("alloc") is not None
+
 
 class TestCoverage:
     def test_new_contexts_counted_once(self, busy_driver):
@@ -104,6 +123,12 @@ class TestCoverage:
         fresh.touch()  # new context
         assert fresh.new_versus(baseline) == 1
 
+    def test_quarantined_sample_covers_nothing(self, recover_engine):
+        coverage = ContextCoverage(recover_engine)
+        assert coverage.touch(thread=9) is False
+        assert coverage.distinct_contexts == 0
+        assert coverage.touch() is True
+
 
 class TestRaceLogger:
     def _threaded_engine(self):
@@ -135,6 +160,13 @@ class TestRaceLogger:
         assert [s.function for s in report.first_context.steps] == [A, B]
         # The second side stitches the spawning context in.
         assert [s.function for s in report.second_context.steps] == [A, B, C, D]
+
+    def test_quarantined_access_not_logged(self, recover_engine):
+        logger = RaceLogger(recover_engine)
+        logger.access("x", thread=0, is_write=True)
+        logger.access("x", thread=9, is_write=True)
+        assert len(logger.accesses) == 1
+        assert logger.conflict_count == 0
 
     def test_decode_fraction_small_for_clean_runs(self):
         engine = self._threaded_engine()
