@@ -1,23 +1,20 @@
 """Span-tracing overhead: what end-to-end tracing costs each plane.
 
-The spans acceptance bar has two halves:
+Two configurations are measured:
 
-* **disabled** — tracing off (the default) must leave the columnar hot
-  path at its established rate (``encode.columnar_ns_per_event`` in
-  ``BENCH_CORE.json``): the only residue is one ``spans.enabled``
-  boolean guard per slow-path site, none of which sit inside the
-  kernel's inner loop.  A/A comparison of two identically-disabled
-  runs bounds the measurement noise; the disabled run must sit within
-  that noise.
+* **disabled** — tracing off (the default).  The only residue is one
+  ``spans.enabled`` boolean guard per slow-path site, none of which
+  sit inside the kernel's inner loop.  Two identically-disabled runs
+  are timed as an A/A pair; their spread is *reported* as the
+  measurement noise, and is not compared against anything.
 * **enabled** — with a :class:`SpanRecorder` attached, producer-side
   overhead (engine pass spans + the emitter's per-flush root span and
-  ``trace`` stamping) must stay within **2%** of the disabled hot
-  path.
+  ``trace`` stamping) as a share of the disabled hot path.  This is
+  the one gated number: ``--check`` fails when it exceeds **2%**.
 
-Methodology — **decomposed**, following ``bench_ingest_overhead.py``:
-end-to-end subtraction cannot resolve a 2% budget on a ~0.25 µs/event
-pass under scheduler jitter, so each term is timed where it has clean
-signal:
+Methodology — **decomposed**: end-to-end subtraction cannot resolve a
+2% budget on a ~0.25 µs/event pass under scheduler jitter, so each term
+is timed where it has clean signal:
 
 * **engine** — median columnar pass wall time, disabled vs enabled
   (spans fire at pass boundaries — kernel compile, re-encode — never
@@ -29,9 +26,8 @@ signal:
   batch against a fresh service, traced vs untraced (admit/validate/
   fold/publish spans plus exemplar capture).
 
-Results merge into ``BENCH_CORE.json`` as a ``span_overhead`` section
-(read-modify-write: other sections are preserved), plus a rendered
-copy under ``benchmarks/results/span_overhead.txt``.
+The report is rendered to ``benchmarks/results/span_overhead.txt``;
+``--output FILE`` also writes it as a standalone JSON document.
 
 Run with::
 
@@ -303,7 +299,7 @@ def main(argv=None):
     parser.add_argument("--check", action="store_true",
                         help="exit 1 when enabled overhead exceeds budget")
     parser.add_argument("--output",
-                        default=os.path.join(REPO_ROOT, "BENCH_CORE.json"))
+                        help="also write the report as JSON to this file")
     args = parser.parse_args(argv)
 
     calls = 10_000 if args.quick else 40_000
@@ -314,22 +310,16 @@ def main(argv=None):
         " --quick" if args.quick else ""
     )
 
-    report = {}
-    if os.path.exists(args.output):
-        with open(args.output) as handle:
-            report = json.load(handle)
-    report.setdefault("schema", 1)
-    report["span_overhead"] = section
-    with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
     text = render(section)
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "span_overhead.txt"), "w") as handle:
         handle.write(text + "\n")
     print(text)
-    print("\nwrote %s" % args.output)
+    if args.output:
+        with open(args.output, "w") as handle:
+            json.dump(section, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print("\nwrote %s" % args.output)
 
     if args.check:
         overhead = section["enabled"]["producer_overhead_pct"]

@@ -2,8 +2,7 @@
 
 Measures what the targeted mode (``DacceEngine(targeted=...)``, after
 Zeng et al., arXiv 1812.04191) buys on the ``dacce record`` benchmark
-program with the canonical 3-sink manifest, and merges a ``targeted``
-section into ``BENCH_CORE.json``:
+program with the canonical 3-sink manifest:
 
 * **overhead** — wall-clock for pushing the identical event stream
   through a cold full engine, a warm-started full engine, and a
@@ -21,6 +20,9 @@ and takes the cheap untracked path — the speedup measures handler-work
 avoided, not instrumentation removed.  A native deployment (or the
 tracer's per-code-object skip) avoids the event entirely, so the
 overhead reduction reported here is a lower bound.
+
+The report is rendered to ``benchmarks/results/targeted.txt``;
+``--output FILE`` also writes it as a standalone JSON document.
 
 Run with::
 
@@ -254,7 +256,7 @@ def main(argv=None):
     parser.add_argument("--quick", action="store_true",
                         help="smaller workload, single repeat (CI)")
     parser.add_argument("--output",
-                        default=os.path.join(REPO_ROOT, "BENCH_CORE.json"))
+                        help="also write the report as JSON to this file")
     args = parser.parse_args(argv)
 
     calls = 10_000 if args.quick else 40_000
@@ -265,22 +267,16 @@ def main(argv=None):
         " --quick" if args.quick else ""
     )
 
-    report = {}
-    if os.path.exists(args.output):
-        with open(args.output) as handle:
-            report = json.load(handle)
-    report.setdefault("schema", 1)
-    report["targeted"] = section
-    with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
     text = render(section)
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, "targeted.txt"), "w") as handle:
         handle.write(text + "\n")
     print(text)
-    print("\nwrote %s" % args.output)
+    if args.output:
+        with open(args.output, "w") as handle:
+            json.dump(section, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print("\nwrote %s" % args.output)
 
     if not section["differential"]["contexts_match"]:
         print("FAULT: targeted decode differs from projected full decode")

@@ -98,7 +98,7 @@ class CollectedSample(NamedTuple):
     A ``NamedTuple`` for the same hot-path reason as
     :class:`CcStackEntry`: one is materialised per profile-hook fire,
     and the constructor cost is the bulk of the hook's marginal
-    overhead (see ``benchmarks/bench_profile_overhead.py``).
+    overhead.
     """
 
     timestamp: int

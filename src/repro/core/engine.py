@@ -269,7 +269,7 @@ class SampleHook:
     the batched paths is one *local* integer decrement per call — the
     countdown is mirrored into a loop register and written back at
     flush boundaries, so the hot loop never touches this object
-    (``benchmarks/bench_profile_overhead.py`` measures both).
+    (the pipeline benchmark's ``engine.sample.us_per_sample``).
     """
 
     every: int
@@ -2172,9 +2172,12 @@ class DacceEngine:
                         discovery=not edge.is_back,
                     )
                     id_value = self._current.max_id + 1
-                    action = (
-                        _Action.COMPRESS if compressed else _Action.PUSH
-                    )
+                    if not edge.is_back:
+                        action = _Action.DISCOVERY_PUSH
+                    elif compressed:
+                        action = _Action.COMPRESS
+                    else:
+                        action = _Action.PUSH
                 prev_fn = function
             new_frames.append(
                 _Frame(

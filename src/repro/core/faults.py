@@ -181,10 +181,6 @@ class FaultLog:
     def to_list(self) -> List[Dict[str, Any]]:
         return [record.to_dict() for record in self._records]
 
-    def quarantined_windows(self) -> List[Tuple[Optional[int], int]]:
-        """(thread, at_call) pairs — where decode-vs-truth may diverge."""
-        return [(r.thread, r.at_call) for r in self._records]
-
     def __len__(self) -> int:
         return len(self._records)
 

@@ -218,8 +218,7 @@ class FrameEmitter:
     # ------------------------------------------------------------------
     def _on_sample(self, sample: CollectedSample, weight: float) -> None:
         # One append per sample; decoding and serialization happen at
-        # flush time so the producer hot path stays within budget
-        # (benchmarks/bench_ingest_overhead.py).
+        # flush time, off the producer hot path.
         buffer = self._buffer
         buffer.append((sample, weight))
         if len(buffer) >= self.sample_batch:
@@ -272,8 +271,7 @@ class FrameEmitter:
         Entries are memoized as serialized JSON fragments keyed by
         ``(sample, weight)``: steady-state workloads revisit the same
         hot contexts, so a flush is mostly dictionary lookups plus one
-        join instead of per-sample decode + serialization (this is what
-        keeps ``bench_ingest_overhead.py`` within budget).  Only
+        join instead of per-sample decode + serialization.  Only
         complete decodes are cached — a partial decode can become
         complete after the next re-encoding pass — mirroring the
         DecodeCache's failed-decodes-are-not-cached policy.

@@ -693,17 +693,6 @@ class IngestService:
                 s for s in self._subscribers if s.queue is not subscriber
             ]
 
-    def subscriber_summary(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [
-                {
-                    "run": s.run,
-                    "queued": s.queue.qsize(),
-                    "dropped_total": s.dropped_total,
-                }
-                for s in self._subscribers
-            ]
-
     # ------------------------------------------------------------------
     # back-pressure (transport admission control)
     # ------------------------------------------------------------------

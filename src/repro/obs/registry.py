@@ -35,7 +35,7 @@ from __future__ import annotations
 import bisect
 import logging
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -466,7 +466,3 @@ class MetricsRegistry:
 def null_registry() -> MetricsRegistry:
     """A disabled registry (every instrument is a shared no-op)."""
     return MetricsRegistry(enabled=False)
-
-
-def iter_label_items(labels: Dict[str, str]) -> Iterable[Tuple[str, str]]:
-    return sorted(labels.items())

@@ -307,15 +307,6 @@ class CCTAggregator:
         result = decoder.decode_best_effort(sample)
         self.add_decoded(result, weight, timestamp=sample.timestamp)
 
-    def add_samples(
-        self,
-        samples: Iterable[CollectedSample],
-        weights: Optional[Sequence[float]] = None,
-    ) -> None:
-        for index, sample in enumerate(samples):
-            weight = weights[index] if weights is not None else 1.0
-            self.add_sample(sample, weight)
-
     def add_decoded(
         self,
         result: DecodedSample,
@@ -390,11 +381,6 @@ class CCTAggregator:
                 "epochs": dict(self.epochs_seen),
                 "root": self.cct.to_dict(self.names),
             }
-
-    def run_locked(self, fn: Callable[[], object]) -> object:
-        """Run ``fn`` under the aggregator lock (exporter plumbing)."""
-        with self._lock:
-            return fn()
 
     # ------------------------------------------------------------------
     # telemetry

@@ -193,14 +193,6 @@ class StaticCallGraph:
     def edges(self) -> Iterator[StaticEdge]:
         return iter(self._edges.values())
 
-    def edges_at_least(self, confidence: Confidence) -> List[StaticEdge]:
-        """Edges whose confidence is ``confidence`` or better."""
-        return [
-            edge
-            for edge in self._edges.values()
-            if edge.confidence.at_least(confidence)
-        ]
-
     def has_pair(self, caller: FunctionId, callee: FunctionId) -> bool:
         """Whether *any* static edge connects ``caller`` to ``callee``."""
         return (caller, callee) in self._pairs

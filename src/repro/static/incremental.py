@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .graph import StaticCallGraph
 from .pyextract import (
@@ -116,9 +116,4 @@ class IncrementalAnalyzer:
             [entry.summary for entry in self._cache.values()],
             index=self.index,
             root_function=self.root_function,
-        )
-
-    def cached_modules(self) -> List[str]:
-        return sorted(
-            entry.summary.module for entry in self._cache.values()
         )

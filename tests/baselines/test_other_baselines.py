@@ -1,5 +1,7 @@
 """Stack-walking, CCT and PCC baseline tests."""
 
+import pytest
+
 from repro.baselines.cct import CctEngine
 from repro.baselines.pcc import PccEngine
 from repro.baselines.stackwalk import StackWalkEngine
@@ -146,3 +148,12 @@ class TestPcc:
         engine = drive(PccEngine(root=0), events)
         assert engine._values[0] == 0
         assert engine.current_context().functions() == (0,)
+
+
+@pytest.mark.parametrize("engine_class", [StackWalkEngine, CctEngine, PccEngine])
+def test_every_call_of_a_generated_stream_is_counted(engine_class, small_program):
+    spec = WorkloadSpec(calls=3000, seed=2, sample_period=97,
+                        recursion_affinity=0.4)
+    engine = engine_class(root=small_program.main)
+    engine.run(TraceExecutor(small_program, spec).events())
+    assert engine.stats.calls == 3000

@@ -14,7 +14,6 @@ from repro.core.events import (
     CallEvent,
     CallKind,
     ReturnEvent,
-    SampleEvent,
     ThreadStartEvent,
 )
 

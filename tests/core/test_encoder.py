@@ -156,3 +156,22 @@ class TestOrderingPolicies:
 def test_reencoding_timestamp_recorded(diamond_graph):
     d = encode_graph(diamond_graph, timestamp=4)
     assert d.timestamp == 4
+
+
+def test_frequency_order_encodes_every_edge_of_a_large_graph():
+    """A random forward graph: every edge gets an encoding."""
+    import random
+
+    rng = random.Random(3)
+    graph = CallGraph(0)
+    site = 1
+    for node in range(1, 500):
+        graph.add_edge(rng.randrange(node), node, site, classify=False)
+        site += 1
+    for _ in range(1_200):
+        caller = rng.randrange(499)
+        graph.add_edge(caller, rng.randrange(caller + 1, 500), site,
+                       classify=False)
+        site += 1
+    dictionary = Encoder(order_policy=frequency_order).encode(graph)
+    assert dictionary.num_edges == graph.num_edges == 1_699

@@ -8,7 +8,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.engine import DacceConfig, DacceEngine
+from repro.core.engine import DacceConfig, DacceEngine, _Action
 from repro.core.errors import StaleDictionaryError, TraceError
 from repro.core.events import (
     CallEvent,
@@ -86,6 +86,29 @@ def test_caller_mismatch_unwinds_missed_returns(rdriver):
     sample = engine.on_sample(SampleEvent(thread=0))
     context = engine.decoder().decode(sample)
     assert [s.function for s in context.steps] == [A, D]
+
+
+def test_resync_keeps_discovery_frames_discovery(rdriver):
+    # main -> B -> C over two new (unencoded, non-back) edges, then a
+    # call from B while C is on top: the resync regenerates B's frame,
+    # which must stay a discovery push, so its return is charged as
+    # one-time discovery work, not steady-state ccStack traffic.
+    engine = rdriver.engine
+    rdriver.call(B)
+    rdriver.call(C)
+    engine.on_event(CallEvent(thread=0, callsite=77, caller=B, callee=D))
+    assert engine.faults.records()[-1].recovery is RecoveryAction.UNWOUND
+    regenerated = engine._threads[0].frames[1]
+    assert regenerated.function == B
+    assert regenerated.action is _Action.DISCOVERY_PUSH
+    engine.on_event(ReturnEvent(thread=0))  # D
+    before = dict(engine.cost.report.charges)
+    discovery_ops = engine.stats.discovery_ccstack_ops
+    engine.on_event(ReturnEvent(thread=0))  # B
+    charges = engine.cost.report.charges
+    assert charges.get("ccstack", 0.0) == before.get("ccstack", 0.0)
+    assert charges["discovery"] == before["discovery"] + 6.0
+    assert engine.stats.discovery_ccstack_ops == discovery_ops + 1
 
 
 def test_caller_mismatch_with_unknown_caller_drops_event(rdriver):

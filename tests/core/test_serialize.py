@@ -8,7 +8,6 @@ from repro.core.engine import DacceEngine
 from repro.core.serialize import (
     SerializationError,
     decoder_from_dict,
-    decoding_state_to_dict,
     dictionary_from_dict,
     dictionary_to_dict,
     export_decoding_state,

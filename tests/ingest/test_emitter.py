@@ -3,7 +3,6 @@
 import json
 
 from repro.core.engine import DacceEngine
-from repro.core.events import CallEvent, ReturnEvent
 from repro.core.faults import FaultKind, FaultRecord
 from repro.ingest import FrameEmitter, MemorySink, parse_frame
 

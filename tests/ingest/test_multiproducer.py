@@ -13,7 +13,6 @@ import urllib.request
 import pytest
 
 from repro.ingest import (
-    FrameEmitter,
     HTTPFrameSink,
     frame_line,
     make_frame,

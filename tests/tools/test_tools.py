@@ -5,8 +5,6 @@ import pytest
 from repro.core.engine import DacceConfig, DacceEngine
 from repro.core.events import (
     CallEvent,
-    ReturnEvent,
-    SampleEvent,
     ThreadStartEvent,
 )
 from repro.core.faults import FaultPolicy
