@@ -668,6 +668,7 @@ class DacceEngine:
                 self._current,
                 self._tail_calling_functions,
                 self._back_edge_spec,
+                self._targeted_fns,
             )
             self._fastpath = table
             self.fastpath.compiles += 1
@@ -684,10 +685,10 @@ class DacceEngine:
         """Process a struct-of-arrays batch through a generated kernel.
 
         The steady state — a NORMAL call over an edge the current
-        dictionary encodes or over a recursive back edge, and the
-        matching return — runs inside a dispatch function ``exec``-ed
-        once per engine shape and process
-        (:func:`repro.core.fastpath.compile_columnar_kernel`), whose
+        dictionary encodes, over a recursive back edge or (targeted
+        mode) across the plan boundary, and the matching return — runs
+        inside a dispatch function ``exec``-ed once per engine shape and
+        process (:func:`repro.core.fastpath.compile_columnar_kernel`), whose
         inner loop iterates raw integer columns with one dict probe and
         one integer add per hot event (a ccStack push or pop per
         back-edge event), with statistics, window counters, cost charges
@@ -725,6 +726,7 @@ class DacceEngine:
         fp = self.fastpath
         fp.batches += 1
         flush = self._flush_fastpath_counters
+        flush_boundary = self._flush_boundary_counters
         on_event = self.on_event
         record = cols.record
         tail_set = self._tail_calling_functions
@@ -769,6 +771,14 @@ class DacceEngine:
                 or (prof is not None) is not profiled,
             )
 
+        def targeted_deopt(*args: int) -> Tuple[int, int, bool]:
+            # A targeted kernel passes its boundary counters last; an
+            # untargeted one calls ``deopt`` itself, paying nothing.
+            flush_boundary(*args[10:])
+            return deopt(*args[:10])
+
+        kernel_deopt = deopt if self._targeted_fns is None else targeted_deopt
+
         views = cols.views()
         events = zip(*views)
         i = -1
@@ -791,18 +801,22 @@ class DacceEngine:
                     pops,
                     hits,
                     pcount,
+                    boundary_pushes,
+                    boundary_pops,
+                    untracked,
                 ) = kernel(
                     events,
                     i,
                     self._threads,
                     prof.countdown if prof is not None else 0,
                     self._window.calls,
-                    deopt,
+                    kernel_deopt,
                     table.entries.get,
                     table.back_entries.get,
                     table.dictionary.max_id + 1,
                     self.stats,
                     self._h_ccstack_depth.observe if self._obs else None,
+                    self._targeted_fns,
                 )
                 # Flush the folded counters before any general-path work:
                 # everything a sample callback or a trigger check
@@ -812,6 +826,8 @@ class DacceEngine:
                     calls, returns, id_updates, tcstack, pushes, compressions,
                     pops,
                 )
+                if boundary_pushes or boundary_pops or untracked:
+                    flush_boundary(boundary_pushes, boundary_pops, untracked)
                 # A sample callback run by a deopt may have swapped hooks.
                 prof = self._prof
                 if prof is not None:
@@ -871,14 +887,30 @@ class DacceEngine:
             if pops:
                 self.cost.charge_ccstack_pop(pops)
 
+    def _flush_boundary_counters(
+        self, pushes: int, pops: int, untracked: int
+    ) -> None:
+        """Fold a targeted kernel's boundary counters into engine state.
+
+        Boundary pushes and pops are charged like back-edge ones but
+        count as ``boundary_crossings`` and stay out of the trigger-(c)
+        window, as in :meth:`_apply_targeted` and :meth:`on_return`.
+        """
+        self.stats.boundary_crossings += pushes
+        self.stats.untracked_calls += untracked
+        if pushes:
+            self.cost.charge_ccstack_push(pushes)
+        if pops:
+            self.cost.charge_ccstack_pop(pops)
+
     def _ensure_columnar_kernel(self) -> ColumnarKernel:
         """The generated dispatch kernel for the current engine shape.
 
-        Warm-start accounting, the sampling countdown and the
-        ccStack-depth histogram exist in the generated source only while
-        those features are live, and the adaptive check interval is
-        inlined as a literal; everything per epoch or per engine is a
-        kernel argument.  Kernels are cached process-wide by shape, so
+        Warm-start accounting, the sampling countdown, the ccStack-depth
+        histogram and targeted boundary handling exist in the generated
+        source only while those features are live, and the adaptive
+        check interval is inlined as a literal; everything per epoch or
+        per engine is a kernel argument.  Kernels are cached process-wide by shape, so
         only the first run of a shape in the process compiles (and
         records an ``engine.kernel_compile`` span).
         """
@@ -887,6 +919,7 @@ class DacceEngine:
             self._prof is not None,
             self._obs,
             self.config.adaptive.check_interval,
+            self._targeted_fns is not None,
         )
         kernel = cached_kernel(shape)
         if kernel is None:
@@ -898,6 +931,7 @@ class DacceEngine:
                 profiled=shape[1],
                 obs=shape[2],
                 interval=shape[3],
+                targeted=shape[4],
             ):
                 kernel = compile_columnar_kernel(
                     shape, frame_factory=_Frame, actions=_Action
@@ -1186,15 +1220,17 @@ class DacceEngine:
                 # A chain that never left untracked code pushed nothing
                 # and carries no TcStack instrumentation to charge.
                 self.cost.charge_tcstack()
-        elif (
-            action is _Action.PUSH
-            or action is _Action.COMPRESS
-            or action is _Action.BOUNDARY_DEP
-            or action is _Action.BOUNDARY_RE
-        ):
+        elif action is _Action.PUSH or action is _Action.COMPRESS:
             state.ccstack.pop()
             self.cost.charge_ccstack_pop()
             self._window.ccstack_ops += 1
+            if self._obs:
+                self._h_ccstack_depth.observe(state.ccstack.depth())
+        elif action is _Action.BOUNDARY_DEP or action is _Action.BOUNDARY_RE:
+            # No encoding can remove a boundary entry, so its traffic
+            # stays out of the trigger-(c) window.
+            state.ccstack.pop()
+            self.cost.charge_ccstack_pop()
             if self._obs:
                 self._h_ccstack_depth.observe(state.ccstack.depth())
         elif action is _Action.DISCOVERY_PUSH:
@@ -1787,8 +1823,9 @@ class DacceEngine:
                 UNTRACKED_CALLSITE,
                 event.caller if caller_in else event.callee,
             )
+            # Charged, but kept out of the trigger-(c) window: no
+            # encoding can remove a boundary push.
             self.cost.charge_ccstack_push()
-            self._window.ccstack_ops += 1
             if self._obs:
                 self._h_ccstack_depth.observe(state.ccstack.depth())
             state.id_value = self._current.max_id + 1

@@ -14,12 +14,16 @@ the general path would compute for that edge under the current
 ``gTimeStamp``.  Recursive back edges get a second map: a NORMAL call
 over a back edge pushes (or compresses) ``<id, callsite, target>`` on
 the ccStack and its return pops it, exactly as Figure 5(e) describes,
-without leaving the kernel.  Anything else (an unencoded edge, an
-indirect/tail/PLT call, a tail-chain return, a sample, a thread event,
-a malformed event) misses and deoptimises to the general path — the
-engine's event handlers, which check every fault condition and apply
-the fault policy themselves — so behaviour is identical under either
-policy and only speed changes.
+without leaving the kernel.  In targeted mode a NORMAL call with an
+end outside the plan is handled in the kernel too, as
+``DacceEngine._apply_targeted`` handles it: a boundary crossing pushes
+``<id, UNTRACKED_CALLSITE, tracked end>`` and its return pops it, and a
+call wholly outside the plan is a bare shadow frame.  Anything else (an
+unencoded edge, an indirect/tail/PLT call, a tail-chain return, a
+sample, a thread event, a malformed event) misses and deoptimises to
+the general path — the engine's event handlers, which check every
+fault condition and apply the fault policy themselves — so behaviour
+is identical under either policy and only speed changes.
 
 Invalidation is by identity: a table is valid exactly while the engine's
 current dictionary is the *object* it was compiled from and the
@@ -32,6 +36,7 @@ that would change nothing commits nothing, so the table survives it.
 
 from __future__ import annotations
 
+import textwrap
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -45,6 +50,7 @@ from typing import (
     cast,
 )
 
+from .ccstack import UNTRACKED_CALLSITE
 from .events import CallKind, CallSiteId, FunctionId
 
 if TYPE_CHECKING:
@@ -128,6 +134,10 @@ class FastPathTable:
     :data:`BackEdgeEntry`).  A back edge never carries an encoding, so
     its handling does not depend on the dictionary; the kernel probes
     this map only after an ``entries`` miss.
+
+    A targeted table holds tracked→tracked edges only, so a probe hit
+    gives the answer ``on_call`` gives, which tests plan membership
+    before it looks at the graph.
     """
 
     __slots__ = ("entries", "back_entries", "dictionary", "tail_set_size")
@@ -170,6 +180,7 @@ def compile_table(
     dictionary: "EncodingDictionary",
     tail_calling_functions: AbstractSet[FunctionId],
     back_edge_spec: Optional[BackEdgeSpec] = None,
+    tracked: Optional[AbstractSet[FunctionId]] = None,
 ) -> FastPathTable:
     """Compile the fast-path table for one dictionary snapshot.
 
@@ -177,12 +188,17 @@ def compile_table(
     most once per (dictionary, tail-set) state, so compilation cost is
     bounded by the adaptive machinery that triggered it.  Back edges
     are compiled in only when ``back_edge_spec`` supplies their policy
-    state; without it every back-edge call deoptimises.
+    state; without it every back-edge call deoptimises.  ``tracked``
+    (targeted mode) leaves out every edge with an end outside the set.
     """
     entries: Dict[FastPathKey, FastPathEntry] = {}
     back_entries: Dict[FastPathKey, BackEdgeEntry] = {}
     for edge in graph.edges():
         if edge.kind is not CallKind.NORMAL:
+            continue
+        if tracked is not None and (
+            edge.caller not in tracked or edge.callee not in tracked
+        ):
             continue
         tail_calls = edge.callee in tail_calling_functions
         if edge.is_back:
@@ -211,10 +227,11 @@ def compile_table(
 # (:mod:`repro.core.columnar`) through a *code-generated* kernel.  The
 # kernel's source is specialised for one engine *shape* — warm-start
 # seeding present?  sampling hook installed?  telemetry on?  adaptive
-# check interval — and branches for absent features do not exist in the
-# generated bytecode.  Everything that changes per encoding epoch or per
-# engine (the table's two probe functions, ``maxID + 1``, the stats
-# block, the ccStack-depth histogram) is a kernel *argument*, so one
+# check interval?  targeted plan? — and branches for absent features do
+# not exist in the generated bytecode.  Everything that changes per
+# encoding epoch or per engine (the table's two probe functions,
+# ``maxID + 1``, the stats block, the ccStack-depth histogram, the
+# plan's function set) is a kernel *argument*, so one
 # kernel per shape is generated per process and a re-encoding pass never
 # pays an ``exec``.  The per-thread id register, the logical
 # top-of-stack function and the sampling countdown live in interpreter
@@ -238,6 +255,18 @@ def compile_table(
 # ``back_edge_calls`` statistic, the window's ccStack operations and the
 # push/compress/pop cost charges are folded into the per-run flush.
 #
+# A targeted kernel (the shape's ``targeted`` flag) takes the plan's
+# function set as an argument and adds one block after both probes
+# miss: it is the general path's ``_apply_targeted`` inlined for NORMAL
+# calls.  A call with exactly one end in the set crosses the boundary:
+# it pushes ``<id, UNTRACKED_CALLSITE, tracked end>``, sets
+# ``id = maxID + 1`` and gets a real ``BOUNDARY_DEP``/``BOUNDARY_RE``
+# frame, whose return pops.  A call with neither end in the set gets a
+# deferred ``UNTRACKED`` frame, which only restores the id.  Boundary
+# pushes and pops are folded apart from back-edge ones: they count as
+# ``boundary_crossings``, never as ``back_edge_calls``, and stay out of
+# the trigger-(c) window, because no encoding can remove them.
+#
 # Deopts stay inside the kernel.  On a miss it materialises its scratch
 # frames, writes the id register back and calls the per-batch ``deopt``
 # closure it was handed, which flushes the folded counters, runs the
@@ -249,13 +278,15 @@ def compile_table(
 #
 # Exit protocol: the kernel consumes a shared iterator over the batch's
 # column views and returns ``(i, reason, thread, *folded, hits,
-# countdown)`` after materialising scratch frames and writing the id
-# register back.  ``i`` is the index of the last event consumed (pass
-# it back in to resume); ``reason`` is one of the ``KERNEL_*`` codes
-# below; ``folded`` are the per-run counters ``calls, returns,
+# countdown, *boundary)`` after materialising scratch frames and writing
+# the id register back.  ``i`` is the index of the last event consumed
+# (pass it back in to resume); ``reason`` is one of the ``KERNEL_*``
+# codes below; ``folded`` are the per-run counters ``calls, returns,
 # id_updates, tcstack, ccstack_pushes, ccstack_compressions,
-# ccstack_pops`` that ``deopt`` also receives, flat (a miss is hot
-# enough on some workloads that packing them into a tuple shows).
+# ccstack_pops`` and ``boundary`` the targeted ones ``boundary_pushes,
+# boundary_pops, untracked_calls``.  ``deopt`` receives them flat too (a
+# miss is hot enough on some workloads that packing them into a tuple
+# shows), and only a targeted kernel passes it ``boundary``.
 
 #: Exit reasons of a generated kernel run.
 KERNEL_DONE = 0  #: every event consumed
@@ -264,14 +295,17 @@ KERNEL_TRIGGER = 2  #: adaptive window filled after a return
 KERNEL_STALE = 3  #: a general-path event invalidated the kernel
 
 #: ``kernel(events, i, threads, countdown, window_calls, deopt,
-#: entries_get, back_get, mark_id, stats, observe)`` → ``(i, reason,
-#: thread, *folded, hits, countdown)``, where ``deopt(i, *folded, hits,
-#: countdown)`` → ``(window_calls, countdown, stale)``.
+#: entries_get, back_get, mark_id, stats, observe, tracked)`` → ``(i,
+#: reason, thread, *folded, hits, countdown, *boundary)``, where
+#: ``deopt(i, *folded, hits, countdown[, *boundary])`` →
+#: ``(window_calls, countdown, stale)``.
+#: ``tracked`` is the targeted plan's function set (``None`` for an
+#: untargeted kernel).
 ColumnarKernel = Callable[..., Tuple[Any, ...]]
 
 #: The compiled-in shape of a kernel: ``(warm, profiled, obs,
-#: interval)``.
-KernelShape = Tuple[bool, bool, bool, int]
+#: interval, targeted)``.
+KernelShape = Tuple[bool, bool, bool, int, bool]
 
 #: Generated kernels, process-wide, by shape.  A kernel is a pure
 #: function of its shape (all engine state arrives as arguments), so
@@ -280,66 +314,116 @@ KernelShape = Tuple[bool, bool, bool, int]
 _KERNELS: Dict[KernelShape, ColumnarKernel] = {}
 
 _FOLDED = "pend_calls, pend_rets, pend_id, pend_tc, pend_push, pend_cmp, pend_pop"
+_BOUNDARY = "pend_bnd, pend_bpop, pend_unt"
 
 #: Materialise deferred frames (the ccStack is about to change or the
 #: kernel is leaving the thread).
 _MATERIALISE_BLOCK = """\
-{i}if scratch:
-{i}    cc_state = state.ccstack.saved_state()
-{i}    frames_append = frames.append
-{i}    for sf in scratch:
-{i}        frames_append(_frame(sf[0], sf[1], sf[2], cc_state, sf[3]))
-{i}    del scratch[:]"""
+if scratch:
+    cc_state = state.ccstack.saved_state()
+    frames_append = frames.append
+    for sf in scratch:
+        frames_append(_frame(sf[0], sf[1], sf[2], cc_state, sf[3]))
+    del scratch[:]"""
 
 #: Leave the current thread: materialise deferred frames, write back id.
 _PARK_BLOCK = """\
-{i}if state is not None:
-{materialise}
-{i}    state.id_value = cur_id
-{i}    state = None"""
+if state is not None:
+%s
+    state.id_value = cur_id
+    state = None""" % textwrap.indent(_MATERIALISE_BLOCK, "    ")
 
 #: Hand event ``i`` to the general path (the thread is already parked).
+#: An untargeted kernel never touches the boundary counters, so its
+#: deopts neither pass nor reset them.
 _DEOPT_BLOCK = """\
-{i}cur_t = -1
-{i}wcalls, pcount, stale = deopt(i, %s, hits, pcount)
-{i}pend_calls = pend_rets = pend_id = pend_tc = pend_push = 0
-{i}pend_cmp = pend_pop = hits = 0
-{i}if stale:
-{i}    reason = 3
-{i}    break""" % (_FOLDED,)
+cur_t = -1
+wcalls, pcount, stale = deopt(i, %s, hits, pcount{boundary})
+pend_calls = pend_rets = pend_id = pend_tc = pend_push = 0
+pend_cmp = pend_pop = hits = 0{reset}
+if stale:
+    reason = 3
+    break""" % (_FOLDED,)
 
 _SWITCH_BLOCK = """\
-{park}
-{i}ns = threads_get(et)
-{i}if ns is None:
+%s
+ns = threads_get(et)
+if ns is None:
 {deopt}
-{i}    continue
-{i}cur_t = et
-{i}state = ns
-{i}frames = ns.frames
-{i}cur_id = ns.id_value
-{i}top_fn = frames[-1].function"""
+    continue
+cur_t = et
+state = ns
+frames = ns.frames
+cur_id = ns.id_value
+top_fn = frames[-1].function""" % (_PARK_BLOCK,)
 
 _WARM_BLOCK = """\
-                    if not edge.invocations and edge.seeded:
-                        stats.warmstart_handler_hits_avoided += 1"""
+if not edge.invocations and edge.seeded:
+    stats.warmstart_handler_hits_avoided += 1"""
 
 _PROF_BLOCK = """\
-                    pcount -= 1
-                    if pcount <= 0:
-                        reason = 1
-                        break"""
+pcount -= 1
+if pcount <= 0:
+    reason = 1
+    break"""
 
-_OBS_PUSH_BLOCK = """\
-                    observe(cc.depth())"""
+_OBS_BLOCK = "observe(cc.depth())"
 
-_OBS_POP_BLOCK = """\
-                        observe(cc.depth())"""
+#: The end of a kernel-handled return: the window check that
+#: ``on_return``'s trigger check would make.
+_RETURN_TAIL = """\
+pend_rets += 1
+hits += 1
+top_fn = frames[-1].function
+if wcalls + pend_calls >= {interval}:
+    reason = 2
+    break
+continue"""
+
+#: Targeted mode, after both probes miss: a boundary crossing or an
+#: untracked call, as ``_apply_targeted`` handles it; a tracked pair
+#: falls through to the deopt.
+_TARGETED_CALL_BLOCK = """\
+if top_fn == cr:
+    cr_in = cr in tracked
+    if not (cr_in and ce in tracked):
+        if cr_in or ce in tracked:
+{materialise}
+            cc = state.ccstack
+            cc_state = cc.saved_state()
+            if cr_in:
+                cc.push(cur_id, _untracked_site, cr)
+                frames.append(_frame(ce, cs, cur_id, cc_state, _act_dep))
+            else:
+                cc.push(cur_id, _untracked_site, ce)
+                frames.append(_frame(ce, cs, cur_id, cc_state, _act_re))
+{obs}
+            cur_id = mark_id
+            pend_bnd += 1
+        else:
+            scratch_append((ce, cs, cur_id, _act_unt))
+            pend_unt += 1
+        top_fn = ce
+        pend_calls += 1
+        hits += 1
+{prof}
+        continue"""
+
+#: Targeted mode: the return of a boundary crossing pops its entry.
+_TARGETED_RETURN_BLOCK = """\
+if act is _act_dep or act is _act_re:
+    frames.pop()
+    cc = state.ccstack
+    cc.pop()
+{obs}
+    pend_bpop += 1
+    cur_id = frame.restore_id
+{tail}"""
 
 _KERNEL_TEMPLATE = """\
 def {name}(
     events, i, threads_map, pcount, wcalls, deopt,
-    entries_get, back_get, mark_id, stats, observe,
+    entries_get, back_get, mark_id, stats, observe, tracked,
 ):
     threads_get = threads_map.get
     scratch = []
@@ -351,7 +435,7 @@ def {name}(
     cur_id = 0
     top_fn = -1
     pend_calls = pend_rets = pend_id = pend_tc = 0
-    pend_push = pend_cmp = pend_pop = 0
+    pend_push = pend_cmp = pend_pop = pend_bnd = pend_bpop = pend_unt = 0
     hits = 0
     reason = 0
     for op, et, cs, cr, ce, ek in events:
@@ -406,6 +490,7 @@ def {name}(
                     hits += 1
 {prof_block}
                     continue
+{targeted_call}
         elif op == 1:
             if et != cur_t:
 {switch_ret}
@@ -425,18 +510,12 @@ def {name}(
                 frame = frames[-1]
                 if not frame.chain:
                     act = frame.action
-                    if act is _act_none or act is _act_id:
+                    if {plain_return}:
                         frames.pop()
                         if act is _act_id:
                             pend_id += 1
                         cur_id = frame.restore_id
-                        pend_rets += 1
-                        hits += 1
-                        top_fn = frames[-1].function
-                        if wcalls + pend_calls >= {interval}:
-                            reason = 2
-                            break
-                        continue
+{return_tail}
                     if act is _act_push or act is _act_cmp:
                         frames.pop()
                         cc = state.ccstack
@@ -444,34 +523,18 @@ def {name}(
 {obs_pop}
                         pend_pop += 1
                         cur_id = frame.restore_id
-                        pend_rets += 1
-                        hits += 1
-                        top_fn = frames[-1].function
-                        if wcalls + pend_calls >= {interval}:
-                            reason = 2
-                            break
-                        continue
+{return_tail}
+{targeted_return}
 {park_miss}
 {deopt_miss}
 {park_exit}
-    return (i, reason, cur_t, {folded}, hits, pcount)
+    return (i, reason, cur_t, {folded}, hits, pcount, {boundary})
 """
 
 
-def _park_block(indent: int) -> str:
-    i = " " * indent
-    return _PARK_BLOCK.format(
-        i=i, materialise=_MATERIALISE_BLOCK.format(i=i + "    ")
-    )
-
-
-def _switch_block(indent: int) -> str:
-    i = " " * indent
-    return _SWITCH_BLOCK.format(
-        i=i,
-        park=_park_block(indent),
-        deopt=_DEOPT_BLOCK.format(i=i + "    "),
-    )
+def _at(indent: int, block: str) -> str:
+    """``block`` indented by ``indent`` spaces (empty stays empty)."""
+    return textwrap.indent(block, " " * indent) if block else ""
 
 
 def cached_kernel(shape: KernelShape) -> Optional[ColumnarKernel]:
@@ -487,31 +550,59 @@ def compile_columnar_kernel(
 ) -> ColumnarKernel:
     """``exec`` the dispatch kernel for one engine shape and cache it.
 
-    ``shape`` is ``(warm, profiled, obs, interval)``: the warm-start
-    credit, the sampling countdown and the ccStack-depth histogram are
-    present in the source only when the feature is live, and the
-    adaptive check interval is an inlined literal.  ``frame_factory``
-    and ``actions`` (the engine's ``_Frame`` class and ``_Action`` enum)
-    are process constants.  The kernel is stored in the process-wide
-    cache, so every engine of the same shape shares it — see
-    ``DacceEngine._ensure_columnar_kernel``.
+    ``shape`` is ``(warm, profiled, obs, interval, targeted)``: the
+    warm-start credit, the sampling countdown, the ccStack-depth
+    histogram and the targeted boundary block are present in the source
+    only when the feature is live, and the adaptive check interval is an
+    inlined literal.  ``frame_factory`` and ``actions`` (the engine's
+    ``_Frame`` class and ``_Action`` enum) are process constants.  The
+    kernel is stored in the process-wide cache, so every engine of the
+    same shape shares it — see ``DacceEngine._ensure_columnar_kernel``.
     """
-    warm, profiled, obs, interval = shape
-    name = "_kernel_w%d_p%d_o%d_i%d" % (warm, profiled, obs, interval)
+    warm, profiled, obs, interval, targeted = shape
+    name = "_kernel_w%d_p%d_o%d_i%d_t%d" % (
+        warm, profiled, obs, interval, targeted,
+    )
+    return_tail = _RETURN_TAIL.format(interval=interval)
+    obs_block = _OBS_BLOCK if obs else ""
+    prof_block = _PROF_BLOCK if profiled else ""
+    targeted_call = targeted_return = ""
+    plain_return = "act is _act_none or act is _act_id"
+    deopt_block = _DEOPT_BLOCK.format(
+        boundary=", " + _BOUNDARY if targeted else "",
+        reset="\npend_bnd = pend_bpop = pend_unt = 0" if targeted else "",
+    )
+    switch_block = _SWITCH_BLOCK.format(deopt=_at(4, deopt_block))
+    if targeted:
+        targeted_call = _at(16, _TARGETED_CALL_BLOCK.format(
+            materialise=_at(12, _MATERIALISE_BLOCK),
+            obs=_at(12, obs_block),
+            prof=_at(8, prof_block),
+        ))
+        targeted_return = _at(20, _TARGETED_RETURN_BLOCK.format(
+            obs=_at(4, obs_block),
+            tail=_at(4, return_tail),
+        ))
+        plain_return += " or act is _act_unt"
     source = _KERNEL_TEMPLATE.format(
         name=name,
         interval=interval,
         folded=_FOLDED,
-        switch_call=_switch_block(20),
-        switch_ret=_switch_block(16),
-        warm_block=_WARM_BLOCK if warm else "",
-        prof_block=_PROF_BLOCK if profiled else "",
-        obs_push=_OBS_PUSH_BLOCK if obs else "",
-        obs_pop=_OBS_POP_BLOCK if obs else "",
-        materialise_back=_MATERIALISE_BLOCK.format(i=" " * 20),
-        park_miss=_park_block(8),
-        deopt_miss=_DEOPT_BLOCK.format(i=" " * 8),
-        park_exit=_park_block(4),
+        boundary=_BOUNDARY,
+        switch_call=_at(20, switch_block),
+        switch_ret=_at(16, switch_block),
+        warm_block=_at(20, _WARM_BLOCK if warm else ""),
+        prof_block=_at(20, prof_block),
+        obs_push=_at(20, obs_block),
+        obs_pop=_at(24, obs_block),
+        materialise_back=_at(20, _MATERIALISE_BLOCK),
+        targeted_call=targeted_call,
+        plain_return=plain_return,
+        return_tail=_at(24, return_tail),
+        targeted_return=targeted_return,
+        park_miss=_at(8, _PARK_BLOCK),
+        deopt_miss=_at(8, deopt_block),
+        park_exit=_at(4, _PARK_BLOCK),
     )
     namespace: Dict[str, Any] = {
         "_frame": frame_factory,
@@ -519,6 +610,10 @@ def compile_columnar_kernel(
         "_act_id": actions.ID,
         "_act_push": actions.PUSH,
         "_act_cmp": actions.COMPRESS,
+        "_act_dep": actions.BOUNDARY_DEP,
+        "_act_re": actions.BOUNDARY_RE,
+        "_act_unt": actions.UNTRACKED,
+        "_untracked_site": UNTRACKED_CALLSITE,
     }
     exec(  # noqa: S102 - the source is generated above, not user input
         compile(source, "<columnar-kernel %s>" % (name,), "exec"),

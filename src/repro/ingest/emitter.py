@@ -23,8 +23,9 @@ through a pluggable :class:`~repro.ingest.sinks.EventSink`:
 
 Everything user-visible is re-entrancy guarded: if emitting a frame
 somehow re-enters the emitter (a traced producer tracing its own
-telemetry writes), the inner emission is dropped and counted, mirroring
-the buffered tracer's ``_in_engine`` discipline.
+telemetry writes), the inner emission is dropped and counted.  The
+pytrace tracer never re-enters it: it detaches its profile hook for the
+duration of every engine call it makes.
 """
 
 from __future__ import annotations

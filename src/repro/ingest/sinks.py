@@ -1,10 +1,9 @@
 """Pluggable frame sinks: where a producer's NDJSON frames go.
 
 A sink transports already-serialized frame lines; it never inspects
-them.  All sinks share the re-entrancy discipline of the buffered
-pytrace tracer (its ``_in_engine`` guard): a write that re-enters the
-sink — possible when the producer itself runs under instrumentation and
-the write syscall is traced — is dropped and counted instead of
+them.  All sinks share one re-entrancy guard: a write that re-enters
+the sink — possible when the producer itself runs under instrumentation
+and the write syscall is traced — is dropped and counted instead of
 recursing.  Sinks therefore never raise into the engine hot path; the
 only raising methods are :meth:`EventSink.flush` and
 :meth:`EventSink.send`, which the emitter calls from safe points and

@@ -51,8 +51,9 @@ _TRACKED = 0
 _REGION_OPEN = 1
 _REGION_INNER = 2
 
-#: The tracer never traces the repro package itself — its own engine
-#: calls (sampling, decoding) run while the profile hook is active.
+#: The tracer never traces the repro package itself: the frames of its
+#: own entry points (``sample``, ``decode``) run under the profile hook
+#: until the engine work inside them detaches it.
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Code-cache function id of code the tracer never traces: the repro
@@ -253,11 +254,6 @@ class PythonDacceTracer:
         #: long trace never reallocates the slab.
         self._buffer_limit = 512
         self._columns = EventColumns.with_capacity(self._buffer_limit)
-        #: True while engine machinery runs under an active profile hook
-        #: (flush / sample / decode called from traced code); the hook
-        #: ignores those interpreter events — they belong to the tracer,
-        #: not the traced program.
-        self._in_engine = False
         self._hook = self._make_hook()
 
     # ------------------------------------------------------------------
@@ -393,14 +389,34 @@ class PythonDacceTracer:
 
     def flush(self) -> None:
         """Drain buffered events into the engine's columnar fast lane."""
+        self._detached(self._drain)
+
+    def _drain(self) -> None:
         cols = self._columns
         if len(cols):
-            self._in_engine = True
             try:
                 self.engine.process_columns(cols)
             finally:
-                self._in_engine = False
                 cols.clear()
+
+    def _detached(self, fn: Callable[[], Any]) -> Any:
+        """Run engine work ``fn()`` with this tracer's profile hook off.
+
+        Every tracer→engine entry made from traced code goes through
+        here, so engine calls never pay an interpreter round-trip into
+        the hook; the hook is restored even when ``fn`` raises.  Inside
+        the hook callback itself CPython already delivers no profile
+        events, so the hook drains and samples without this.  A profile
+        function that is not this tracer's hook is left in place.
+        """
+        hook = sys.getprofile()
+        if hook is not self._hook:
+            return fn()
+        sys.setprofile(None)
+        try:
+            return fn()
+        finally:
+            sys.setprofile(hook)
 
     # ------------------------------------------------------------------
     # the profile hook
@@ -431,12 +447,10 @@ class PythonDacceTracer:
         callers = cols.caller
         callees = cols.callee
         limit = self._buffer_limit
-        flush = self.flush
+        flush = self._drain
         sample = self._record_sample
 
         def hook(frame: FrameType, event: str, arg: Any) -> None:
-            if self._in_engine:
-                return
             if event == "call":
                 code = frame.f_code
                 entry = cache_get(id(code)) or classify(code)
@@ -489,8 +503,6 @@ class PythonDacceTracer:
         untracked = self._entry(None, UNTRACKED_FUNCTION)
 
         def targeted_hook(frame: FrameType, event: str, arg: Any) -> None:
-            if self._in_engine:
-                return
             if event == "call":
                 code = frame.f_code
                 entry = cache_get(id(code)) or classify(code)
@@ -588,15 +600,11 @@ class PythonDacceTracer:
     # ------------------------------------------------------------------
     def sample(self) -> CollectedSample:
         """Record the current context id + ccStack (from traced code)."""
-        return self._record_sample()
+        return self._detached(self._record_sample)
 
     def _record_sample(self) -> CollectedSample:
-        self.flush()
-        self._in_engine = True
-        try:
-            sample = self.engine.on_sample(_SAMPLE)
-        finally:
-            self._in_engine = False
+        self._drain()
+        sample = self.engine.on_sample(_SAMPLE)
         self.samples.append(sample)
         self.sample_weights.append(self._next_weight())
         return sample
@@ -612,21 +620,21 @@ class PythonDacceTracer:
 
     def decode(self, sample: CollectedSample) -> CallingContext:
         """Decode a sample back into the full Python call path."""
-        self.flush()
-        self._in_engine = True
-        try:
+
+        def decode() -> CallingContext:
+            self._drain()
             return self.engine.decoder().decode(sample)
-        finally:
-            self._in_engine = False
+
+        return self._detached(decode)
 
     def expected_context(self) -> CallingContext:
         """The engine's shadow-stack oracle for the current point."""
-        self.flush()
-        self._in_engine = True
-        try:
+
+        def expected() -> CallingContext:
+            self._drain()
             return self.engine.expected_context(0)
-        finally:
-            self._in_engine = False
+
+        return self._detached(expected)
 
     def format_context(self, context: CallingContext) -> str:
         """Render a decoded context with real function names."""

@@ -16,7 +16,10 @@ and the telemetry registry.  Dense recursion (affinity 0.9) and a
 handled inside the kernel, which exercises its stale-table exit; draws
 over the compression mode and telemetry cover every back-edge shape the
 kernel handles.  A third arm replays recursion streams recorded from
-the real Python tracer (fib, mutual and tree recursion).
+the real Python tracer (fib, mutual and tree recursion).  A targeted
+arm runs synthetic programs under a ``build_targeted`` plan (boundary
+crossings, interior untracked calls and tail calls across the
+boundary) and replays a targeted stream recorded from the real tracer.
 
 The same discipline is applied to the decode side:
 ``decode_log_parallel`` must reproduce sequential ``decode_log`` output
@@ -25,6 +28,7 @@ exactly, including best-effort ``PartialDecode`` fault ordering.
 
 import dataclasses
 import functools
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
@@ -41,20 +45,24 @@ from repro.program.generator import GeneratorConfig, generate_program
 from repro.pytrace import PythonDacceTracer
 from repro.program.trace import ThreadSpec, TraceExecutor, WorkloadSpec
 from repro.static.synthetic import extract_program
+from repro.static.targeted import build_targeted
 from repro.static.warmstart import build_warmstart
+from tests.pytrace import targeted_program
 
 
 # ----------------------------------------------------------------------
 # harness
 # ----------------------------------------------------------------------
-def _stream(program_seed, workload_seed, calls, threads, affinity):
+def _stream(
+    program_seed, workload_seed, calls, threads, affinity, tail_fraction=0.05
+):
     program = generate_program(
         GeneratorConfig(
             seed=program_seed,
             functions=30,
             edges=80,
             indirect_fraction=0.08,
-            tail_fraction=0.05,
+            tail_fraction=tail_fraction,
             recursive_sites=2,
         )
     )
@@ -279,13 +287,12 @@ def test_process_batch_equals_per_event_under_fault_recovery(
 # ----------------------------------------------------------------------
 # recorded real-Python recursion
 # ----------------------------------------------------------------------
-def _record_tracer(program):
+def _record_tracer(program, tracer):
     """The compact event stream a traced run feeds its engine.
 
     Column batches are captured as the tracer drains them and each
     ``tracer.sample()`` becomes a sample record at its position.
     """
-    tracer = PythonDacceTracer()
     engine = tracer.engine
     records = []
     process_columns = engine.process_columns
@@ -355,7 +362,7 @@ PYTHON_PROGRAMS = {
 
 @functools.lru_cache(maxsize=None)
 def _python_stream(name):
-    return tuple(_record_tracer(PYTHON_PROGRAMS[name]))
+    return tuple(_record_tracer(PYTHON_PROGRAMS[name], PythonDacceTracer()))
 
 
 @given(
@@ -382,3 +389,111 @@ def test_recorded_python_recursion_equals_per_event(
     _assert_equivalent(per_event, columnar)
     assert columnar.stats.back_edge_calls > 100
     assert columnar.stats.samples > 0
+
+
+# ----------------------------------------------------------------------
+# targeted mode
+# ----------------------------------------------------------------------
+def _targeted_engine(config, telemetry, plan):
+    return DacceEngine(
+        config=config,
+        targeted=plan,
+        telemetry=Telemetry() if telemetry else None,
+    )
+
+
+@given(
+    program_seed=st.integers(0, 40),
+    workload_seed=st.integers(0, 40),
+    calls=st.integers(200, 1500),
+    threads=st.integers(0, 1),
+    affinity=st.sampled_from([0.0, 0.4, 0.9]),
+    tail_fraction=st.sampled_from([0.05, 0.3]),
+    sinks=st.lists(st.integers(1, 29), min_size=1, max_size=3, unique=True),
+    check_interval=st.sampled_from([16, 512]),
+    batch_size=st.sampled_from([1, 7, 64, 4096]),
+    reencode_frac=st.one_of(st.none(), st.floats(0.1, 0.9)),
+    telemetry=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_targeted_process_columns_equals_per_event(
+    program_seed, workload_seed, calls, threads, affinity, tail_fraction,
+    sinks, check_interval, batch_size, reencode_frac, telemetry,
+):
+    program, records = _stream(
+        program_seed, workload_seed, calls, threads, affinity, tail_fraction
+    )
+    static = extract_program(program)
+    names = ["fn_%03d" % sink for sink in sinks]
+    reencode_at = (
+        None if reencode_frac is None else int(len(records) * reencode_frac)
+    )
+    config = _config(check_interval)
+
+    # Each engine gets its own plan: a warm start installs its CallEdge
+    # objects by reference.
+    def fresh():
+        return _targeted_engine(
+            config, telemetry, build_targeted(static, names)
+        )
+
+    per_event = fresh()
+    _drive_per_event(per_event, records, reencode_at)
+    columnar = fresh()
+    _drive_columnar(columnar, records, batch_size, reencode_at)
+    _assert_equivalent(per_event, columnar)
+    assert columnar.fastpath.compiles >= 1
+
+
+@functools.lru_cache(maxsize=None)
+def _targeted_python_stream():
+    """A py_targeted-shaped stream recorded from the real tracer, and
+    the static graph its plans are built from."""
+    with tempfile.TemporaryDirectory() as directory:
+        tracer = None
+
+        def probe():
+            tracer.sample()
+
+        module, graph = targeted_program.load(directory, probe)
+        tracer = PythonDacceTracer(
+            targeted=targeted_program.plan_for(graph), source_root=directory
+        )
+        records = _record_tracer(
+            lambda _tracer: module.run_iteration(24), tracer
+        )
+    return tuple(records), graph
+
+
+@given(
+    check_interval=st.sampled_from([16, 64, 512]),
+    batch_size=st.sampled_from([1, 7, 64, 4096]),
+    reencode_frac=st.one_of(st.none(), st.floats(0.1, 0.9)),
+    telemetry=st.booleans(),
+)
+@settings(max_examples=20, deadline=None)
+def test_recorded_python_targeted_equals_per_event(
+    check_interval, batch_size, reencode_frac, telemetry
+):
+    stream, graph = _targeted_python_stream()
+    records = list(stream)
+    reencode_at = (
+        None if reencode_frac is None else int(len(records) * reencode_frac)
+    )
+    config = _config(check_interval)
+    per_event = _targeted_engine(
+        config, telemetry, targeted_program.plan_for(graph)
+    )
+    _drive_per_event(per_event, records, reencode_at)
+    columnar = _targeted_engine(
+        config, telemetry, targeted_program.plan_for(graph)
+    )
+    _drive_columnar(columnar, records, batch_size, reencode_at)
+    _assert_equivalent(per_event, columnar)
+    stats = columnar.stats
+    assert stats.boundary_crossings > 100
+    assert stats.back_edge_calls == 0
+    assert stats.samples > 0
+    # The crossings ran in the kernel: the general path saw only the
+    # samples and the root edge's discovery push and pop.
+    assert columnar.fastpath.misses <= stats.samples + 2

@@ -1,6 +1,7 @@
 """One generated columnar kernel per engine shape, shared process-wide.
 
-The kernel source depends only on ``(warm, profiled, obs, interval)``;
+The kernel source depends only on ``(warm, profiled, obs, interval,
+targeted)``;
 per-epoch and per-engine state reaches it as arguments, so committed
 re-encoding passes and new engines reuse the cached kernel and only a
 new shape pays an ``exec``.
@@ -50,7 +51,7 @@ def test_committed_passes_reuse_the_kernel(compiles):
     engine.reencode()
     engine.process_columns(chain_columns())
     assert engine.fastpath.compiles == 3  # one table per dictionary
-    assert compiles == [(False, False, False, 512)]
+    assert compiles == [(False, False, False, 512, False)]
     assert engine.fastpath.hits > 0
 
 
@@ -66,11 +67,17 @@ def test_new_shapes_compile_exactly_one_kernel_each(compiles):
     engine.install_sample_hook(3, lambda sample, weight: None)
     engine.process_columns(chain_columns())
     engine.process_columns(chain_columns())
-    assert compiles == [(False, False, False, 512), (False, True, False, 512)]
+    assert compiles == [
+        (False, False, False, 512, False),
+        (False, True, False, 512, False),
+    ]
     DacceEngine(root=0, telemetry=Telemetry()).process_columns(chain_columns())
     config = DacceConfig(adaptive=AdaptiveConfig(check_interval=64))
     DacceEngine(root=0, config=config).process_columns(chain_columns())
-    assert compiles[2:] == [(False, False, True, 512), (False, False, False, 64)]
+    assert compiles[2:] == [
+        (False, False, True, 512, False),
+        (False, False, False, 64, False),
+    ]
 
 
 def test_compile_span_only_on_a_cache_miss(compiles):

@@ -33,6 +33,7 @@ the change log) with::
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import importlib.util
 import json
@@ -344,6 +345,18 @@ def _targeted() -> Dict[str, Any]:
 
 
 def _corpus() -> Dict[str, Dict[str, Any]]:
+    # Garbage left by earlier code (unfinished generators, finalizers)
+    # would otherwise be collected mid-trace, and its finalizer frames
+    # traced as calls of the corpus programs.
+    gc.collect()
+    gc.disable()
+    try:
+        return _traced_corpus()
+    finally:
+        gc.enable()
+
+
+def _traced_corpus() -> Dict[str, Dict[str, Any]]:
     exceptions = _namespace(EXCEPTIONS, "exceptions")
     return {
         "flat": _plain(_flat_source(), "flat"),

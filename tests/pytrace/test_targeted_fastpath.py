@@ -1,0 +1,96 @@
+"""Targeted tracing of real Python reaches a steady state.
+
+Under ``PythonDacceTracer`` in targeted mode every boundary crossing
+(a departure from the plan and a runtime-only re-entry into it) used to
+leave the compiled kernel for the general path, and its ccStack push
+and pop counted towards trigger (c), which re-encoded a graph that
+never changed.  Boundary crossings now run inside the kernel, and their
+traffic stays out of the trigger window, because no encoding can remove
+it.  This pins the result over 20 iterations of a targeted program, and
+checks every sample against the interpreter's own stack, projected onto
+the plan.
+"""
+
+import gc
+
+import pytest
+
+from repro.pytrace import PythonDacceTracer, walk_stack
+from repro.pytrace.tracer import ROOT_FUNCTION
+
+from . import targeted_program
+
+ITERATIONS = 20
+WARMUP = 2
+ROUNDS = 6
+
+
+@pytest.fixture
+def traced(tmp_path):
+    records = []
+    tracer = None
+
+    def probe():
+        records.append((tracer.sample(), walk_stack(tracer)))
+
+    module, graph = targeted_program.load(str(tmp_path), probe)
+    plan = targeted_program.plan_for(graph)
+    tracer = PythonDacceTracer(targeted=plan, source_root=str(tmp_path))
+    engine = tracer.engine
+    # One row per iteration: (passes, kernel hits, general-path events,
+    # boundary crossings), read after a drain.
+    rows = []
+
+    def iterate():
+        # This loop is out of the plan, so each iteration starts with a
+        # re-entry into run_iteration: there is no root edge to discover.
+        for _ in range(ITERATIONS):
+            module.run_iteration(ROUNDS)
+            tracer.flush()
+            rows.append(
+                (
+                    len(engine.reencode_passes),
+                    engine.fastpath.hits,
+                    engine.fastpath.misses,
+                    engine.stats.boundary_crossings,
+                )
+            )
+
+    # A finalizer run by the collector mid-trace would be traced as one
+    # more boundary crossing in whichever iteration it lands.
+    gc.collect()
+    gc.disable()
+    try:
+        tracer.run(iterate)
+    finally:
+        gc.enable()
+    return tracer, plan, rows, records
+
+
+def _deltas(rows, column):
+    return [b[column] - a[column] for a, b in zip(rows, rows[1:])]
+
+
+def test_targeted_program_reaches_a_steady_state(traced):
+    tracer, _plan, rows, _records = traced
+    steady = rows[WARMUP - 1:]
+    assert steady[-1][0] - steady[0][0] <= 1  # re-encoding passes
+    hits = steady[-1][1] - steady[0][1]
+    misses = steady[-1][2] - steady[0][2]
+    assert hits / (hits + misses) >= 0.95
+    assert _deltas(steady, 2) == [0] * (len(steady) - 1)
+    # The crossings were handled, not skipped: every iteration makes the
+    # same ones, and they are boundary crossings, not back edges.
+    crossings = _deltas(steady, 3)
+    assert crossings[0] > 0 and set(crossings) == {crossings[0]}
+    assert tracer.engine.stats.back_edge_calls == 0
+
+
+def test_targeted_samples_match_projected_stack_walks(traced):
+    tracer, plan, _rows, records = traced
+    tracked = set(plan.functions) | {ROOT_FUNCTION}
+    decoder = tracer.engine.decoder()
+    assert len(records) >= ITERATIONS
+    for sample, walked in records:
+        decoded = decoder.decode(sample).functions()
+        assert decoded == targeted_program.project(walked, tracked)

@@ -1,5 +1,7 @@
 """Python-frontend tests: real interpreter execution through DACCE."""
 
+import sys
+
 import pytest
 
 from repro.core.errors import TraceError
@@ -200,3 +202,50 @@ def test_buffered_tracer_flushes_through_batches():
     assert tracer.engine.fastpath.batches > 0
     stats = tracer.engine.stats
     assert stats.calls == stats.returns > 0
+
+
+def test_engine_work_runs_with_the_hook_detached():
+    """Engine work reached from traced code never runs under the hook."""
+    tracer = PythonDacceTracer()
+    seen = []
+    tracer.engine.install_sample_hook(
+        1, lambda sample, weight: seen.append(sys.getprofile())
+    )
+    after = []
+
+    def leaf():
+        return 1
+
+    def body():
+        # Far fewer events than the slab holds, so the only drains are
+        # the ones tracer.sample() makes from traced code.
+        total = leaf() + leaf()
+        tracer.sample()
+        after.append(sys.getprofile())
+        return total + leaf()
+
+    assert tracer.run(body) == 3
+    assert seen and all(profile is None for profile in seen)
+    assert after == [tracer._hook]
+    assert sys.getprofile() is None
+
+
+def test_hook_is_restored_when_a_strict_engine_error_escapes_flush():
+    tracer = PythonDacceTracer()
+    caught = []
+
+    def body():
+        # A call from a function that is not on the shadow stack: the
+        # strict policy raises out of the engine, through flush().
+        tracer._columns.push_call(0, 1, 424242, 7)
+        try:
+            tracer.flush()
+        except TraceError as error:
+            caught.append((error, sys.getprofile()))
+        return len(caught)
+
+    assert tracer.run(body) == 1
+    ((error, profile),) = caught
+    assert "424242" in str(error)
+    assert profile is tracer._hook
+    assert len(tracer._columns) == 0  # the failed slab was dropped
