@@ -17,8 +17,8 @@ Methodology — **decomposed**: end-to-end subtraction cannot resolve a
 is timed where it has clean signal:
 
 * **engine** — median columnar pass wall time, disabled vs enabled
-  (spans fire at pass boundaries — kernel compile, re-encode — never
-  per event, so the steady-state delta is the guard alone);
+  (spans fire at re-encoding pass boundaries, never per event, so the
+  steady-state delta is the guard alone);
 * **emitter** — wall time accumulated inside ``emitter.flush()``
   during real passes, traced vs untraced (the flush opens the root
   span and stamps the ``trace`` fragment into every frame);
@@ -107,7 +107,7 @@ def _columnar_pass_times(warmed_engine, cols, repeats, spans_factory):
     """
     engines = [warmed_engine(spans=factory()) for factory in spans_factory]
     for engine in engines:
-        engine.process_columns(cols)  # warm: compiles the kernel
+        engine.process_columns(cols)  # warm: compiles the table
     times = [[] for _ in engines]
     for _ in range(repeats):
         for index, engine in enumerate(engines):

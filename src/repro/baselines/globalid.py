@@ -20,12 +20,14 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..core.columnar import EventColumns
 from ..core.engine import DacceConfig, DacceEngine
 from ..core.events import (
     CallEvent,
     ReturnEvent,
     SampleEvent,
     ThreadStartEvent,
+    inflate,
 )
 from ..cost.model import CostModel
 
@@ -41,6 +43,14 @@ class GlobalIdEngine(DacceEngine):
     ):
         super().__init__(root=root, config=config, cost_model=cost_model)
         self._global_id = 0
+
+    def process_columns(self, cols: EventColumns) -> None:
+        # The columnar kernel keeps each thread's id in a register and
+        # bypasses on_call/on_return, so every event takes the handlers
+        # below, one at a time.
+        on_event = self.on_event
+        for record in cols.iter_compact():
+            on_event(inflate(record))
 
     # Each handler performs the racy read-modify-write: load the global
     # into the thread's view, run the instrumentation, store it back.

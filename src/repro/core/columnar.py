@@ -4,9 +4,10 @@ Interpreting one Python tuple per event spends most of the steady state
 on tuple allocation and the per-element object protocol.
 :class:`EventColumns` stores the compact-event stream as six parallel
 integer columns (``array('q')``/``array('b')``) so the engine's
-code-generated dispatch kernel (:mod:`repro.core.fastpath`), driven by
-``DacceEngine.process_columns``, can iterate over raw machine integers
-via ``memoryview``s — no per-event allocation on the hit path.
+dispatch kernel (:func:`repro.core.fastpath.columnar_kernel`), driven
+by ``DacceEngine.process_columns``, can iterate over raw machine
+integers via ``memoryview``s — no per-event allocation on the hit
+path.
 
 The format is lossless with respect to the compact tuple wire format
 (:mod:`repro.core.events`).  Column layout per opcode:

@@ -98,12 +98,11 @@ from .fastpath import (
     KERNEL_DONE,
     KERNEL_SAMPLE,
     KERNEL_TRIGGER,
-    ColumnarKernel,
     FastPathStats,
     FastPathTable,
-    KernelShape,
-    cached_kernel,
-    compile_columnar_kernel,
+    _Action,
+    _Frame,
+    columnar_kernel,
     compile_table,
 )
 from .indirect import DEFAULT_HASH_THRESHOLD, IndirectDispatchTable
@@ -148,48 +147,6 @@ class DacceConfig:
     #: semantics), ``RECOVER`` quarantines the event into ``engine.faults``,
     #: resynchronises the thread and keeps encoding (docs/ROBUSTNESS.md).
     fault_policy: FaultPolicy = FaultPolicy.STRICT
-
-
-class _Action(enum.Enum):
-    """What the forward instrumentation of a call did (for the unwind)."""
-
-    NONE = 0            # encoding 0 — no instrumentation at all
-    ID = 1              # id += En
-    PUSH = 2            # ccStack push (recursive back edge)
-    COMPRESS = 3        # ccStack counter bump (compressed recursion)
-    DISCOVERY_PUSH = 4  # ccStack push for a not-yet-encoded edge
-    UNTRACKED = 5       # targeted mode: interior untracked call, no work
-    BOUNDARY_DEP = 6    # targeted mode: departure from the subgraph
-    BOUNDARY_RE = 7     # targeted mode: re-entry into the subgraph
-
-
-@dataclass(slots=True)
-class _Frame:
-    """Shadow-stack frame.
-
-    ``chain`` holds the (function, callsite, kind) sequence of tail-call
-    replaced predecessors — the logical context includes them even though
-    their machine frames are gone.  ``restore_id`` / ``cc_state`` are the
-    encoding context at entry of the *chain head*, which is what the
-    TcStack restores after a tail-call chain returns (Figure 7).
-
-    Frames are allocated once per dynamic call and never mutated, so the
-    chain is an immutable tuple (shared between a frame and its
-    regenerated twin) and the class is slotted — both shave per-call
-    allocation cost off the hot path.
-    """
-
-    function: FunctionId
-    callsite: Optional[CallSiteId]
-    restore_id: int
-    cc_state: Tuple[int, int]
-    action: _Action
-    kind: CallKind = CallKind.NORMAL
-    chain: Tuple[Tuple[FunctionId, CallSiteId, CallKind], ...] = ()
-
-    @property
-    def is_tail_chain(self) -> bool:
-        return bool(self.chain)
 
 
 @dataclass
@@ -401,23 +358,9 @@ class DacceEngine:
         # Fast-path specialisation state (docs/PERFORMANCE.md).  The
         # compiled dispatch table is built lazily on the first batch and
         # re-built whenever its (dictionary identity, tail-set size)
-        # pins go stale.  Subclasses that override any handler the kernel
-        # bypasses (``GlobalIdEngine`` replaces on_call/on_return
-        # wholesale) are detected here and transparently deoptimised to
-        # per-event dispatch — behaviour first, speed second.
+        # pins go stale.
         self._fastpath: Optional[FastPathTable] = None
         self.fastpath = FastPathStats()
-        cls = type(self)
-        self._fastpath_enabled = (
-            cls.on_call is DacceEngine.on_call
-            and cls.on_return is DacceEngine.on_return
-            and cls._apply_call is DacceEngine._apply_call
-            and cls._apply_direct is DacceEngine._apply_direct
-            and cls._push_unencoded is DacceEngine._push_unencoded
-            and cls._would_repeat is DacceEngine._would_repeat
-            and cls._compression_allowed is DacceEngine._compression_allowed
-            and cls._maybe_check_triggers is DacceEngine._maybe_check_triggers
-        )
         # Shared LRU decode cache: dictionaries are immutable and
         # thread-parent samples are write-once, so a successful decode
         # stays valid for the lifetime of the engine (docs/PERFORMANCE.md).
@@ -651,7 +594,7 @@ class DacceEngine:
             )
 
     # ------------------------------------------------------------------
-    # fast-path processing (code-generated columnar dispatch)
+    # fast-path processing (columnar dispatch)
     # ------------------------------------------------------------------
     def process_batch(self, records: Iterable[CompactEvent]) -> None:
         """Process compact event tuples: columnise, then :meth:`process_columns`."""
@@ -682,17 +625,16 @@ class DacceEngine:
         )
 
     def process_columns(self, cols: EventColumns) -> None:
-        """Process a struct-of-arrays batch through a generated kernel.
+        """Process a struct-of-arrays batch through the columnar kernel.
 
         The steady state — a NORMAL call over an edge the current
         dictionary encodes, over a recursive back edge or (targeted
         mode) across the plan boundary, and the matching return — runs
-        inside a dispatch function ``exec``-ed once per engine shape and
-        process (:func:`repro.core.fastpath.compile_columnar_kernel`), whose
-        inner loop iterates raw integer columns with one dict probe and
-        one integer add per hot event (a ccStack push or pop per
-        back-edge event), with statistics, window counters, cost charges
-        and telemetry folded into per-run flushes.
+        inside :func:`repro.core.fastpath.columnar_kernel`, whose inner
+        loop iterates raw integer columns with one dict probe and one
+        integer add per hot event (a ccStack push or pop per back-edge
+        or boundary event), with statistics, window counters, cost
+        charges and telemetry folded into per-run flushes.
 
         Everything else (unencoded edges, indirect/tail/PLT calls,
         tail-chain returns, samples, thread events, malformed events)
@@ -715,30 +657,24 @@ class DacceEngine:
         (``tests/core/test_fastpath_property.py``) asserts byte-identical
         end states.
         """
-        if not self._fastpath_enabled:
-            # Subclass overrides a bypassed handler: per-event dispatch.
-            on_event = self.on_event
-            for record in cols.iter_compact():
-                on_event(inflate(record))
-            return
         if not len(cols):
             return
-        fp = self.fastpath
-        fp.batches += 1
+        self.fastpath.batches += 1
         flush = self._flush_fastpath_counters
-        flush_boundary = self._flush_boundary_counters
         on_event = self.on_event
         record = cols.record
         tail_set = self._tail_calling_functions
 
-        # Set at the top of each kernel run: the table and sampling shape
-        # the kernel was compiled against, which ``deopt`` compares with
-        # the engine's state after each general-path event.
+        # Set at the top of each kernel run: the table and sampling mode
+        # the kernel runs with, which ``deopt`` compares with the
+        # engine's state after each general-path event.
         table: FastPathTable
         profiled: bool
 
         def deopt(
             i: int,
+            countdown: int,
+            hits: int,
             calls: int,
             returns: int,
             id_updates: int,
@@ -746,21 +682,23 @@ class DacceEngine:
             pushes: int,
             compressions: int,
             pops: int,
-            hits: int,
-            pcount: int,
+            boundary_pushes: int,
+            boundary_pops: int,
+            untracked: int,
+            /,
         ) -> Tuple[int, int, bool]:
             if hits:
-                fp.hits += hits
                 flush(
-                    calls, returns, id_updates, tcstack, pushes, compressions,
-                    pops,
+                    hits, calls, returns, id_updates, tcstack, pushes,
+                    compressions, pops, boundary_pushes, boundary_pops,
+                    untracked,
                 )
-            fp.misses += 1
+            self.fastpath.misses += 1
             prof = self._prof
             if prof is not None:
                 # The general path decrements the hook's own countdown;
                 # keep the kernel's register coherent across it.
-                prof.countdown = pcount
+                prof.countdown = countdown
             on_event(inflate(record(i)))
             prof = self._prof
             return (
@@ -771,72 +709,41 @@ class DacceEngine:
                 or (prof is not None) is not profiled,
             )
 
-        def targeted_deopt(*args: int) -> Tuple[int, int, bool]:
-            # A targeted kernel passes its boundary counters last; an
-            # untargeted one calls ``deopt`` itself, paying nothing.
-            flush_boundary(*args[10:])
-            return deopt(*args[:10])
-
-        kernel_deopt = deopt if self._targeted_fns is None else targeted_deopt
-
         views = cols.views()
         events = zip(*views)
         i = -1
         try:
             while True:
                 table = self._ensure_fastpath()
-                kernel = self._ensure_columnar_kernel()
                 prof = self._prof
                 profiled = prof is not None
-                (
-                    i,
-                    reason,
-                    thread,
-                    calls,
-                    returns,
-                    id_updates,
-                    tcstack,
-                    pushes,
-                    compressions,
-                    pops,
-                    hits,
-                    pcount,
-                    boundary_pushes,
-                    boundary_pops,
-                    untracked,
-                ) = kernel(
+                i, reason, thread, countdown, *folded = columnar_kernel(
                     events,
                     i,
                     self._threads,
-                    prof.countdown if prof is not None else 0,
-                    self._window.calls,
-                    kernel_deopt,
-                    table.entries.get,
-                    table.back_entries.get,
-                    table.dictionary.max_id + 1,
+                    table,
+                    deopt,
                     self.stats,
+                    self._window.calls,
+                    self.config.adaptive.check_interval,
+                    self._warm,
+                    profiled,
+                    prof.countdown if prof is not None else 0,
                     self._h_ccstack_depth.observe if self._obs else None,
                     self._targeted_fns,
                 )
                 # Flush the folded counters before any general-path work:
                 # everything a sample callback or a trigger check
                 # observes must match per-event state.
-                fp.hits += hits
-                flush(
-                    calls, returns, id_updates, tcstack, pushes, compressions,
-                    pops,
-                )
-                if boundary_pushes or boundary_pops or untracked:
-                    flush_boundary(boundary_pushes, boundary_pops, untracked)
+                flush(*folded)
                 # A sample callback run by a deopt may have swapped hooks.
                 prof = self._prof
                 if prof is not None:
-                    prof.countdown = pcount
+                    prof.countdown = countdown
                 if reason == KERNEL_DONE:
                     break
                 if reason == KERNEL_SAMPLE:
                     if prof is not None:
-                        prof.countdown = prof.every
                         self._fire_profile_sample(prof, thread)
                 elif reason == KERNEL_TRIGGER:
                     self._maybe_check_triggers()
@@ -846,6 +753,7 @@ class DacceEngine:
 
     def _flush_fastpath_counters(
         self,
+        hits: int,
         calls: int,
         returns: int,
         id_updates: int,
@@ -853,6 +761,9 @@ class DacceEngine:
         pushes: int,
         compressions: int,
         pops: int,
+        boundary_pushes: int,
+        boundary_pops: int,
+        untracked: int,
     ) -> None:
         """Fold per-run kernel counters into engine state.
 
@@ -860,8 +771,12 @@ class DacceEngine:
         involved (baseline 150.0, id_update 1.5, tcstack 5.0, ccStack
         push/compress/pop 9.0/7.0/6.0) are dyadic rationals, so ``n``
         separate float adds and one ``n *`` multiply produce
-        bit-identical sums.
+        bit-identical sums.  Boundary pushes and pops are charged like
+        back-edge ones but count as ``boundary_crossings`` and stay out
+        of the trigger-(c) window, as in :meth:`_apply_targeted` and
+        :meth:`on_return`.
         """
+        self.fastpath.hits += hits
         obs = self._obs
         if calls:
             self.stats.calls += calls
@@ -880,68 +795,20 @@ class DacceEngine:
         if pushes or compressions or pops:
             self.stats.back_edge_calls += pushes + compressions
             self._window.ccstack_ops += pushes + compressions + pops
-            if pushes:
-                self.cost.charge_ccstack_push(pushes)
             if compressions:
                 self.cost.charge_ccstack_compress(compressions)
-            if pops:
-                self.cost.charge_ccstack_pop(pops)
-
-    def _flush_boundary_counters(
-        self, pushes: int, pops: int, untracked: int
-    ) -> None:
-        """Fold a targeted kernel's boundary counters into engine state.
-
-        Boundary pushes and pops are charged like back-edge ones but
-        count as ``boundary_crossings`` and stay out of the trigger-(c)
-        window, as in :meth:`_apply_targeted` and :meth:`on_return`.
-        """
-        self.stats.boundary_crossings += pushes
+        self.stats.boundary_crossings += boundary_pushes
         self.stats.untracked_calls += untracked
-        if pushes:
-            self.cost.charge_ccstack_push(pushes)
-        if pops:
-            self.cost.charge_ccstack_pop(pops)
-
-    def _ensure_columnar_kernel(self) -> ColumnarKernel:
-        """The generated dispatch kernel for the current engine shape.
-
-        Warm-start accounting, the sampling countdown, the ccStack-depth
-        histogram and targeted boundary handling exist in the generated
-        source only while those features are live, and the adaptive
-        check interval is inlined as a literal; everything per epoch or
-        per engine is a kernel argument.  Kernels are cached process-wide by shape, so
-        only the first run of a shape in the process compiles (and
-        records an ``engine.kernel_compile`` span).
-        """
-        shape: KernelShape = (
-            bool(self._warm),
-            self._prof is not None,
-            self._obs,
-            self.config.adaptive.check_interval,
-            self._targeted_fns is not None,
-        )
-        kernel = cached_kernel(shape)
-        if kernel is None:
-            with self.spans.span(
-                "engine.kernel_compile",
-                stage="engine",
-                gts=self._timestamp,
-                warm=shape[0],
-                profiled=shape[1],
-                obs=shape[2],
-                interval=shape[3],
-                targeted=shape[4],
-            ):
-                kernel = compile_columnar_kernel(
-                    shape, frame_factory=_Frame, actions=_Action
-                )
-        return kernel
+        if pushes or boundary_pushes:
+            self.cost.charge_ccstack_push(pushes + boundary_pushes)
+        if pops or boundary_pops:
+            self.cost.charge_ccstack_pop(pops + boundary_pops)
 
     def fastpath_stats(self) -> Dict[str, object]:
         """Fast-path specialisation counters (plus table shape)."""
         snapshot = self.fastpath.to_dict()
-        snapshot["enabled"] = self._fastpath_enabled
+        # True once a batch has run through the kernel.
+        snapshot["enabled"] = self.fastpath.batches > 0
         snapshot["table_entries"] = (
             len(self._fastpath) if self._fastpath is not None else 0
         )
@@ -1074,8 +941,8 @@ class DacceEngine:
         self._prof = None
         return hook
 
-    def _sampled_function(self, state: _ThreadState) -> FunctionId:
-        """The function a sample reports — the pseudo id when untracked.
+    def _sample(self, state: _ThreadState) -> CollectedSample:
+        """The compact sample of a thread's live context.
 
         In targeted mode a sample taken while control is outside the
         subgraph reports :data:`UNTRACKED_FUNCTION`: the real function
@@ -1085,20 +952,22 @@ class DacceEngine:
         function = state.frames[-1].function
         fns = self._targeted_fns
         if fns is not None and function not in fns:
-            return UNTRACKED_FUNCTION
-        return function
+            function = UNTRACKED_FUNCTION
+        return CollectedSample(
+            timestamp=self._timestamp,
+            context_id=state.id_value,
+            function=function,
+            ccstack=state.ccstack.snapshot(),
+            thread=state.thread,
+        )
 
     def _fire_profile_sample(self, hook: SampleHook, thread: ThreadId) -> None:
+        """Restart the hook's countdown and deliver one sample."""
+        hook.countdown = hook.every
         state = self._threads.get(thread)
         if state is None:  # pragma: no cover - hook fires post-apply
             return
-        sample = CollectedSample(
-            timestamp=self._timestamp,
-            context_id=state.id_value,
-            function=self._sampled_function(state),
-            ccstack=state.ccstack.snapshot(),
-            thread=thread,
-        )
+        sample = self._sample(state)
         self.stats.profile_samples += 1
         self.cost.charge_sample(len(sample.ccstack))
         if hook.weigher is not None:
@@ -1161,34 +1030,24 @@ class DacceEngine:
         if self._obs:
             self._m_calls[event.kind].inc()
 
-        if self._targeted_fns is not None and self._apply_targeted(state, event):
-            hook = self._prof
-            if hook is not None:
-                hook.countdown -= 1
-                if hook.countdown <= 0:
-                    hook.countdown = hook.every
-                    self._fire_profile_sample(hook, event.thread)
-            return
-
-        edge = self.graph.find_edge(event.callsite, event.callee)
-        if edge is None:
-            edge = self._runtime_handler(event)
-        elif self._warm and edge.seeded and edge.invocations == 0:
-            # Cold-start DACCE would have entered the runtime handler
-            # here; the warm-start seed already encoded this edge.
-            self.stats.warmstart_handler_hits_avoided += 1
-        edge.invocations += 1
-
-        if event.kind is CallKind.TAIL:
-            self._apply_tail_call(state, event, edge)
-        else:
-            self._apply_call(state, event, edge)
+        if self._targeted_fns is None or not self._apply_targeted(state, event):
+            edge = self.graph.find_edge(event.callsite, event.callee)
+            if edge is None:
+                edge = self._runtime_handler(event)
+            elif self._warm and edge.seeded and edge.invocations == 0:
+                # Cold-start DACCE would have entered the runtime handler
+                # here; the warm-start seed already encoded this edge.
+                self.stats.warmstart_handler_hits_avoided += 1
+            edge.invocations += 1
+            if event.kind is CallKind.TAIL:
+                self._apply_tail_call(state, event, edge)
+            else:
+                self._apply_call(state, event, edge)
 
         hook = self._prof
         if hook is not None:
             hook.countdown -= 1
             if hook.countdown <= 0:
-                hook.countdown = hook.every
                 self._fire_profile_sample(hook, event.thread)
 
     def on_return(self, event: ReturnEvent) -> None:
@@ -1259,13 +1118,7 @@ class DacceEngine:
                 event,
             )
             return None
-        sample = CollectedSample(
-            timestamp=self._timestamp,
-            context_id=state.id_value,
-            function=self._sampled_function(state),
-            ccstack=state.ccstack.snapshot(),
-            thread=event.thread,
-        )
+        sample = self._sample(state)
         self.stats.samples += 1
         self.cost.charge_sample(len(sample.ccstack))
         if self._obs:
@@ -1333,13 +1186,7 @@ class DacceEngine:
             )
             return
         # Intercepted ``clone``: record the spawning context (Section 5.3).
-        self.thread_parents[event.thread] = CollectedSample(
-            timestamp=self._timestamp,
-            context_id=parent.id_value,
-            function=self._sampled_function(parent),
-            ccstack=parent.ccstack.snapshot(),
-            thread=event.parent,
-        )
+        self.thread_parents[event.thread] = self._sample(parent)
         if self._targeted_fns is not None:
             # Thread entries are force-tracked: an untracked entry would
             # put a re-entry record directly above the clone sentinel and
@@ -1504,15 +1351,7 @@ class DacceEngine:
         This is the tool-facing query the paper's clients issue: take
         the compact runtime state and expand it on demand.
         """
-        state = self._state(thread)
-        sample = CollectedSample(
-            timestamp=self._timestamp,
-            context_id=state.id_value,
-            function=self._sampled_function(state),
-            ccstack=state.ccstack.snapshot(),
-            thread=thread,
-        )
-        return self.decoder().decode(sample)
+        return self.decoder().decode(self._sample(self._state(thread)))
 
     def summary(self) -> Dict[str, object]:
         """A one-stop status snapshot for tooling and logs."""

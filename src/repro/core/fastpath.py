@@ -4,10 +4,11 @@ The paper's central trick is that a call over an already-encoded edge
 costs almost nothing — the hottest in-edge gets encoding 0, i.e. *no
 instrumentation at all* (Sections 3-4).  The reproduction mirrors that
 at the interpreter level: :class:`FastPathTable` is a flat dictionary
-compiled from the current decoding dictionary, and the code-generated
-kernel of ``DacceEngine.process_columns`` handles encoded NORMAL calls
-and their returns with one dict probe and one integer add each — no
-dataclass unpacking, no handler/fault/telemetry branches.
+compiled from the current decoding dictionary, and
+:func:`columnar_kernel`, which ``DacceEngine.process_columns`` runs,
+handles encoded NORMAL calls and their returns with one dict probe and
+one integer add each — no dataclass unpacking, no handler/fault
+branches.
 
 The table is a pure *specialisation cache*: every entry restates what
 the general path would compute for that edge under the current
@@ -36,26 +37,28 @@ that would change nothing commits nothing, so the table survives it.
 
 from __future__ import annotations
 
-import textwrap
+import enum
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
-    Any,
     Callable,
     Dict,
+    Iterator,
     List,
+    Mapping,
     Optional,
+    Protocol,
     Tuple,
-    cast,
 )
 
 from .ccstack import UNTRACKED_CALLSITE
-from .events import CallKind, CallSiteId, FunctionId
+from .events import CallKind, CallSiteId, FunctionId, ThreadId
 
 if TYPE_CHECKING:
     from .callgraph import CallEdge, CallGraph
     from .dictionary import EncodingDictionary
+    from .engine import DacceStats, _ThreadState
 
 #: ``(callsite, callee) -> (encoding delta, edge, callee tail-calls?)``.
 #:
@@ -84,7 +87,7 @@ BackEdgeSpec = Callable[["CallEdge"], Tuple[List[int], bool]]
 
 @dataclass
 class FastPathStats:
-    """Specialisation counters; ``hit_rate`` feeds the CI perf gate."""
+    """Specialisation counters; ``hit_rate`` is the steady-state gate."""
 
     hits: int = 0
     misses: int = 0
@@ -221,404 +224,379 @@ def compile_table(
 
 
 # ----------------------------------------------------------------------
-# code-generated columnar dispatch
+# shadow-stack frames
+# ----------------------------------------------------------------------
+class _Action(enum.Enum):
+    """What the forward instrumentation of a call did (for the unwind)."""
+
+    NONE = 0            # encoding 0 — no instrumentation at all
+    ID = 1              # id += En
+    PUSH = 2            # ccStack push (recursive back edge)
+    COMPRESS = 3        # ccStack counter bump (compressed recursion)
+    DISCOVERY_PUSH = 4  # ccStack push for a not-yet-encoded edge
+    UNTRACKED = 5       # targeted mode: interior untracked call, no work
+    BOUNDARY_DEP = 6    # targeted mode: departure from the subgraph
+    BOUNDARY_RE = 7     # targeted mode: re-entry into the subgraph
+
+
+@dataclass(slots=True)
+class _Frame:
+    """Shadow-stack frame.
+
+    ``chain`` holds the (function, callsite, kind) sequence of tail-call
+    replaced predecessors — the logical context includes them even though
+    their machine frames are gone.  ``restore_id`` / ``cc_state`` are the
+    encoding context at entry of the *chain head*, which is what the
+    TcStack restores after a tail-call chain returns (Figure 7).
+
+    Frames are allocated once per dynamic call and never mutated, so the
+    chain is an immutable tuple (shared between a frame and its
+    regenerated twin) and the class is slotted — both shave per-call
+    allocation cost off the hot path.
+    """
+
+    function: FunctionId
+    callsite: Optional[CallSiteId]
+    restore_id: int
+    cc_state: Tuple[int, int]
+    action: _Action
+    kind: CallKind = CallKind.NORMAL
+    chain: Tuple[Tuple[FunctionId, CallSiteId, CallKind], ...] = ()
+
+    @property
+    def is_tail_chain(self) -> bool:
+        return bool(self.chain)
+
+
+# ----------------------------------------------------------------------
+# the columnar kernel
 # ----------------------------------------------------------------------
 # ``DacceEngine.process_columns`` drives struct-of-arrays batches
-# (:mod:`repro.core.columnar`) through a *code-generated* kernel.  The
-# kernel's source is specialised for one engine *shape* — warm-start
-# seeding present?  sampling hook installed?  telemetry on?  adaptive
-# check interval?  targeted plan? — and branches for absent features do
-# not exist in the generated bytecode.  Everything that changes per
-# encoding epoch or per engine (the table's two probe functions,
-# ``maxID + 1``, the stats block, the ccStack-depth histogram, the
-# plan's function set) is a kernel *argument*, so one
-# kernel per shape is generated per process and a re-encoding pass never
-# pays an ``exec``.  The per-thread id register, the logical
-# top-of-stack function and the sampling countdown live in interpreter
-# locals, so the steady-state inner loop is one dict probe plus one
-# integer add over raw integer columns.
+# (:mod:`repro.core.columnar`) through :func:`columnar_kernel`, one
+# ordinary function for every engine.  Optional features are runtime
+# guards on arguments: the warm-start credit (``warm``), the sampling
+# countdown (``profiled``), the ccStack-depth histogram (``observe``)
+# and the targeted boundary block (``tracked``); the adaptive check
+# interval is an argument too.  Everything that changes per encoding
+# epoch (the table's two maps, ``maxID + 1``) comes from the table, so a
+# re-encoding pass only recompiles the table.  The per-thread id
+# register, the logical top-of-stack function and the sampling countdown
+# live in locals, so the steady-state inner loop is one dict probe plus
+# one integer add over raw integer columns.
 #
 # Frames for hot calls are *deferred*: the kernel pushes lightweight
 # scratch tuples and only materialises real ``_Frame`` objects when it
 # leaves a thread (deopt, thread switch, exit) or is about to touch the
-# ccStack (a back-edge call).  This is sound because nothing observes
-# ``state.frames`` between hot events and the ccStack never mutates
-# while scratch frames are pending, so one ``saved_state()`` taken at
-# materialisation is exact for every deferred frame; a call/return pair
-# wholly inside one kernel run never needs its frame at all.
+# ccStack (a back-edge or boundary call).  This is sound because nothing
+# observes ``state.frames`` between hot events and the ccStack never
+# mutates while scratch frames are pending, so one ``saved_state()``
+# taken at materialisation is exact for every deferred frame; a
+# call/return pair wholly inside one kernel run never needs its frame.
 #
 # A back-edge call is the general path's ``_push_unencoded`` inlined:
 # the repeat-top check feeds the policy's push counters, the ccStack
 # push or compression, ``id = maxID + 1`` and a real ``PUSH``/
 # ``COMPRESS`` frame.  Its return (a ``PUSH``/``COMPRESS`` frame without
-# a tail chain) pops the ccStack and restores the id.  The
-# ``back_edge_calls`` statistic, the window's ccStack operations and the
-# push/compress/pop cost charges are folded into the per-run flush.
+# a tail chain) pops the ccStack and restores the id.
 #
-# A targeted kernel (the shape's ``targeted`` flag) takes the plan's
-# function set as an argument and adds one block after both probes
-# miss: it is the general path's ``_apply_targeted`` inlined for NORMAL
-# calls.  A call with exactly one end in the set crosses the boundary:
-# it pushes ``<id, UNTRACKED_CALLSITE, tracked end>``, sets
-# ``id = maxID + 1`` and gets a real ``BOUNDARY_DEP``/``BOUNDARY_RE``
-# frame, whose return pops.  A call with neither end in the set gets a
-# deferred ``UNTRACKED`` frame, which only restores the id.  Boundary
-# pushes and pops are folded apart from back-edge ones: they count as
-# ``boundary_crossings``, never as ``back_edge_calls``, and stay out of
-# the trigger-(c) window, because no encoding can remove them.
+# In targeted mode (``tracked`` is the plan's function set) a NORMAL
+# call that misses both probes runs the general path's
+# ``_apply_targeted``: a call with exactly one end in the set crosses
+# the boundary, pushing ``<id, UNTRACKED_CALLSITE, tracked end>``,
+# setting ``id = maxID + 1`` and getting a real ``BOUNDARY_DEP``/
+# ``BOUNDARY_RE`` frame, whose return pops; a call with neither end in
+# the set gets a deferred ``UNTRACKED`` frame, which only restores the
+# id.  Boundary pushes and pops are counted apart from back-edge ones:
+# they are ``boundary_crossings``, never ``back_edge_calls``, and stay
+# out of the trigger-(c) window, because no encoding can remove them.
 #
 # Deopts stay inside the kernel.  On a miss it materialises its scratch
 # frames, writes the id register back and calls the per-batch ``deopt``
-# closure it was handed, which flushes the folded counters, runs the
+# closure (:class:`Deopt`), which flushes the folded counters, runs the
 # general path on that one event and returns ``(window calls, sample
-# countdown, stale)``; the kernel then re-switches onto the event
-# thread and keeps going.  ``stale`` is true when the general path
-# changed what the kernel's arguments were taken from (the dictionary,
-# the tail-caller set) or the sampling shape.
+# countdown, stale)``; the kernel then re-enters the event thread on the
+# next event.  ``stale`` is true when the general path changed what the
+# kernel's arguments were taken from (the dictionary, the tail-caller
+# set) or installed or removed the sampling hook.
 #
-# Exit protocol: the kernel consumes a shared iterator over the batch's
-# column views and returns ``(i, reason, thread, *folded, hits,
-# countdown, *boundary)`` after materialising scratch frames and writing
-# the id register back.  ``i`` is the index of the last event consumed
-# (pass it back in to resume); ``reason`` is one of the ``KERNEL_*``
-# codes below; ``folded`` are the per-run counters ``calls, returns,
-# id_updates, tcstack, ccstack_pushes, ccstack_compressions,
-# ccstack_pops`` and ``boundary`` the targeted ones ``boundary_pushes,
-# boundary_pops, untracked_calls``.  ``deopt`` receives them flat too (a
-# miss is hot enough on some workloads that packing them into a tuple
-# shows), and only a targeted kernel passes it ``boundary``.
+# The folded counters, in the order the kernel returns them and passes
+# them to ``deopt``, are ``hits, calls, returns, id_updates, tcstack,
+# ccstack_pushes, ccstack_compressions, ccstack_pops, boundary_pushes,
+# boundary_pops, untracked_calls``.
 
-#: Exit reasons of a generated kernel run.
+#: Exit reasons of a kernel run.
 KERNEL_DONE = 0  #: every event consumed
 KERNEL_SAMPLE = 1  #: sampling countdown hit zero after a call
 KERNEL_TRIGGER = 2  #: adaptive window filled after a return
-KERNEL_STALE = 3  #: a general-path event invalidated the kernel
+KERNEL_STALE = 3  #: a general-path event invalidated the kernel's arguments
 
-#: ``kernel(events, i, threads, countdown, window_calls, deopt,
-#: entries_get, back_get, mark_id, stats, observe, tracked)`` → ``(i,
-#: reason, thread, *folded, hits, countdown, *boundary)``, where
-#: ``deopt(i, *folded, hits, countdown[, *boundary])`` →
-#: ``(window_calls, countdown, stale)``.
-#: ``tracked`` is the targeted plan's function set (``None`` for an
-#: untargeted kernel).
-ColumnarKernel = Callable[..., Tuple[Any, ...]]
+#: One event of a column batch: ``(op, thread, callsite, caller, callee,
+#: kind)`` (see :mod:`repro.core.columnar`).
+ColumnarRow = Tuple[int, int, int, int, int, int]
 
-#: The compiled-in shape of a kernel: ``(warm, profiled, obs,
-#: interval, targeted)``.
-KernelShape = Tuple[bool, bool, bool, int, bool]
+#: A deferred frame: ``(function, callsite, restore_id, action)``.
+_Scratch = Tuple[FunctionId, CallSiteId, int, _Action]
 
-#: Generated kernels, process-wide, by shape.  A kernel is a pure
-#: function of its shape (all engine state arrives as arguments), so
-#: engines sharing one cannot affect each other; the cache holds at most
-#: one kernel per distinct shape.
-_KERNELS: Dict[KernelShape, ColumnarKernel] = {}
 
-_FOLDED = "pend_calls, pend_rets, pend_id, pend_tc, pend_push, pend_cmp, pend_pop"
-_BOUNDARY = "pend_bnd, pend_bpop, pend_unt"
+class Deopt(Protocol):
+    """The per-batch general path for one event the kernel missed.
 
-#: Materialise deferred frames (the ccStack is about to change or the
-#: kernel is leaving the thread).
-_MATERIALISE_BLOCK = """\
-if scratch:
-    cc_state = state.ccstack.saved_state()
-    frames_append = frames.append
-    for sf in scratch:
-        frames_append(_frame(sf[0], sf[1], sf[2], cc_state, sf[3]))
-    del scratch[:]"""
+    Called as ``deopt(i, countdown, *folded)`` with the event index, the
+    sampling countdown and the folded counters; returns ``(window calls,
+    sampling countdown, stale)``.
+    """
 
-#: Leave the current thread: materialise deferred frames, write back id.
-_PARK_BLOCK = """\
-if state is not None:
-%s
-    state.id_value = cur_id
-    state = None""" % textwrap.indent(_MATERIALISE_BLOCK, "    ")
+    def __call__(
+        self,
+        i: int,
+        countdown: int,
+        hits: int,
+        calls: int,
+        returns: int,
+        id_updates: int,
+        tcstack: int,
+        pushes: int,
+        compressions: int,
+        pops: int,
+        boundary_pushes: int,
+        boundary_pops: int,
+        untracked: int,
+        /,
+    ) -> Tuple[int, int, bool]: ...
 
-#: Hand event ``i`` to the general path (the thread is already parked).
-#: An untargeted kernel never touches the boundary counters, so its
-#: deopts neither pass nor reset them.
-_DEOPT_BLOCK = """\
-cur_t = -1
-wcalls, pcount, stale = deopt(i, %s, hits, pcount{boundary})
-pend_calls = pend_rets = pend_id = pend_tc = pend_push = 0
-pend_cmp = pend_pop = hits = 0{reset}
-if stale:
-    reason = 3
-    break""" % (_FOLDED,)
 
-_SWITCH_BLOCK = """\
-%s
-ns = threads_get(et)
-if ns is None:
-{deopt}
-    continue
-cur_t = et
-state = ns
-frames = ns.frames
-cur_id = ns.id_value
-top_fn = frames[-1].function""" % (_PARK_BLOCK,)
+def _materialise(
+    scratch: List[_Scratch], frames: List[_Frame], cc_state: Tuple[int, int]
+) -> None:
+    """Turn deferred scratch frames into real frames, oldest first."""
+    frames.extend([_Frame(f, c, r, cc_state, a) for f, c, r, a in scratch])
+    scratch.clear()
 
-_WARM_BLOCK = """\
-if not edge.invocations and edge.seeded:
-    stats.warmstart_handler_hits_avoided += 1"""
 
-_PROF_BLOCK = """\
-pcount -= 1
-if pcount <= 0:
-    reason = 1
-    break"""
+def columnar_kernel(
+    events: Iterator[ColumnarRow],
+    i: int,
+    threads: Mapping[ThreadId, "_ThreadState"],
+    table: FastPathTable,
+    deopt: Deopt,
+    stats: "DacceStats",
+    wcalls: int,
+    interval: int,
+    warm: bool,
+    profiled: bool,
+    pcount: int,
+    observe: Optional[Callable[[int], None]],
+    tracked: Optional[AbstractSet[FunctionId]],
+) -> Tuple[int, ...]:
+    """Dispatch column events until the batch ends or the engine must act.
 
-_OBS_BLOCK = "observe(cc.depth())"
-
-#: The end of a kernel-handled return: the window check that
-#: ``on_return``'s trigger check would make.
-_RETURN_TAIL = """\
-pend_rets += 1
-hits += 1
-top_fn = frames[-1].function
-if wcalls + pend_calls >= {interval}:
-    reason = 2
-    break
-continue"""
-
-#: Targeted mode, after both probes miss: a boundary crossing or an
-#: untracked call, as ``_apply_targeted`` handles it; a tracked pair
-#: falls through to the deopt.
-_TARGETED_CALL_BLOCK = """\
-if top_fn == cr:
-    cr_in = cr in tracked
-    if not (cr_in and ce in tracked):
-        if cr_in or ce in tracked:
-{materialise}
-            cc = state.ccstack
-            cc_state = cc.saved_state()
-            if cr_in:
-                cc.push(cur_id, _untracked_site, cr)
-                frames.append(_frame(ce, cs, cur_id, cc_state, _act_dep))
-            else:
-                cc.push(cur_id, _untracked_site, ce)
-                frames.append(_frame(ce, cs, cur_id, cc_state, _act_re))
-{obs}
-            cur_id = mark_id
-            pend_bnd += 1
-        else:
-            scratch_append((ce, cs, cur_id, _act_unt))
-            pend_unt += 1
-        top_fn = ce
-        pend_calls += 1
-        hits += 1
-{prof}
-        continue"""
-
-#: Targeted mode: the return of a boundary crossing pops its entry.
-_TARGETED_RETURN_BLOCK = """\
-if act is _act_dep or act is _act_re:
-    frames.pop()
-    cc = state.ccstack
-    cc.pop()
-{obs}
-    pend_bpop += 1
-    cur_id = frame.restore_id
-{tail}"""
-
-_KERNEL_TEMPLATE = """\
-def {name}(
-    events, i, threads_map, pcount, wcalls, deopt,
-    entries_get, back_get, mark_id, stats, observe, tracked,
-):
-    threads_get = threads_map.get
-    scratch = []
+    ``events`` is a shared iterator over the batch's rows and ``i`` the
+    index of the last event already consumed; ``wcalls`` is the adaptive
+    window's call count and ``pcount`` the sampling countdown (read only
+    when ``profiled``).  Returns ``(i, reason, thread, countdown,
+    *folded)`` after materialising scratch frames and writing the id
+    register back: ``i`` is the last event consumed (pass it back in to
+    resume), ``reason`` one of the ``KERNEL_*`` codes, ``thread`` the
+    thread the kernel was on, and ``folded`` the eleven per-run counters
+    listed above.
+    """
+    threads_get = threads.get
+    entries_get = table.entries.get
+    back_get = table.back_entries.get
+    mark_id = table.dictionary.max_id + 1
+    act_none = _Action.NONE
+    act_id = _Action.ID
+    act_push = _Action.PUSH
+    act_cmp = _Action.COMPRESS
+    act_disc = _Action.DISCOVERY_PUSH
+    act_unt = _Action.UNTRACKED
+    act_dep = _Action.BOUNDARY_DEP
+    act_re = _Action.BOUNDARY_RE
+    scratch: List[_Scratch] = []
     scratch_append = scratch.append
     scratch_pop = scratch.pop
+    # ``state`` and ``frames`` are bound exactly while ``cur_t != -1``.
+    state: "_ThreadState"
+    frames: List[_Frame]
     cur_t = -1
-    state = None
-    frames = None
     cur_id = 0
     top_fn = -1
-    pend_calls = pend_rets = pend_id = pend_tc = 0
-    pend_push = pend_cmp = pend_pop = pend_bnd = pend_bpop = pend_unt = 0
-    hits = 0
-    reason = 0
+    hits = calls = rets = id_updates = tcstack = 0
+    pushes = compressions = pops = bpushes = bpops = untracked = 0
+    reason = KERNEL_DONE
     for op, et, cs, cr, ce, ek in events:
         i += 1
-        if op == 0:
-            if ek == 0:
-                if et != cur_t:
-{switch_call}
-                entry = entries_get((cs, ce))
-                if entry is not None and top_fn == cr:
-                    edge = entry[1]
-{warm_block}
-                    edge.invocations += 1
-                    delta = entry[0]
-                    if delta:
-                        scratch_append((ce, cs, cur_id, _act_id))
-                        cur_id += delta
-                        pend_id += 1
-                    else:
-                        scratch_append((ce, cs, cur_id, _act_none))
-                    if entry[2]:
-                        pend_tc += 1
-                    top_fn = ce
-                    pend_calls += 1
-                    hits += 1
-{prof_block}
-                    continue
-                back = back_get((cs, ce))
-                if back is not None and top_fn == cr:
-{materialise_back}
-                    cc = state.ccstack
-                    counters = back[1]
-                    counters[0] += 1
-                    if cc.top_matches(cur_id, cs, ce):
-                        counters[1] += 1
-                    cc_state = cc.saved_state()
-                    if cc.push(cur_id, cs, ce, back[2]):
-                        frames.append(_frame(ce, cs, cur_id, cc_state, _act_cmp))
-                        pend_cmp += 1
-                    else:
-                        frames.append(_frame(ce, cs, cur_id, cc_state, _act_push))
-                        pend_push += 1
-{obs_push}
-                    cur_id = mark_id
-                    edge = back[0]
-{warm_block}
-                    edge.invocations += 1
-                    if back[3]:
-                        pend_tc += 1
-                    top_fn = ce
-                    pend_calls += 1
-                    hits += 1
-{prof_block}
-                    continue
-{targeted_call}
-        elif op == 1:
+        if (op == 0 and not ek) or op == 1:
+            # A NORMAL call or a return: enter the event's thread.
             if et != cur_t:
-{switch_ret}
-            if scratch:
+                if cur_t != -1:
+                    if scratch:
+                        _materialise(scratch, frames, state.ccstack.saved_state())
+                    state.id_value = cur_id
+                ns = threads_get(et)
+                if ns is None:
+                    cur_t = -1  # the general path reports the unknown thread
+                else:
+                    cur_t = et
+                    state = ns
+                    frames = ns.frames
+                    cur_id = ns.id_value
+                    top_fn = frames[-1].function
+            if cur_t == -1:
+                pass
+            elif op == 0:
+                if top_fn == cr:
+                    key = (cs, ce)
+                    entry = entries_get(key)
+                    if entry is not None:
+                        edge = entry[1]
+                        if warm and not edge.invocations and edge.seeded:
+                            stats.warmstart_handler_hits_avoided += 1
+                        edge.invocations += 1
+                        delta = entry[0]
+                        if delta:
+                            scratch_append((ce, cs, cur_id, act_id))
+                            cur_id += delta
+                            id_updates += 1
+                        else:
+                            scratch_append((ce, cs, cur_id, act_none))
+                        if entry[2]:
+                            tcstack += 1
+                        top_fn = ce
+                        calls += 1
+                        hits += 1
+                        if profiled:
+                            pcount -= 1
+                            if pcount <= 0:
+                                reason = KERNEL_SAMPLE
+                                break
+                        continue
+                    back = back_get(key)
+                    if back is not None:
+                        cc = state.ccstack
+                        cc_state = cc.saved_state()
+                        if scratch:
+                            _materialise(scratch, frames, cc_state)
+                        counters = back[1]
+                        counters[0] += 1
+                        if cc.top_matches(cur_id, cs, ce):
+                            counters[1] += 1
+                        if cc.push(cur_id, cs, ce, back[2]):
+                            frames.append(_Frame(ce, cs, cur_id, cc_state, act_cmp))
+                            compressions += 1
+                        else:
+                            frames.append(_Frame(ce, cs, cur_id, cc_state, act_push))
+                            pushes += 1
+                        if observe is not None:
+                            observe(cc.depth())
+                        cur_id = mark_id
+                        edge = back[0]
+                        if warm and not edge.invocations and edge.seeded:
+                            stats.warmstart_handler_hits_avoided += 1
+                        edge.invocations += 1
+                        if back[3]:
+                            tcstack += 1
+                        top_fn = ce
+                        calls += 1
+                        hits += 1
+                        if profiled:
+                            pcount -= 1
+                            if pcount <= 0:
+                                reason = KERNEL_SAMPLE
+                                break
+                        continue
+                    if tracked is not None:
+                        cr_in = cr in tracked
+                        if not (cr_in and ce in tracked):
+                            if cr_in or ce in tracked:
+                                # A boundary crossing saves the context
+                                # with the tracked end as the target.
+                                cc = state.ccstack
+                                cc_state = cc.saved_state()
+                                if scratch:
+                                    _materialise(scratch, frames, cc_state)
+                                cc.push(cur_id, UNTRACKED_CALLSITE, cr if cr_in else ce)
+                                frames.append(
+                                    _Frame(
+                                        ce, cs, cur_id, cc_state,
+                                        act_dep if cr_in else act_re,
+                                    )
+                                )
+                                if observe is not None:
+                                    observe(cc.depth())
+                                cur_id = mark_id
+                                bpushes += 1
+                            else:
+                                scratch_append((ce, cs, cur_id, act_unt))
+                                untracked += 1
+                            top_fn = ce
+                            calls += 1
+                            hits += 1
+                            if profiled:
+                                pcount -= 1
+                                if pcount <= 0:
+                                    reason = KERNEL_SAMPLE
+                                    break
+                            continue
+            elif scratch:
                 sf = scratch_pop()
                 cur_id = sf[2]
-                if sf[3] is _act_id:
-                    pend_id += 1
-                pend_rets += 1
+                if sf[3] is act_id:
+                    id_updates += 1
+                rets += 1
                 hits += 1
                 top_fn = scratch[-1][0] if scratch else frames[-1].function
-                if wcalls + pend_calls >= {interval}:
-                    reason = 2
+                if wcalls + calls >= interval:
+                    reason = KERNEL_TRIGGER
                     break
                 continue
-            if len(frames) > 1:
+            elif len(frames) > 1:
                 frame = frames[-1]
-                if not frame.chain:
-                    act = frame.action
-                    if {plain_return}:
-                        frames.pop()
-                        if act is _act_id:
-                            pend_id += 1
-                        cur_id = frame.restore_id
-{return_tail}
-                    if act is _act_push or act is _act_cmp:
-                        frames.pop()
+                act = frame.action
+                # Tail chains and discovery entries take the general path.
+                if not frame.chain and act is not act_disc:
+                    frames.pop()
+                    if act is act_id:
+                        id_updates += 1
+                    elif act is not act_none and act is not act_unt:
+                        # A back-edge or boundary entry: pop it.
                         cc = state.ccstack
                         cc.pop()
-{obs_pop}
-                        pend_pop += 1
-                        cur_id = frame.restore_id
-{return_tail}
-{targeted_return}
-{park_miss}
-{deopt_miss}
-{park_exit}
-    return (i, reason, cur_t, {folded}, hits, pcount, {boundary})
-"""
-
-
-def _at(indent: int, block: str) -> str:
-    """``block`` indented by ``indent`` spaces (empty stays empty)."""
-    return textwrap.indent(block, " " * indent) if block else ""
-
-
-def cached_kernel(shape: KernelShape) -> Optional[ColumnarKernel]:
-    """The process-wide kernel already generated for ``shape``, if any."""
-    return _KERNELS.get(shape)
-
-
-def compile_columnar_kernel(
-    shape: KernelShape,
-    *,
-    frame_factory: Callable[..., Any],
-    actions: Any,
-) -> ColumnarKernel:
-    """``exec`` the dispatch kernel for one engine shape and cache it.
-
-    ``shape`` is ``(warm, profiled, obs, interval, targeted)``: the
-    warm-start credit, the sampling countdown, the ccStack-depth
-    histogram and the targeted boundary block are present in the source
-    only when the feature is live, and the adaptive check interval is an
-    inlined literal.  ``frame_factory`` and ``actions`` (the engine's
-    ``_Frame`` class and ``_Action`` enum) are process constants.  The
-    kernel is stored in the process-wide cache, so every engine of the
-    same shape shares it — see ``DacceEngine._ensure_columnar_kernel``.
-    """
-    warm, profiled, obs, interval, targeted = shape
-    name = "_kernel_w%d_p%d_o%d_i%d_t%d" % (
-        warm, profiled, obs, interval, targeted,
+                        if observe is not None:
+                            observe(cc.depth())
+                        if act is act_push or act is act_cmp:
+                            pops += 1
+                        else:
+                            bpops += 1
+                    cur_id = frame.restore_id
+                    rets += 1
+                    hits += 1
+                    top_fn = frames[-1].function
+                    if wcalls + calls >= interval:
+                        reason = KERNEL_TRIGGER
+                        break
+                    continue
+        # Anything else deoptimises: leave the thread and hand the event
+        # to the general path.
+        if cur_t != -1:
+            if scratch:
+                _materialise(scratch, frames, state.ccstack.saved_state())
+            state.id_value = cur_id
+            cur_t = -1
+        wcalls, pcount, stale = deopt(
+            i, pcount, hits, calls, rets, id_updates, tcstack,
+            pushes, compressions, pops, bpushes, bpops, untracked,
+        )
+        hits = calls = rets = id_updates = tcstack = 0
+        pushes = compressions = pops = bpushes = bpops = untracked = 0
+        if stale:
+            reason = KERNEL_STALE
+            break
+    if cur_t != -1:
+        if scratch:
+            _materialise(scratch, frames, state.ccstack.saved_state())
+        state.id_value = cur_id
+    return (
+        i, reason, cur_t, pcount, hits, calls, rets, id_updates, tcstack,
+        pushes, compressions, pops, bpushes, bpops, untracked,
     )
-    return_tail = _RETURN_TAIL.format(interval=interval)
-    obs_block = _OBS_BLOCK if obs else ""
-    prof_block = _PROF_BLOCK if profiled else ""
-    targeted_call = targeted_return = ""
-    plain_return = "act is _act_none or act is _act_id"
-    deopt_block = _DEOPT_BLOCK.format(
-        boundary=", " + _BOUNDARY if targeted else "",
-        reset="\npend_bnd = pend_bpop = pend_unt = 0" if targeted else "",
-    )
-    switch_block = _SWITCH_BLOCK.format(deopt=_at(4, deopt_block))
-    if targeted:
-        targeted_call = _at(16, _TARGETED_CALL_BLOCK.format(
-            materialise=_at(12, _MATERIALISE_BLOCK),
-            obs=_at(12, obs_block),
-            prof=_at(8, prof_block),
-        ))
-        targeted_return = _at(20, _TARGETED_RETURN_BLOCK.format(
-            obs=_at(4, obs_block),
-            tail=_at(4, return_tail),
-        ))
-        plain_return += " or act is _act_unt"
-    source = _KERNEL_TEMPLATE.format(
-        name=name,
-        interval=interval,
-        folded=_FOLDED,
-        boundary=_BOUNDARY,
-        switch_call=_at(20, switch_block),
-        switch_ret=_at(16, switch_block),
-        warm_block=_at(20, _WARM_BLOCK if warm else ""),
-        prof_block=_at(20, prof_block),
-        obs_push=_at(20, obs_block),
-        obs_pop=_at(24, obs_block),
-        materialise_back=_at(20, _MATERIALISE_BLOCK),
-        targeted_call=targeted_call,
-        plain_return=plain_return,
-        return_tail=_at(24, return_tail),
-        targeted_return=targeted_return,
-        park_miss=_at(8, _PARK_BLOCK),
-        deopt_miss=_at(8, deopt_block),
-        park_exit=_at(4, _PARK_BLOCK),
-    )
-    namespace: Dict[str, Any] = {
-        "_frame": frame_factory,
-        "_act_none": actions.NONE,
-        "_act_id": actions.ID,
-        "_act_push": actions.PUSH,
-        "_act_cmp": actions.COMPRESS,
-        "_act_dep": actions.BOUNDARY_DEP,
-        "_act_re": actions.BOUNDARY_RE,
-        "_act_unt": actions.UNTRACKED,
-        "_untracked_site": UNTRACKED_CALLSITE,
-    }
-    exec(  # noqa: S102 - the source is generated above, not user input
-        compile(source, "<columnar-kernel %s>" % (name,), "exec"),
-        namespace,
-    )
-    kernel = cast(ColumnarKernel, namespace[name])
-    _KERNELS[shape] = kernel
-    return kernel

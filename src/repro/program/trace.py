@@ -508,9 +508,8 @@ def run_workload_columnar(
 ) -> None:
     """Drive ``engine`` over the workload as struct-of-arrays slabs.
 
-    Events flow through ``engine.process_columns`` and its
-    code-generated dispatch kernel, without per-event dataclass
-    allocation.  Behaviourally identical to :func:`run_workload` (the
+    Events flow through ``engine.process_columns`` and its columnar
+    dispatch kernel, without per-event dataclass allocation.  Behaviourally identical to :func:`run_workload` (the
     differential property tests assert it); only speed changes.
     """
     executor = TraceExecutor(program, spec)

@@ -242,8 +242,8 @@ class PythonDacceTracer:
         self._calls_since_sample = 0
         self._base_frame: Optional[FrameType] = None
         #: Pending events as a preallocated struct-of-arrays slab,
-        #: drained through the engine's code-generated columnar fast
-        #: lane.  The profile hook stores ``op``/``callsite``/``caller``/
+        #: drained through the engine's columnar fast lane.
+        #: The profile hook stores ``op``/``callsite``/``caller``/
         #: ``callee`` straight into the arrays and bumps the length; the
         #: slab only ever holds thread 0 and kind 0, so those columns stay
         #: zero.  It flushes at ``_buffer_limit`` (the capacity, fixed

@@ -1,6 +1,6 @@
 """Differential property tests: the fast lane changes speed, not behaviour.
 
-The contract of ``DacceEngine.process_columns`` and its code-generated
+The contract of ``DacceEngine.process_columns`` and its columnar
 dispatch kernel is *exact* equivalence with one-event-at-a-time
 dispatch: byte-identical decoding state, identical collected samples,
 identical statistics/metrics/cost accounting — across re-encoding
@@ -20,6 +20,10 @@ the real Python tracer (fib, mutual and tree recursion).  A targeted
 arm runs synthetic programs under a ``build_targeted`` plan (boundary
 crossings, interior untracked calls and tail calls across the
 boundary) and replays a targeted stream recorded from the real tracer.
+The main and targeted synthetic arms also draw a continuous-profiling
+sample hook (period 1, 3 or 17) whose callback may remove it, or swap
+it for one with another period, mid-run; both arms must deliver the
+same hook samples with the same weights.
 
 The same discipline is applied to the decode side:
 ``decode_log_parallel`` must reproduce sequential ``decode_log`` output
@@ -165,6 +169,46 @@ def _assert_equivalent(per_event, columnar):
         assert observed_a[key] == observed_b[key], "diverged in %r" % key
 
 
+#: A sample-hook draw: ``None`` (no hook) or ``(period, action, firing)``.
+#: At its ``firing``-th sample the callback removes the hook
+#: (``"remove"``) or replaces it with one of the next period
+#: (``"swap"``); ``"keep"`` leaves it installed.
+HOOKS = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from([1, 3, 17]),
+        st.sampled_from(["keep", "remove", "swap"]),
+        st.sampled_from([1, 5]),
+    ),
+)
+_NEXT_PERIOD = {1: 3, 3: 17, 17: 1}
+
+
+def _install_hook(engine, hook):
+    """Install the drawn sample hook on ``engine``; returns its log of
+    ``(sample, weight)`` pairs."""
+    log = []
+    if hook is None:
+        return log
+    period, action, firing = hook
+
+    def callback(sample, weight):
+        log.append((sample, weight))
+        if len(log) == firing and action != "keep":
+            engine.remove_sample_hook()
+            if action == "swap":
+                engine.install_sample_hook(_NEXT_PERIOD[period], callback)
+
+    engine.install_sample_hook(period, callback)
+    return log
+
+
+def _assert_same_hook_logs(per_event_log, columnar_log, hook):
+    assert per_event_log == columnar_log
+    if hook is not None:
+        assert per_event_log
+
+
 # ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------
@@ -179,11 +223,12 @@ def _assert_equivalent(per_event, columnar):
     reencode_frac=st.one_of(st.none(), st.floats(0.1, 0.9)),
     compression=st.sampled_from(list(CompressionMode)),
     telemetry=st.booleans(),
+    hook=HOOKS,
 )
 @settings(max_examples=30, deadline=None)
 def test_process_batch_equals_per_event(
     program_seed, workload_seed, calls, threads, affinity, check_interval,
-    batch_size, reencode_frac, compression, telemetry,
+    batch_size, reencode_frac, compression, telemetry, hook,
 ):
     _, records = _stream(program_seed, workload_seed, calls, threads, affinity)
     reencode_at = (
@@ -191,11 +236,14 @@ def test_process_batch_equals_per_event(
     )
     config = _config(check_interval, compression=compression)
     per_event = _engine(config, telemetry)
+    per_event_log = _install_hook(per_event, hook)
     _drive_per_event(per_event, records, reencode_at)
     columnar = _engine(config, telemetry)
+    columnar_log = _install_hook(columnar, hook)
     _drive_columnar(columnar, records, batch_size, reencode_at)
     _assert_equivalent(per_event, columnar)
-    # The generated dispatch kernel actually ran (not a silent fallback).
+    _assert_same_hook_logs(per_event_log, columnar_log, hook)
+    # The dispatch kernel actually ran (not a silent fallback).
     assert columnar.fastpath.compiles >= 1
     assert columnar.fastpath.batches >= 1
 
@@ -414,11 +462,12 @@ def _targeted_engine(config, telemetry, plan):
     batch_size=st.sampled_from([1, 7, 64, 4096]),
     reencode_frac=st.one_of(st.none(), st.floats(0.1, 0.9)),
     telemetry=st.booleans(),
+    hook=HOOKS,
 )
 @settings(max_examples=30, deadline=None)
 def test_targeted_process_columns_equals_per_event(
     program_seed, workload_seed, calls, threads, affinity, tail_fraction,
-    sinks, check_interval, batch_size, reencode_frac, telemetry,
+    sinks, check_interval, batch_size, reencode_frac, telemetry, hook,
 ):
     program, records = _stream(
         program_seed, workload_seed, calls, threads, affinity, tail_fraction
@@ -438,10 +487,13 @@ def test_targeted_process_columns_equals_per_event(
         )
 
     per_event = fresh()
+    per_event_log = _install_hook(per_event, hook)
     _drive_per_event(per_event, records, reencode_at)
     columnar = fresh()
+    columnar_log = _install_hook(columnar, hook)
     _drive_columnar(columnar, records, batch_size, reencode_at)
     _assert_equivalent(per_event, columnar)
+    _assert_same_hook_logs(per_event_log, columnar_log, hook)
     assert columnar.fastpath.compiles >= 1
 
 

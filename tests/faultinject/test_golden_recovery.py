@@ -5,7 +5,7 @@ drawn from ``random.Random(seed)`` over :data:`FAULT_CLASSES`) runs
 through three drivers:
 
 * ``recover`` via per-event ``on_event``;
-* ``recover`` via ``process_columns`` (the generated kernel deopts every
+* ``recover`` via ``process_columns`` (the columnar kernel deopts every
   malformed event to the general path);
 * ``strict`` via ``on_event``, stopping at the first raise.
 

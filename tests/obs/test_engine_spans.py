@@ -1,4 +1,4 @@
-"""Engine-side spans: reencode passes and kernel compiles."""
+"""Engine-side spans: one per re-encoding pass."""
 
 import pytest
 
@@ -87,40 +87,7 @@ class TestReencodeSpans:
         assert outcomes.count("no-op") == engine.stats.reencode_noops
 
 
-@pytest.fixture
-def empty_kernel_cache(monkeypatch):
-    """A process-wide kernel cache with nothing generated yet."""
-    import repro.core.fastpath as fastpath
-
-    monkeypatch.setattr(fastpath, "_KERNELS", {})
-
-
 class TestColumnarSpans:
-    def test_kernel_compile_span(self, empty_kernel_cache):
-        engine, spans = make_engine()
-        engine.process_columns(discovery_batch())
-        (record,) = spans.spans(name="engine.kernel_compile")
-        assert record["stage"] == "engine"
-        assert record["attrs"]["interval"] == 512
-        assert record["attrs"]["profiled"] is False
-
-    def test_kernel_compile_span_closes_when_codegen_raises(
-        self, monkeypatch, empty_kernel_cache
-    ):
-        import repro.core.engine as engine_module
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("codegen failed")
-
-        engine, spans = make_engine()
-        monkeypatch.setattr(engine_module, "compile_columnar_kernel", broken)
-        with pytest.raises(RuntimeError):
-            engine.process_columns(discovery_batch())
-        (record,) = spans.spans(name="engine.kernel_compile")
-        assert record["attrs"]["error"] == "RuntimeError"
-        # Nothing left open to parent later engine spans.
-        assert spans.current() is None
-
     def test_traced_and_untraced_columnar_states_agree(self):
         traced, _ = make_engine()
         plain = DacceEngine()

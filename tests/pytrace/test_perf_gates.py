@@ -1,0 +1,101 @@
+"""Count-based front-end and targeted fast-path gates.
+
+Both gates count work instead of timing it, so they hold on any host:
+
+* the profile hook classifies each code object (package filter, plan
+  disposition, function id) once, on its first call, and finds it by
+  identity after that — a regression back to per-call code hashing
+  fails the classification gate;
+* in targeted mode at steady state, boundary crossings (departures from
+  the plan and runtime-only re-entries into it) run in the kernel and
+  their ccStack traffic never triggers a pass.
+"""
+
+import importlib.util
+from collections import Counter
+
+from repro.pytrace import PythonDacceTracer
+from repro.pytrace.tracer import ROOT_FUNCTION
+from repro.static.pyextract import FunctionIndex, extract_package
+from repro.static.targeted import build_targeted
+
+
+def test_front_end_classifies_each_code_object_once(monkeypatch):
+    # A generated DAG: f<i> calls f<2i+1> and f<2i+2>; main walks it 5 times.
+    lines = ["def main():\n    for _ in range(5):\n        f0(1)\n"]
+    for i in range(40):
+        callees = ["f%d(x)" % j for j in (2 * i + 1, 2 * i + 2) if j < 40]
+        lines.append("def f%d(x):\n    return %s\n" % (i, " + ".join(callees) or "x"))
+    namespace = {}
+    exec(compile("\n".join(lines), "<generated>", "exec"), namespace)
+
+    classified = Counter()
+    assigned = Counter()
+    classify = PythonDacceTracer._classify
+    function_id = PythonDacceTracer._function_id
+
+    def counting_classify(self, code):
+        classified[id(code)] += 1
+        return classify(self, code)
+
+    def counting_function_id(self, code):
+        assigned[id(code)] += 1
+        return function_id(self, code)
+
+    monkeypatch.setattr(PythonDacceTracer, "_classify", counting_classify)
+    monkeypatch.setattr(PythonDacceTracer, "_function_id", counting_function_id)
+    tracer = PythonDacceTracer()
+    for _ in range(2):
+        tracer.run(namespace["main"])
+    calls = tracer.engine.stats.calls
+    assert calls == 2 * (1 + 5 * 40), calls
+    assert set(classified.values()) == {1}, classified
+    assert set(assigned.values()) == {1}, assigned
+    assert len(assigned) == 41 == tracer.num_functions, (assigned, tracer.num_functions)
+    assert sum(1 for e in tracer._code_cache.values() if e[1] > 0) == 41
+
+
+def test_targeted_boundary_crossings_stay_on_the_fast_path(tmp_path):
+    # Tracked t<i> reach the sink; untracked u<i> never do statically,
+    # but u<i> for even i re-enter t<i % 4> through HANDLERS, which the
+    # extractor cannot resolve.
+    lines = ["def sink(x):\n    return x & 255\n"]
+    for i in range(4):
+        lines.append("def t%d(x):\n    return sink(x + %d) + sink(x ^ %d)\n" % (i, i, i))
+    for i in range(8):
+        body = "HANDLERS[%d](x)" % (i % 4) if i % 2 == 0 else "x * %d" % i
+        lines.append("def u%d(x):\n    return %s\n" % (i, body))
+    lines.append("HANDLERS = (t0, t1, t2, t3)\n")
+    lines.append(
+        "def run(rounds):\n    total = 0\n    for i in range(rounds):\n"
+        + "".join("        total += t%d(i) + u%d(i)\n" % (i % 4, i) for i in range(8))
+        + "    return total\n"
+    )
+    root = str(tmp_path)
+    path = tmp_path / "app.py"
+    path.write_text("\n".join(lines))
+    spec = importlib.util.spec_from_file_location("app", str(path))
+    app = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(app)
+    graph = extract_package(root, index=FunctionIndex(first_id=1))
+    plan = build_targeted(graph, ["sink"], root=ROOT_FUNCTION)
+    tracer = PythonDacceTracer(targeted=plan, source_root=root)
+    engine = tracer.engine
+
+    rows = []
+
+    def iterate():  # out of the plan: each iteration is a re-entry
+        for _ in range(10):
+            app.run(20)
+            tracer.flush()
+            fp = engine.fastpath
+            rows.append((len(engine.reencode_passes), fp.hits, fp.misses))
+
+    tracer.run(iterate)
+    passes = rows[-1][0] - rows[0][0]
+    hits = rows[-1][1] - rows[0][1]
+    misses = rows[-1][2] - rows[0][2]
+    rate = hits / (hits + misses)
+    assert engine.stats.boundary_crossings > 0, engine.stats
+    assert rate >= 0.95, rows
+    assert passes <= 1, rows

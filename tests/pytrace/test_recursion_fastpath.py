@@ -1,8 +1,8 @@
 """Real recursion under the tracer stays on the fast path.
 
 Under ``PythonDacceTracer`` recursive programs used to leave the
-compiled kernel on every back-edge call and return, and trigger (c)
-re-encoded over a graph that never changed, recompiling the kernel each
+columnar kernel on every back-edge call and return, and trigger (c)
+re-encoded over a graph that never changed, recompiling the table each
 time.  Back-edge calls now run inside the kernel, and a triggered pass
 that would change nothing commits nothing and backs off.  This pins the
 result on fib, mutual and tree recursion, and checks every sample taken
@@ -11,7 +11,6 @@ at a recursion leaf against the interpreter's own stack.
 
 import random
 
-import repro.core.fastpath as fastpath
 from repro.pytrace import PythonDacceTracer, contexts_agree, walk_stack
 
 
@@ -82,8 +81,7 @@ def _run_recursion():
     return tracer, records
 
 
-def test_recursion_stays_on_the_fast_path(monkeypatch):
-    monkeypatch.setattr(fastpath, "_KERNELS", {})
+def test_recursion_stays_on_the_fast_path():
     tracer, records = _run_recursion()
     engine = tracer.engine
     stats = engine.stats
@@ -93,10 +91,9 @@ def test_recursion_stays_on_the_fast_path(monkeypatch):
     assert stats.reencodings + stats.reencode_noops <= 8
     assert stats.reencode_noops >= 1
     assert engine.fastpath.hit_rate >= 0.95
-    # One generated kernel, and one table per committed dictionary: the
-    # gTimeStamp-0 one, the first pass and a pass for the edges that
-    # the stack-walk oracle's own traced calls add at depth 200.
-    assert len(fastpath._KERNELS) == 1
+    # One table per committed dictionary: the gTimeStamp-0 one, the
+    # first pass and a pass for the edges that the stack-walk oracle's
+    # own traced calls add at depth 200.
     assert engine.fastpath.compiles == stats.reencodings + 1 <= 3
     assert records
 
