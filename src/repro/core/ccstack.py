@@ -11,10 +11,21 @@ identical to the top entry, a repetition counter is bumped instead
 (Section 3.3, Figure 5(e)).  The stack records operation statistics used
 both by the cost model (Figure 8) and by the adaptive policy's
 "ccStack is frequently accessed" trigger (Section 4).
+
+Storage is one plain list per entry, ``[id, callsite, target, count,
+discovery]`` (:data:`CcEntry`), bottom to top.  The methods here are the
+general path's API over it; the columnar kernel
+(:func:`repro.core.fastpath.columnar_kernel`) pushes, compresses and pops
+the same lists directly.  It takes them with :meth:`CcStack.kernel_view`,
+keeps the logical depth and the operation counters in locals, and hands
+those back with :meth:`CcStack.kernel_fold` when it leaves the thread.
+:meth:`CcStack.snapshot` and :meth:`CcStack.entries` copy the content out
+as tuples.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -37,24 +48,16 @@ UNTRACKED_CALLSITE: CallSiteId = -2
 UNTRACKED_FUNCTION: FunctionId = -2
 
 
-@dataclass(slots=True)
-class _MutableEntry:
-    """Stack-internal, mutable twin of :class:`CcStackEntry`.
+#: One stored entry, ``[id, callsite, target, count, discovery]``.
+#: ``count`` is the number of extra compressed repetitions (Figure 5(e)).
+#: ``discovery`` (a bool) marks entries saved for edges that merely await
+#: their first encoding (a transient state bounded by the re-encoding
+#: latency) as opposed to recursive back edges, whose entries are the
+#: steady-state ccStack content Figure 10 measures.
+CcEntry = List[int]
 
-    ``discovery`` marks entries saved for edges that merely await their
-    first encoding (a transient state bounded by the re-encoding
-    latency) as opposed to recursive back edges, whose entries are the
-    steady-state ccStack content Figure 10 measures.
-    """
-
-    id: int
-    callsite: CallSiteId
-    target: FunctionId
-    count: int = 0
-    discovery: bool = False
-
-    def freeze(self) -> CcStackEntry:
-        return CcStackEntry(self.id, self.callsite, self.target, self.count)
+#: The fields of one entry as :meth:`CcStack.entries` returns them.
+CcEntryFields = Tuple[int, CallSiteId, FunctionId, int, bool]
 
 
 @dataclass
@@ -87,7 +90,7 @@ class CcStack:
         compression_enabled: bool = True,
         capacity: Optional[int] = None,
     ):
-        self._entries: List[_MutableEntry] = []
+        self._entries: List[CcEntry] = []
         #: Logical depth (including compressed repetitions), maintained
         #: incrementally so the per-push ``max_depth`` update is O(1)
         #: instead of a full-stack sum.
@@ -115,33 +118,32 @@ class CcStack:
         only bumps the top's repetition counter.  Returns ``True`` when the
         push was compressed.
         """
+        entries = self._entries
+        stats = self.stats
         if (
             allow_compress
             and self.compression_enabled
-            and self._entries
-            and self._entries[-1].id == id_value
-            and self._entries[-1].callsite == callsite
-            and self._entries[-1].target == target
+            and entries
+            and entries[-1][0] == id_value
+            and entries[-1][1] == callsite
+            and entries[-1][2] == target
         ):
-            self._entries[-1].count += 1
-            self.stats.compressions += 1
-            self._depth += 1
-            if self._depth > self.stats.max_depth:
-                self.stats.max_depth = self._depth
-            return True
-        if self.capacity is not None and len(self._entries) >= self.capacity:
-            raise TraceError(
-                "ccStack overflow: %d entries (capacity %d) — the paper's "
-                "guard page would trap here" % (len(self._entries), self.capacity)
-            )
-        self._entries.append(
-            _MutableEntry(id_value, callsite, target, discovery=discovery)
-        )
-        self.stats.pushes += 1
+            entries[-1][3] += 1
+            stats.compressions += 1
+            compressed = True
+        else:
+            if self.capacity is not None and len(entries) >= self.capacity:
+                raise TraceError(
+                    "ccStack overflow: %d entries (capacity %d) — the paper's "
+                    "guard page would trap here" % (len(entries), self.capacity)
+                )
+            entries.append([id_value, callsite, target, 0, discovery])
+            stats.pushes += 1
+            compressed = False
         self._depth += 1
-        if self._depth > self.stats.max_depth:
-            self.stats.max_depth = self._depth
-        return False
+        if self._depth > stats.max_depth:
+            stats.max_depth = self._depth
+        return compressed
 
     def pop(self) -> int:
         """Undo the most recent (uncompressed) push; returns the saved id."""
@@ -149,20 +151,21 @@ class CcStack:
             raise TraceError("pop from empty ccStack")
         top = self._entries[-1]
         self._depth -= 1
-        if top.count > 0:
+        if top[3] > 0:
             # A compressed repetition ends: restore the id and drop one
             # repetition (the ``ccStack.top().count--`` of Figure 5(e)).
-            top.count -= 1
+            top[3] -= 1
             self.stats.decompressions += 1
-            return top.id
+            return top[0]
         self._entries.pop()
         self.stats.pops += 1
-        return top.id
+        return top[0]
 
     def top(self) -> Optional[CcStackEntry]:
         if not self._entries:
             return None
-        return self._entries[-1].freeze()
+        top = self._entries[-1]
+        return CcStackEntry(top[0], top[1], top[2], top[3])
 
     def top_matches(
         self, id_value: int, callsite: CallSiteId, target: FunctionId
@@ -175,11 +178,7 @@ class CcStack:
         if not self._entries:
             return False
         top = self._entries[-1]
-        return (
-            top.id == id_value
-            and top.callsite == callsite
-            and top.target == target
-        )
+        return top[0] == id_value and top[1] == callsite and top[2] == target
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -192,11 +191,49 @@ class CcStack:
 
     def steady_depth(self) -> int:
         """Logical depth excluding transient edge-discovery entries."""
-        return sum(1 + e.count for e in self._entries if not e.discovery)
+        return sum(1 + e[3] for e in self._entries if not e[4])
 
     def snapshot(self) -> Tuple[CcStackEntry, ...]:
         """Frozen bottom-to-top copy stored into a collected sample."""
-        return tuple(e.freeze() for e in self._entries)
+        return tuple(CcStackEntry(e[0], e[1], e[2], e[3]) for e in self._entries)
+
+    def entries(self) -> List[CcEntryFields]:
+        """Every entry's ``(id, callsite, target, count, discovery)``,
+        bottom to top."""
+        return [(e[0], e[1], e[2], e[3], bool(e[4])) for e in self._entries]
+
+    def kernel_view(self) -> Tuple[List[CcEntry], int, int, int, bool]:
+        """What the columnar kernel keeps in locals while it runs on this
+        stack: ``(entries, depth, max_depth, capacity limit, compression
+        enabled)``.  ``entries`` is the storage itself, which the kernel
+        pushes, compresses and pops in place."""
+        capacity = self.capacity
+        return (
+            self._entries,
+            self._depth,
+            self.stats.max_depth,
+            sys.maxsize if capacity is None else capacity,
+            self.compression_enabled,
+        )
+
+    def kernel_fold(
+        self,
+        depth: int,
+        max_depth: int,
+        pushes: int,
+        compressions: int,
+        pops: int,
+        decompressions: int,
+    ) -> None:
+        """Take back the depth and the operation counts the kernel kept
+        in locals since :meth:`kernel_view`."""
+        self._depth = depth
+        stats = self.stats
+        stats.pushes += pushes
+        stats.compressions += compressions
+        stats.pops += pops
+        stats.decompressions += decompressions
+        stats.max_depth = max_depth
 
     def saved_state(self) -> Tuple[int, int]:
         """(physical length, top count) — enough to restore across a call.
@@ -206,7 +243,7 @@ class CcStack:
         change, so this pair restores the stack exactly.  Used by the
         engine for tail-call (TcStack) restoration and re-encoding.
         """
-        top_count = self._entries[-1].count if self._entries else 0
+        top_count = self._entries[-1][3] if self._entries else 0
         return (len(self._entries), top_count)
 
     def restore(self, state: Tuple[int, int]) -> None:
@@ -216,8 +253,8 @@ class CcStack:
             raise TraceError("cannot restore ccStack to a deeper state")
         del self._entries[length:]
         if self._entries and length > 0:
-            self._entries[-1].count = top_count
-        self._depth = sum(1 + e.count for e in self._entries)
+            self._entries[-1][3] = top_count
+        self._depth = sum(1 + e[3] for e in self._entries)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -225,15 +262,10 @@ class CcStack:
 
     def replace(self, entries: List[CcStackEntry]) -> None:
         """Overwrite content (used by re-encoding regeneration)."""
-        self._entries = [
-            _MutableEntry(e.id, e.callsite, e.target, e.count) for e in entries
-        ]
-        self._depth = sum(1 + e.count for e in self._entries)
+        self._entries = [[e.id, e.callsite, e.target, e.count, False] for e in entries]
+        self._depth = sum(1 + e[3] for e in self._entries)
 
     def __repr__(self) -> str:
         return "CcStack(%s)" % (
-            ", ".join(
-                "<%d,%d,%d,%d>" % (e.id, e.callsite, e.target, e.count)
-                for e in self._entries
-            )
+            ", ".join("<%d,%d,%d,%d>" % tuple(e[:4]) for e in self._entries)
         )

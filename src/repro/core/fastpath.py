@@ -21,7 +21,8 @@ end outside the plan is handled in the kernel too, as
 ``<id, UNTRACKED_CALLSITE, tracked end>`` and its return pops it, and a
 call wholly outside the plan is a bare shadow frame.  Anything else (an
 unencoded edge, an indirect/tail/PLT call, a tail-chain return, a
-sample, a thread event, a malformed event) misses and deoptimises to
+ccStack push past the stack's capacity, a sample, a thread event, a
+malformed event) misses and deoptimises to
 the general path — the engine's event handlers, which check every
 fault condition and apply the fault policy themselves — so behaviour
 is identical under either policy and only speed changes.
@@ -50,9 +51,10 @@ from typing import (
     Optional,
     Protocol,
     Tuple,
+    Union,
 )
 
-from .ccstack import UNTRACKED_CALLSITE
+from .ccstack import UNTRACKED_CALLSITE, CcEntry, CcStack
 from .events import CallKind, CallSiteId, FunctionId, ThreadId
 
 if TYPE_CHECKING:
@@ -249,10 +251,13 @@ class _Frame:
     encoding context at entry of the *chain head*, which is what the
     TcStack restores after a tail-call chain returns (Figure 7).
 
-    Frames are allocated once per dynamic call and never mutated, so the
-    chain is an immutable tuple (shared between a frame and its
-    regenerated twin) and the class is slotted — both shave per-call
-    allocation cost off the hot path.
+    The general path allocates one frame per call it handles; the
+    columnar kernel builds frames only for the calls still live when it
+    leaves a thread (see :func:`_materialise`), so a call that returns
+    within one kernel stay never gets one.  Frames are never mutated, so
+    the chain is an immutable tuple (shared between a frame and its
+    regenerated twin) and the class is slotted to keep construction
+    cheap.
     """
 
     function: FunctionId
@@ -284,34 +289,52 @@ class _Frame:
 # live in locals, so the steady-state inner loop is one dict probe plus
 # one integer add over raw integer columns.
 #
-# Frames for hot calls are *deferred*: the kernel pushes lightweight
-# scratch tuples and only materialises real ``_Frame`` objects when it
-# leaves a thread (deopt, thread switch, exit) or is about to touch the
-# ccStack (a back-edge or boundary call).  This is sound because nothing
-# observes ``state.frames`` between hot events and the ccStack never
-# mutates while scratch frames are pending, so one ``saved_state()``
-# taken at materialisation is exact for every deferred frame; a
-# call/return pair wholly inside one kernel run never needs its frame.
+# Frames are *deferred*: every call the kernel handles pushes a scratch
+# tuple, and real ``_Frame`` objects are built only when the kernel
+# leaves a thread (deopt, thread switch, exit).  Nothing observes
+# ``state.frames`` between kernel events, so a call/return pair wholly
+# inside one stay on a thread never needs its frame.  Encoded and
+# ``UNTRACKED`` calls push ``(function, callsite, restore_id, action)``;
+# calls that touch the ccStack (``PUSH``, ``COMPRESS``, ``BOUNDARY_DEP``,
+# ``BOUNDARY_RE``) add their pre-push checkpoint ``(physical length, top
+# count)``, read off the stack's storage.  Materialisation walks the
+# scratch list newest to oldest and gives each encoded frame the
+# checkpoint of the nearest younger ccStack frame (the current one if
+# there is none): within a call's extent the ccStack returns to its entry
+# state, which is ``saved_state()``'s invariant.
+#
+# The kernel works on the ccStack's storage (:data:`CcEntry` lists)
+# directly.  On the first ccStack event of a stay on a thread it takes
+# the entry list, the logical depth, ``max_depth``, the capacity and the
+# compression switch into locals (``CcStack.kernel_view``); the stack's
+# operation counters count in locals from zero.  ``CcStack.kernel_fold``
+# hands them back when the kernel leaves the thread, and only if it
+# took them, so entering a thread costs nothing.
 #
 # A back-edge call is the general path's ``_push_unencoded`` inlined:
-# the repeat-top check feeds the policy's push counters, the ccStack
-# push or compression, ``id = maxID + 1`` and a real ``PUSH``/
-# ``COMPRESS`` frame.  Its return (a ``PUSH``/``COMPRESS`` frame without
-# a tail chain) pops the ccStack and restores the id.
+# the repeat-top test feeds the policy's push counters, the top entry's
+# count is bumped (compression) or a new entry is appended, and ``id =
+# maxID + 1``.  A push that would overflow the ccStack's capacity is
+# tested before any state changes and deoptimises, so the general path
+# raises (or, under ``recover``, quarantines) the capacity trap.  The
+# return of a ``PUSH``/``COMPRESS`` frame pops the entry or drops one
+# repetition and restores the id.
 #
 # In targeted mode (``tracked`` is the plan's function set) a NORMAL
 # call that misses both probes runs the general path's
 # ``_apply_targeted``: a call with exactly one end in the set crosses
-# the boundary, pushing ``<id, UNTRACKED_CALLSITE, tracked end>``,
-# setting ``id = maxID + 1`` and getting a real ``BOUNDARY_DEP``/
-# ``BOUNDARY_RE`` frame, whose return pops; a call with neither end in
-# the set gets a deferred ``UNTRACKED`` frame, which only restores the
-# id.  Boundary pushes and pops are counted apart from back-edge ones:
-# they are ``boundary_crossings``, never ``back_edge_calls``, and stay
-# out of the trigger-(c) window, because no encoding can remove them.
+# the boundary, pushing ``<id, UNTRACKED_CALLSITE, tracked end>`` (with
+# the same capacity test), setting ``id = maxID + 1`` and getting a
+# ``BOUNDARY_DEP``/``BOUNDARY_RE`` scratch frame, whose return pops; a
+# call with neither end in the set gets an ``UNTRACKED`` scratch frame,
+# which only restores the id.  Boundary pushes and pops are counted
+# apart from back-edge ones: they are ``boundary_crossings``, never
+# ``back_edge_calls``, and stay out of the trigger-(c) window, because
+# no encoding can remove them.
 #
-# Deopts stay inside the kernel.  On a miss it materialises its scratch
-# frames, writes the id register back and calls the per-batch ``deopt``
+# Deopts stay inside the kernel.  On a miss it leaves the thread
+# (materialising its scratch frames, folding the ccStack locals and
+# writing the id register back) and calls the per-batch ``deopt``
 # closure (:class:`Deopt`), which flushes the folded counters, runs the
 # general path on that one event and returns ``(window calls, sample
 # countdown, stale)``; the kernel then re-enters the event thread on the
@@ -334,8 +357,13 @@ KERNEL_STALE = 3  #: a general-path event invalidated the kernel's arguments
 #: kind)`` (see :mod:`repro.core.columnar`).
 ColumnarRow = Tuple[int, int, int, int, int, int]
 
-#: A deferred frame: ``(function, callsite, restore_id, action)``.
-_Scratch = Tuple[FunctionId, CallSiteId, int, _Action]
+#: A deferred frame.  Encoded and untracked calls: ``(function,
+#: callsite, restore_id, action)``; calls that touched the ccStack add
+#: the pre-push checkpoint ``(physical length, top count)``.
+_Scratch = Union[
+    Tuple[FunctionId, CallSiteId, int, _Action],
+    Tuple[FunctionId, CallSiteId, int, _Action, int, int],
+]
 
 
 class Deopt(Protocol):
@@ -368,8 +396,20 @@ class Deopt(Protocol):
 def _materialise(
     scratch: List[_Scratch], frames: List[_Frame], cc_state: Tuple[int, int]
 ) -> None:
-    """Turn deferred scratch frames into real frames, oldest first."""
-    frames.extend([_Frame(f, c, r, cc_state, a) for f, c, r, a in scratch])
+    """Turn deferred scratch frames into real frames, oldest first.
+
+    ``cc_state`` is the ccStack's current checkpoint.  The walk goes
+    newest to oldest: a ccStack frame carries its own pre-push
+    checkpoint, and an encoded frame shares the one of the nearest
+    younger ccStack frame.
+    """
+    built: List[_Frame] = []
+    for sf in reversed(scratch):
+        if len(sf) == 6:
+            cc_state = (sf[4], sf[5])
+        built.append(_Frame(sf[0], sf[1], sf[2], cc_state, sf[3]))
+    built.reverse()
+    frames.extend(built)
     scratch.clear()
 
 
@@ -394,11 +434,11 @@ def columnar_kernel(
     index of the last event already consumed; ``wcalls`` is the adaptive
     window's call count and ``pcount`` the sampling countdown (read only
     when ``profiled``).  Returns ``(i, reason, thread, countdown,
-    *folded)`` after materialising scratch frames and writing the id
-    register back: ``i`` is the last event consumed (pass it back in to
-    resume), ``reason`` one of the ``KERNEL_*`` codes, ``thread`` the
-    thread the kernel was on, and ``folded`` the eleven per-run counters
-    listed above.
+    *folded)`` after leaving the thread (scratch frames materialised,
+    ccStack locals folded, id register written back): ``i`` is the last
+    event consumed (pass it back in to resume), ``reason`` one of the
+    ``KERNEL_*`` codes, ``thread`` the thread the kernel was on, and
+    ``folded`` the eleven per-run counters listed above.
     """
     threads_get = threads.get
     entries_get = table.entries.get
@@ -421,6 +461,13 @@ def columnar_kernel(
     cur_t = -1
     cur_id = 0
     top_fn = -1
+    # The current thread's ccStack while bound (``CcStack.kernel_view``);
+    # its operation counters count from zero until ``kernel_fold``.
+    ccs: Optional[CcStack] = None
+    ents: List[CcEntry] = []
+    depth = max_depth = limit = 0
+    compress_on = False
+    s_push = s_cmp = s_pop = s_dcmp = 0
     hits = calls = rets = id_updates = tcstack = 0
     pushes = compressions = pops = bpushes = bpops = untracked = 0
     reason = KERNEL_DONE
@@ -430,6 +477,9 @@ def columnar_kernel(
             # A NORMAL call or a return: enter the event's thread.
             if et != cur_t:
                 if cur_t != -1:
+                    if ccs is not None:
+                        ccs.kernel_fold(depth, max_depth, s_push, s_cmp, s_pop, s_dcmp)
+                        ccs = None
                     if scratch:
                         _materialise(scratch, frames, state.ccstack.saved_state())
                     state.id_value = cur_id
@@ -473,62 +523,96 @@ def columnar_kernel(
                         continue
                     back = back_get(key)
                     if back is not None:
-                        cc = state.ccstack
-                        cc_state = cc.saved_state()
-                        if scratch:
-                            _materialise(scratch, frames, cc_state)
-                        counters = back[1]
-                        counters[0] += 1
-                        if cc.top_matches(cur_id, cs, ce):
-                            counters[1] += 1
-                        if cc.push(cur_id, cs, ce, back[2]):
-                            frames.append(_Frame(ce, cs, cur_id, cc_state, act_cmp))
-                            compressions += 1
+                        if ccs is None:
+                            ccs = state.ccstack
+                            ents, depth, max_depth, limit, compress_on = ccs.kernel_view()
+                            s_push = s_cmp = s_pop = s_dcmp = 0
+                        n = len(ents)
+                        if n:
+                            top = ents[-1]
+                            top_count = top[3]
+                            repeat = top[0] == cur_id and top[1] == cs and top[2] == ce
                         else:
-                            frames.append(_Frame(ce, cs, cur_id, cc_state, act_push))
-                            pushes += 1
-                        if observe is not None:
-                            observe(cc.depth())
-                        cur_id = mark_id
-                        edge = back[0]
-                        if warm and not edge.invocations and edge.seeded:
-                            stats.warmstart_handler_hits_avoided += 1
-                        edge.invocations += 1
-                        if back[3]:
-                            tcstack += 1
-                        top_fn = ce
-                        calls += 1
-                        hits += 1
-                        if profiled:
-                            pcount -= 1
-                            if pcount <= 0:
-                                reason = KERNEL_SAMPLE
-                                break
-                        continue
-                    if tracked is not None:
+                            top_count = 0
+                            repeat = False
+                        compress = repeat and back[2] and compress_on
+                        # A push that would overflow deoptimises before
+                        # any state changes (the policy counters too).
+                        if compress or n < limit:
+                            counters = back[1]
+                            counters[0] += 1
+                            if repeat:
+                                counters[1] += 1
+                            if compress:
+                                top[3] = top_count + 1
+                                scratch_append((ce, cs, cur_id, act_cmp, n, top_count))
+                                compressions += 1
+                                s_cmp += 1
+                            else:
+                                ents.append([cur_id, cs, ce, 0, False])
+                                scratch_append((ce, cs, cur_id, act_push, n, top_count))
+                                pushes += 1
+                                s_push += 1
+                            depth += 1
+                            if depth > max_depth:
+                                max_depth = depth
+                            if observe is not None:
+                                observe(depth)
+                            cur_id = mark_id
+                            edge = back[0]
+                            if warm and not edge.invocations and edge.seeded:
+                                stats.warmstart_handler_hits_avoided += 1
+                            edge.invocations += 1
+                            if back[3]:
+                                tcstack += 1
+                            top_fn = ce
+                            calls += 1
+                            hits += 1
+                            if profiled:
+                                pcount -= 1
+                                if pcount <= 0:
+                                    reason = KERNEL_SAMPLE
+                                    break
+                            continue
+                    elif tracked is not None:
                         cr_in = cr in tracked
-                        if not (cr_in and ce in tracked):
-                            if cr_in or ce in tracked:
-                                # A boundary crossing saves the context
-                                # with the tracked end as the target.
-                                cc = state.ccstack
-                                cc_state = cc.saved_state()
-                                if scratch:
-                                    _materialise(scratch, frames, cc_state)
-                                cc.push(cur_id, UNTRACKED_CALLSITE, cr if cr_in else ce)
-                                frames.append(
-                                    _Frame(
-                                        ce, cs, cur_id, cc_state,
-                                        act_dep if cr_in else act_re,
+                        ce_in = ce in tracked
+                        if cr_in and ce_in:
+                            # A tracked edge the table lacks: general path.
+                            handled = False
+                        elif cr_in or ce_in:
+                            # A boundary crossing saves the context with
+                            # the tracked end as the target; an overflow
+                            # deoptimises.
+                            if ccs is None:
+                                ccs = state.ccstack
+                                ents, depth, max_depth, limit, compress_on = ccs.kernel_view()
+                                s_push = s_cmp = s_pop = s_dcmp = 0
+                            n = len(ents)
+                            handled = n < limit
+                            if handled:
+                                scratch_append(
+                                    (
+                                        ce, cs, cur_id, act_dep if cr_in else act_re,
+                                        n, ents[-1][3] if n else 0,
                                     )
                                 )
+                                ents.append(
+                                    [cur_id, UNTRACKED_CALLSITE, cr if cr_in else ce, 0, False]
+                                )
+                                s_push += 1
+                                depth += 1
+                                if depth > max_depth:
+                                    max_depth = depth
                                 if observe is not None:
-                                    observe(cc.depth())
+                                    observe(depth)
                                 cur_id = mark_id
                                 bpushes += 1
-                            else:
-                                scratch_append((ce, cs, cur_id, act_unt))
-                                untracked += 1
+                        else:
+                            scratch_append((ce, cs, cur_id, act_unt))
+                            untracked += 1
+                            handled = True
+                        if handled:
                             top_fn = ce
                             calls += 1
                             hits += 1
@@ -541,8 +625,26 @@ def columnar_kernel(
             elif scratch:
                 sf = scratch_pop()
                 cur_id = sf[2]
-                if sf[3] is act_id:
+                act = sf[3]
+                if act is act_id:
                     id_updates += 1
+                elif act is not act_none and act is not act_unt:
+                    # A back-edge or boundary entry, on top by the
+                    # checkpoint invariant.
+                    if act is act_cmp:
+                        ents[-1][3] -= 1
+                        s_dcmp += 1
+                        pops += 1
+                    else:
+                        ents.pop()
+                        s_pop += 1
+                        if act is act_push:
+                            pops += 1
+                        else:
+                            bpops += 1
+                    depth -= 1
+                    if observe is not None:
+                        observe(depth)
                 rets += 1
                 hits += 1
                 top_fn = scratch[-1][0] if scratch else frames[-1].function
@@ -553,17 +655,29 @@ def columnar_kernel(
             elif len(frames) > 1:
                 frame = frames[-1]
                 act = frame.action
-                # Tail chains and discovery entries take the general path.
-                if not frame.chain and act is not act_disc:
+                cc_pop = act is not act_id and act is not act_none and act is not act_unt
+                if cc_pop and ccs is None:
+                    ccs = state.ccstack
+                    ents, depth, max_depth, limit, compress_on = ccs.kernel_view()
+                    s_push = s_cmp = s_pop = s_dcmp = 0
+                # Tail chains, discovery entries and a pop from an empty
+                # ccStack (which the general path reports) deoptimise.
+                if not frame.chain and act is not act_disc and (ents or not cc_pop):
                     frames.pop()
                     if act is act_id:
                         id_updates += 1
-                    elif act is not act_none and act is not act_unt:
+                    elif cc_pop:
                         # A back-edge or boundary entry: pop it.
-                        cc = state.ccstack
-                        cc.pop()
+                        top = ents[-1]
+                        if top[3]:
+                            top[3] -= 1
+                            s_dcmp += 1
+                        else:
+                            ents.pop()
+                            s_pop += 1
+                        depth -= 1
                         if observe is not None:
-                            observe(cc.depth())
+                            observe(depth)
                         if act is act_push or act is act_cmp:
                             pops += 1
                         else:
@@ -579,6 +693,9 @@ def columnar_kernel(
         # Anything else deoptimises: leave the thread and hand the event
         # to the general path.
         if cur_t != -1:
+            if ccs is not None:
+                ccs.kernel_fold(depth, max_depth, s_push, s_cmp, s_pop, s_dcmp)
+                ccs = None
             if scratch:
                 _materialise(scratch, frames, state.ccstack.saved_state())
             state.id_value = cur_id
@@ -593,6 +710,8 @@ def columnar_kernel(
             reason = KERNEL_STALE
             break
     if cur_t != -1:
+        if ccs is not None:
+            ccs.kernel_fold(depth, max_depth, s_push, s_cmp, s_pop, s_dcmp)
         if scratch:
             _materialise(scratch, frames, state.ccstack.saved_state())
         state.id_value = cur_id

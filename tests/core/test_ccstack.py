@@ -1,5 +1,7 @@
 """ccStack tests: push/pop, recursion compression, snapshots, stats."""
 
+import sys
+
 import pytest
 
 from repro.core.ccstack import CLONE_CALLSITE, CcStack
@@ -35,6 +37,28 @@ def test_compression_merges_identical_pushes():
     assert len(stack) == 1
     assert stack.top().count == 1
     assert stack.depth() == 2
+
+
+def test_entries_lists_every_field_bottom_to_top():
+    stack = CcStack()
+    stack.push(4, 10, 2, allow_compress=True)
+    stack.push(4, 10, 2, allow_compress=True)
+    stack.push(9, 12, 3, discovery=True)
+    assert stack.entries() == [(4, 10, 2, 1, False), (9, 12, 3, 0, True)]
+    assert CcStack().entries() == []
+
+
+def test_kernel_fold_takes_back_the_kernel_locals():
+    stack = CcStack(capacity=8)
+    stack.push(4, 10, 2)
+    entries, depth, max_depth, limit, compress = stack.kernel_view()
+    assert (depth, max_depth, limit, compress) == (1, 1, 8, True)
+    entries.append([5, 11, 3, 0, False])  # the kernel pushes in place
+    stack.kernel_fold(2, 2, 1, 0, 0, 0)
+    assert stack.entries()[-1] == (5, 11, 3, 0, False)
+    assert stack.depth() == 2
+    assert (stack.stats.pushes, stack.stats.max_depth) == (2, 2)
+    assert CcStack().kernel_view()[3] == sys.maxsize
 
 
 def test_compression_requires_exact_match():

@@ -15,7 +15,8 @@ from repro.baselines.globalid import GlobalIdEngine
 from repro.baselines.pcce import PcceEngine
 from repro.core.context import CallingContext
 from repro.core.decoder import DecodeCache
-from repro.core.engine import DacceEngine
+from repro.core.engine import DacceConfig, DacceEngine
+from repro.core.errors import TraceError
 from repro.core.events import (
     EV_CALL,
     CallEvent,
@@ -30,6 +31,7 @@ from repro.core.events import (
 )
 from repro.core.columnar import EventColumns
 from repro.core.fastpath import compile_table
+from repro.core.faults import FaultPolicy
 from repro.core.serialize import decoding_state_to_dict
 from repro.program.generator import GeneratorConfig, generate_program
 from repro.program.trace import (
@@ -38,6 +40,8 @@ from repro.program.trace import (
     WorkloadSpec,
     run_workload_columnar,
 )
+from repro.static.graph import StaticCallGraph, StaticEdge, StaticFunction
+from repro.static.targeted import build_targeted
 
 
 # ----------------------------------------------------------------------
@@ -324,3 +328,136 @@ def test_process_columns_recompiles_after_reencode():
     )
     engine.process_columns(cols)
     assert engine.fastpath.compiles > compiles_before
+
+
+# ----------------------------------------------------------------------
+# ccStack capacity trap inside the kernel
+# ----------------------------------------------------------------------
+def _thread_states(engine):
+    """Per-thread id, frames, ccStack entries, depth and counters."""
+    return {
+        thread: (
+            state.id_value,
+            list(state.frames),
+            state.ccstack.entries(),
+            state.ccstack.depth(),
+            state.ccstack.stats,
+        )
+        for thread, state in engine._threads.items()
+    }
+
+
+def _end_state(engine):
+    return (
+        decoding_state_to_dict(engine),
+        engine.stats,
+        engine.ccstack_stats(),
+        dataclasses.asdict(engine.cost.report),
+        [record.to_dict() for record in engine.faults.records()],
+        engine.policy.recursion_pushes,
+        _thread_states(engine),
+    )
+
+
+def _run_trap(make_engine, events, columnar):
+    """Run ``events`` per event or as one column batch.
+
+    Returns the engine and the ``TraceError`` message, if one escaped.
+    """
+    engine = make_engine()
+    try:
+        if columnar:
+            engine.process_columns(
+                EventColumns.from_compact([compact(e) for e in events])
+            )
+        else:
+            for event in events:
+                engine.on_event(event)
+    except TraceError as error:
+        return engine, str(error)
+    return engine, None
+
+
+def _assert_trap_parity(make_engine, events, policy):
+    per_event, raised = _run_trap(make_engine, events, columnar=False)
+    columnar, raised_columnar = _run_trap(make_engine, events, columnar=True)
+    assert columnar.fastpath.hits > 0  # the kernel ran up to the trap
+    if policy is FaultPolicy.STRICT:
+        assert raised is not None and "ccStack overflow" in raised
+        assert raised_columnar == raised
+    else:
+        assert raised is None and raised_columnar is None
+        kinds = [record.kind.value for record in per_event.faults.records()]
+        assert kinds == ["trace-error"], kinds
+    assert _end_state(columnar) == _end_state(per_event)
+
+
+@pytest.mark.parametrize("policy", [FaultPolicy.RECOVER, FaultPolicy.STRICT])
+def test_back_edge_push_past_capacity_deopts_to_the_general_path(policy):
+    # 0 -> 1 -> 1 -> 1: the first back-edge push fills a capacity-1
+    # ccStack and the second one (a different id, so no compression)
+    # would overflow it.
+    warmup = [
+        CallEvent(0, 10, 0, 1),
+        CallEvent(0, 11, 1, 1),
+        ReturnEvent(0),
+        ReturnEvent(0),
+    ]
+    trap = [
+        CallEvent(0, 10, 0, 1),
+        CallEvent(0, 11, 1, 1),
+        CallEvent(0, 11, 1, 1),
+        ReturnEvent(0),
+        ReturnEvent(0),
+        CallEvent(0, 10, 0, 1),
+        ReturnEvent(0),
+    ]
+
+    def make_engine():
+        engine = DacceEngine(root=0, config=DacceConfig(fault_policy=policy))
+        for event in warmup:
+            engine.on_event(event)
+        assert engine.reencode()
+        assert engine._ensure_fastpath().back_entries
+        engine._threads[0].ccstack.capacity = 1
+        return engine
+
+    _assert_trap_parity(make_engine, trap, policy)
+
+
+def _boundary_plan():
+    """main(0) -> a(1) -> sink(2) tracked; noise(3) outside the plan."""
+    graph = StaticCallGraph(root=0)
+    for fid, name in enumerate(["main", "a", "sink", "noise"]):
+        graph.add_function(StaticFunction(id=fid, qualname=name, module="m"))
+    graph.add_edge(StaticEdge(caller=0, callee=1, callsite=1))
+    graph.add_edge(StaticEdge(caller=1, callee=2, callsite=2))
+    graph.add_edge(StaticEdge(caller=0, callee=3, callsite=3))
+    return build_targeted(graph, ["sink"])
+
+
+@pytest.mark.faultinject
+@pytest.mark.parametrize("policy", [FaultPolicy.RECOVER, FaultPolicy.STRICT])
+def test_boundary_push_past_capacity_deopts_to_the_general_path(policy):
+    # The departure main -> noise fills a capacity-1 ccStack; the
+    # re-entry noise -> a would overflow it.
+    trap = [
+        CallEvent(0, 1, 0, 1),
+        CallEvent(0, 2, 1, 2),
+        ReturnEvent(0),
+        ReturnEvent(0),
+        CallEvent(0, 3, 0, 3),
+        CallEvent(0, 5, 3, 1),
+        ReturnEvent(0),
+        CallEvent(0, 1, 0, 1),
+        ReturnEvent(0),
+    ]
+
+    def make_engine():
+        engine = DacceEngine(
+            targeted=_boundary_plan(), config=DacceConfig(fault_policy=policy)
+        )
+        engine._threads[0].ccstack.capacity = 1
+        return engine
+
+    _assert_trap_parity(make_engine, trap, policy)

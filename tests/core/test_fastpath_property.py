@@ -126,10 +126,7 @@ def _observable(engine):
             thread: (
                 state.id_value,
                 list(state.frames),
-                [
-                    (e.id, e.callsite, e.target, e.count, e.discovery)
-                    for e in state.ccstack._entries
-                ],
+                state.ccstack.entries(),
                 state.ccstack.depth(),
             )
             for thread, state in engine._threads.items()
@@ -549,3 +546,88 @@ def test_recorded_python_targeted_equals_per_event(
     # The crossings ran in the kernel: the general path saw only the
     # samples and the root edge's discovery push and pop.
     assert columnar.fastpath.misses <= stats.samples + 2
+
+
+# ----------------------------------------------------------------------
+# mid-stream thread state
+# ----------------------------------------------------------------------
+def _thread_states(engine):
+    """Every thread's id, frames (with their ccStack checkpoints),
+    ccStack entries, depth and operation counters."""
+    return {
+        thread: (
+            state.id_value,
+            list(state.frames),
+            state.ccstack.entries(),
+            state.ccstack.depth(),
+            state.ccstack.stats,
+        )
+        for thread, state in engine._threads.items()
+    }
+
+
+def _assert_lockstep(per_event, columnar, records, batch_size):
+    """Feed both engines slab by slab and compare the live thread state
+    after every slab, where the kernel's deferred frames and ccStack
+    locals have just been materialised and folded."""
+    for start in range(0, len(records), batch_size):
+        part = records[start : start + batch_size]
+        for record in part:
+            per_event.on_event(inflate(record))
+        columnar.process_columns(EventColumns.from_compact(part))
+        assert _thread_states(columnar) == _thread_states(per_event), start
+        assert columnar.ccstack_stats() == per_event.ccstack_stats(), start
+
+
+@given(
+    program_seed=st.integers(0, 40),
+    workload_seed=st.integers(0, 40),
+    calls=st.integers(200, 1000),
+    threads=st.integers(0, 1),
+    tail_fraction=st.sampled_from([0.05, 0.3]),
+    batch_size=st.sampled_from([7, 29, 64]),
+    compression=st.sampled_from(list(CompressionMode)),
+    targeted=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_live_thread_state_equals_per_event_at_every_slab(
+    program_seed, workload_seed, calls, threads, tail_fraction, batch_size,
+    compression, targeted,
+):
+    program, records = _stream(
+        program_seed, workload_seed, calls, threads, 0.9, tail_fraction
+    )
+    config = _config(512, compression=compression)
+    if targeted:
+        static = extract_program(program)
+
+        def fresh():
+            return _targeted_engine(
+                config, False, build_targeted(static, ["fn_007", "fn_019"])
+            )
+    else:
+
+        def fresh():
+            return _engine(config)
+
+    per_event = fresh()
+    columnar = fresh()
+    _assert_lockstep(per_event, columnar, records, batch_size)
+    _assert_equivalent(per_event, columnar)
+
+
+@given(
+    name=st.sampled_from(sorted(PYTHON_PROGRAMS)),
+    batch_size=st.sampled_from([7, 29, 64]),
+    compression=st.sampled_from(list(CompressionMode)),
+)
+@settings(max_examples=10, deadline=None)
+def test_recorded_recursion_live_state_equals_per_event_at_every_slab(
+    name, batch_size, compression
+):
+    records = list(_python_stream(name))
+    config = _config(64, compression=compression)
+    per_event = _engine(config)
+    columnar = _engine(config)
+    _assert_lockstep(per_event, columnar, records, batch_size)
+    assert columnar.stats.back_edge_calls > 100

@@ -95,10 +95,7 @@ def _digest(engine: DacceEngine) -> str:
             [
                 thread,
                 state.id_value,
-                [
-                    [e.id, e.callsite, e.target, e.count, e.discovery]
-                    for e in state.ccstack._entries
-                ],
+                [list(e) for e in state.ccstack.entries()],
                 [
                     [
                         f.function,

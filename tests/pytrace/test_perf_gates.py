@@ -8,12 +8,17 @@ Both gates count work instead of timing it, so they hold on any host:
   fails the classification gate;
 * in targeted mode at steady state, boundary crossings (departures from
   the plan and runtime-only re-entries into it) run in the kernel and
-  their ccStack traffic never triggers a pass.
+  their ccStack traffic never triggers a pass;
+* a recursive back-edge call the kernel handles costs a scratch tuple
+  and a ccStack entry, not a ``_Frame``: frames are built only for the
+  calls still live when the kernel leaves the thread.
 """
 
 import importlib.util
+import random
 from collections import Counter
 
+from repro.core import fastpath
 from repro.pytrace import PythonDacceTracer
 from repro.pytrace.tracer import ROOT_FUNCTION
 from repro.static.pyextract import FunctionIndex, extract_package
@@ -99,3 +104,42 @@ def test_targeted_boundary_crossings_stay_on_the_fast_path(tmp_path):
     assert engine.stats.boundary_crossings > 0, engine.stats
     assert rate >= 0.95, rows
     assert passes <= 1, rows
+
+
+def test_back_edge_calls_build_no_frames_in_the_kernel(monkeypatch):
+    def fib(n):
+        return n if n < 2 else fib(n - 1) + fib(n - 2)
+
+    def is_even(n):
+        return True if n == 0 else is_odd(n - 1)
+
+    def is_odd(n):
+        return False if n == 0 else is_even(n - 1)
+
+    rng = random.Random(3)
+    children = [[] for _ in range(60)]
+    for node in range(1, 60):
+        children[rng.randrange(max(0, node - 3), node)].append(node)
+
+    def tree_sum(node):
+        return node + sum(tree_sum(child) for child in children[node])
+
+    def workload():
+        return fib(16), is_even(150), tree_sum(0)
+
+    built = Counter()
+    frame = fastpath._Frame
+
+    def counting_frame(*args):
+        built["frames"] += 1
+        return frame(*args)
+
+    monkeypatch.setattr(fastpath, "_Frame", counting_frame)
+    tracer = PythonDacceTracer()
+    for _ in range(5):
+        assert tracer.run(workload) == (987, True, sum(range(60)))
+    engine = tracer.engine
+    back_edge_calls = engine.stats.back_edge_calls
+    assert back_edge_calls > 10_000, engine.stats
+    assert built["frames"] <= back_edge_calls / 10, (built, back_edge_calls)
+    assert engine.fastpath.hit_rate >= 0.95, engine.fastpath_stats()
