@@ -15,10 +15,11 @@ both by the cost model (Figure 8) and by the adaptive policy's
 Storage is one plain list per entry, ``[id, callsite, target, count,
 discovery]`` (:data:`CcEntry`), bottom to top.  The methods here are the
 general path's API over it; the columnar kernel
-(:func:`repro.core.fastpath.columnar_kernel`) pushes, compresses and pops
-the same lists directly.  It takes them with :meth:`CcStack.kernel_view`,
-keeps the logical depth and the operation counters in locals, and hands
-those back with :meth:`CcStack.kernel_fold` when it leaves the thread.
+(:func:`repro.core.fastpath.columnar_kernel`) and the Python tracer's
+profile hook push, compress and pop the same lists directly.  Each takes
+them with :meth:`CcStack.kernel_view`, keeps the logical depth and the
+operation counters in locals, and hands those back with
+:meth:`CcStack.kernel_fold` when it leaves the thread.
 :meth:`CcStack.snapshot` and :meth:`CcStack.entries` copy the content out
 as tuples.
 """

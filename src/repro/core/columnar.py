@@ -31,7 +31,7 @@ Batches are reusable: producers preallocate once (``with_capacity``),
 fill via the ``push_*`` mutators, hand the batch to
 ``DacceEngine.process_columns``, then ``clear()`` and refill.  ``clear``
 resets the logical length without releasing storage, so a long-lived
-tracer buffer never reallocates.  While the engine holds the batch's
+producer buffer never reallocates.  While the engine holds the batch's
 ``memoryview``s the arrays must not grow; ``process_columns`` releases
 its views before returning.
 """

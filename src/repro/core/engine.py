@@ -807,8 +807,11 @@ class DacceEngine:
     def fastpath_stats(self) -> Dict[str, object]:
         """Fast-path specialisation counters (plus table shape)."""
         snapshot = self.fastpath.to_dict()
-        # True once a batch has run through the kernel.
-        snapshot["enabled"] = self.fastpath.batches > 0
+        # True once either driver has run: a batch through the kernel
+        # or the Python tracer's profile hook.
+        snapshot["enabled"] = (
+            self.fastpath.batches > 0 or self.fastpath.hook_runs > 0
+        )
         snapshot["table_entries"] = (
             len(self._fastpath) if self._fastpath is not None else 0
         )

@@ -4,11 +4,19 @@ The paper's central trick is that a call over an already-encoded edge
 costs almost nothing — the hottest in-edge gets encoding 0, i.e. *no
 instrumentation at all* (Sections 3-4).  The reproduction mirrors that
 at the interpreter level: :class:`FastPathTable` is a flat dictionary
-compiled from the current decoding dictionary, and
-:func:`columnar_kernel`, which ``DacceEngine.process_columns`` runs,
-handles encoded NORMAL calls and their returns with one dict probe and
-one integer add each — no dataclass unpacking, no handler/fault
-branches.
+compiled from the current decoding dictionary, and two drivers run the
+steady state from it.  :func:`columnar_kernel`, which
+``DacceEngine.process_columns`` runs for column sources (the synthetic
+substrate), handles encoded NORMAL calls and their returns with one
+dict probe and one integer add each — no dataclass unpacking, no
+handler/fault branches.  The Python tracer's profile hook
+(:mod:`repro.pytrace.tracer`) does the same work per row at the call
+itself: it patches each call site with the table's entry for its
+callee, and leaves to the engine (``_materialise``,
+``CcStack.kernel_fold``, ``DacceEngine._flush_fastpath_counters``)
+exactly where the kernel would.  Both drivers deoptimise the same
+events to the same general path, so they count the same hits and
+misses.
 
 The table is a pure *specialisation cache*: every entry restates what
 the general path would compute for that edge under the current
@@ -95,6 +103,9 @@ class FastPathStats:
     misses: int = 0
     batches: int = 0
     compiles: int = 0
+    #: Traced runs (``start()``/``stop()``) of the Python tracer's
+    #: profile hook, the table's other driver.
+    hook_runs: int = 0
 
     @property
     def events(self) -> int:

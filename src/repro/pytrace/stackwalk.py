@@ -31,7 +31,7 @@ def walk_stack(
     if frame is None:
         frame = sys._getframe(skip)
     functions: List[int] = []
-    live = {id(f) for f in tracer._live_frames}
+    live = {id(f) for f, _function in tracer.live_frames()}
     current: Optional[FrameType] = frame
     while current is not None:
         if id(current) in live:

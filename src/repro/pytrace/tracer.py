@@ -9,10 +9,18 @@ calling-context encoding: ids stay compact, recursion lands on the
 ccStack, re-encoding adapts to the program's call mix, and any collected
 sample decodes back to the exact Python call path.
 
-The profile hook is one closure per tracer mode (untargeted or
-targeted), built once by :meth:`PythonDacceTracer._make_hook`.  Per
-call it does one identity-keyed code-cache probe, one per-caller
-call-site probe and four integer stores into the event slab.  Code
+The engine has two drivers over one compiled
+:class:`~repro.core.fastpath.FastPathTable`: ``columnar_kernel``, which
+``DacceEngine.process_columns`` runs for column sources (the synthetic
+substrate), and the profile hook here, for live Python.  The hook is one
+closure built once per tracer by :meth:`PythonDacceTracer._make_hook`,
+and it encodes at the call, as the paper's patched call site does
+(Section 3): a call site is patched on its first call, and from then on
+a call through it is two integer-keyed dict probes (the caller's
+``lasti`` and the callee's ``id(code)``) and the kernel's work for that
+row, done inline — ``id += delta`` over an encoded edge, a ccStack push
+over a back edge or across the targeted boundary.  Whatever the patch
+cannot handle goes to the engine's general path as one event.  Code
 objects are classified (package filter, targeted-plan disposition,
 function id) once, on their first call: CPython 3.11 does not cache a
 code object's hash, so every code-keyed dict probe rehashes its bytecode
@@ -34,22 +42,15 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import os
 
-from ..core.ccstack import UNTRACKED_FUNCTION
-from ..core.columnar import EventColumns
+from ..core.ccstack import UNTRACKED_CALLSITE, UNTRACKED_FUNCTION, CcEntry, CcStack
 from ..core.context import CallingContext, CollectedSample
-from ..core.engine import DacceConfig, DacceEngine
+from ..core.engine import DacceConfig, DacceEngine, SampleHook
 from ..core.errors import TraceError
-from ..core.events import EV_CALL, EV_RETURN, SampleEvent
+from ..core.events import CallEvent, ReturnEvent, SampleEvent
+from ..core.fastpath import FastPathTable, _Action, _Frame, _materialise
 
 #: Function id reserved for the tracing root (the ``main`` node).
 ROOT_FUNCTION = 0
-
-#: Targeted-mode shadow-frame kinds: an in-plan frame, the frame that
-#: opened an untracked region (its call/return cross the boundary), and
-#: frames entirely inside such a region (zero engine events).
-_TRACKED = 0
-_REGION_OPEN = 1
-_REGION_INNER = 2
 
 #: The tracer never traces the repro package itself: the frames of its
 #: own entry points (``sample``, ``decode``) run under the profile hook
@@ -60,15 +61,64 @@ _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: package and ``<frozen`` stdlib modules.
 _SKIP = -1
 
-#: The one sample request the tracer hands the engine (immutable).
+#: The requests the tracer hands the engine's general path (immutable).
 _SAMPLE = SampleEvent(thread=0)
+_RETURN = ReturnEvent(thread=0)
 
-#: A code-cache entry: ``(code, function id, call sites, static sites)``.
-#: The strong reference to the code object keeps its ``id()`` from being
-#: reused while the entry lives.  ``call sites`` maps the function's
-#: bytecode offsets to call-site ids when it is the caller; ``static
-#: sites`` maps callee ids to the seeded static call site (targeted mode).
-_Entry = Tuple[Optional[CodeType], int, Dict[int, int], Dict[int, int]]
+#: A countdown that never runs out (no sampling of that kind).
+_NEVER = sys.maxsize
+
+
+def _nothing() -> None:
+    """Engine work that only needs the engine state current."""
+
+
+#: A patch: what one patched call site does for one callee.  Slot 0 is
+#: the kind, slot 1 the callee's code-cache entry; the event kinds go on
+#: with the callee id, the call site and the caller id (for a miss), then
+#: the kind's data:
+#:
+#: * ``_ENCODED``: encoding delta, the ``CallEdge``, callee tail-calls?,
+#:   and the frame action (``ID``, or ``NONE`` for delta 0);
+#: * ``_BACK``: the table's ``BackEdgeEntry``;
+#: * ``_BOUNDARY``: the action (``BOUNDARY_DEP``/``BOUNDARY_RE``) and the
+#:   tracked end saved as the ccStack target;
+#: * ``_UNTRACKED``: nothing more.
+#:
+#: ``_SKIP_CALL`` (code the tracer never traces) and ``_INNER`` (targeted
+#: mode: a call inside an untracked region) make no engine event.
+_Patch = Tuple[Any, ...]
+_ENCODED = 0
+_BACK = 1
+_BOUNDARY = 2
+_UNTRACKED = 3
+_SKIP_CALL = 4
+_INNER = 5
+
+#: A code-cache entry: ``(code, function id, call sites, static sites,
+#: patches)``.  The strong reference to the code object keeps its
+#: ``id()`` from being reused while the entry lives.  ``call sites`` maps
+#: the function's bytecode offsets to call-site ids when it is the
+#: caller; ``static sites`` maps callee ids to the seeded static call
+#: site (targeted mode); ``patches`` maps a bytecode offset to ``{id(callee
+#: code): patch}`` — the function's patched call sites.
+_Entry = Tuple[
+    Optional[CodeType],
+    int,
+    Dict[int, int],
+    Dict[int, int],
+    Dict[int, Dict[int, _Patch]],
+]
+
+#: One shadow-stack record per live traced frame: ``(frame, entry,
+#: function, call site, restore id, action)``, plus the pre-push ccStack
+#: checkpoint ``(physical length, top count)`` for a call that pushed.
+#: ``record[2:]`` is the kernel's scratch frame (``_materialise`` input).
+#: Action ``_MIRRORED`` marks a frame that is in ``state.frames`` (its
+#: return is the kernel's materialised-frame return), ``None`` one with
+#: no engine event (targeted mode: the interior of an untracked region).
+_Record = Tuple[Any, ...]
+_MIRRORED = object()
 
 
 @dataclass
@@ -99,11 +149,13 @@ class PythonDacceTracer:
     Samples are taken with :meth:`sample` (callable from inside the
     traced code), or automatically every ``sample_every`` calls.
 
-    The profile hook is built once per tracer (:meth:`_make_hook`).  A
-    code object is classified on its first call and found by identity
-    after that; the caller is the top of a shadow stack of cache
-    entries, and events go straight into a column slab that reaches the
-    engine in batches.
+    The profile hook is built once per tracer (:meth:`_make_hook`) and
+    encodes each call itself: a code object is classified on its first
+    call, a call site is patched on its first call per callee, and the
+    hook keeps the engine's id register, ccStack view and counters in
+    its own locals between events.  Anything that reads engine state
+    from outside (:meth:`sample`, :meth:`decode`, :meth:`flush`, ``stop``)
+    first hands them back.
 
     Limitations (documented, by design): C-level calls are not traced
     (no Python frame), and the tracer follows a single thread — the
@@ -118,6 +170,7 @@ class PythonDacceTracer:
         source_root: Optional[str] = None,
         wall_time: bool = False,
         targeted: Optional[Any] = None,
+        telemetry: Optional[Any] = None,
     ):
         # Targeted mode (repro.static.targeted): the engine encodes only
         # the plan's sink-reaching subgraph, and the tracer classifies
@@ -135,7 +188,6 @@ class PythonDacceTracer:
         #: Plan disposition by code *equality*, so equal code objects are
         #: classified (and counted in ``skipped_code_objects``) once.
         self._disposition: Dict[CodeType, bool] = {}
-        self._frame_kinds: List[int] = []
         #: Caller id -> {callee id: seeded static call site}.
         self._static_sites: Dict[int, Dict[int, int]] = {}
         if targeted is not None:
@@ -166,9 +218,13 @@ class PythonDacceTracer:
                 site = sites.get(edge.callee)
                 if site is None or edge.callsite < site:
                     sites[edge.callee] = edge.callsite
-            self.engine = DacceEngine(config=config, targeted=targeted)
+            self.engine = DacceEngine(
+                config=config, targeted=targeted, telemetry=telemetry
+            )
         else:
-            self.engine = DacceEngine(root=ROOT_FUNCTION, config=config)
+            self.engine = DacceEngine(
+                root=ROOT_FUNCTION, config=config, telemetry=telemetry
+            )
         self.sample_every = sample_every
         self.samples: List[CollectedSample] = []
         #: Per-sample weights, parallel to :attr:`samples`: 1.0 each in
@@ -230,30 +286,14 @@ class PythonDacceTracer:
                     default=0,
                 )
                 self._next_callsite = max(self._next_callsite, top_site + 1)
-        #: Frames we have emitted CallEvents for, bottom first.
-        self._live_frames: List[FrameType] = []
-        #: Code-cache entries of ``_live_frames``, parallel to it: the
-        #: top entry is the caller of the next call, with no lookup.
-        self._live_entries: List[_Entry] = []
         #: ``id(code)`` -> code-cache entry; filled by :meth:`_classify`
         #: on a code object's first call and kept for the tracer's life.
         self._code_cache: Dict[int, _Entry] = {}
         self._active = False
         self._calls_since_sample = 0
         self._base_frame: Optional[FrameType] = None
-        #: Pending events as a preallocated struct-of-arrays slab,
-        #: drained through the engine's columnar fast lane.
-        #: The profile hook stores ``op``/``callsite``/``caller``/
-        #: ``callee`` straight into the arrays and bumps the length; the
-        #: slab only ever holds thread 0 and kind 0, so those columns stay
-        #: zero.  It flushes at ``_buffer_limit`` (the capacity, fixed
-        #: when the hook is built), so a store never runs past the end.
-        #: Anything that observes engine state (sampling, decoding, the
-        #: shadow-stack oracle, ``stop``) flushes first, so observable
-        #: behaviour is unchanged.  ``clear()`` keeps the storage, so a
-        #: long trace never reallocates the slab.
-        self._buffer_limit = 512
-        self._columns = EventColumns.with_capacity(self._buffer_limit)
+        #: One record per live traced frame, bottom first (``_Record``).
+        self._stack: List[_Record] = []
         self._hook = self._make_hook()
 
     # ------------------------------------------------------------------
@@ -333,6 +373,7 @@ class PythonDacceTracer:
             function,
             self._caller_sites.setdefault(function, {}),
             self._static_sites.get(function, {}),
+            {},
         )
 
     def _callsite_id(self, caller: int, lasti: int) -> int:
@@ -369,6 +410,7 @@ class PythonDacceTracer:
         # Frames at or above the base frame belong to the harness, not
         # the traced program; they map onto the engine's root node.
         self._base_frame = sys._getframe(1)
+        self.engine.fastpath.hook_runs += 1
         sys.setprofile(self._hook)
 
     def stop(self) -> None:
@@ -378,222 +420,621 @@ class PythonDacceTracer:
         self._active = False
         # Synthetically unwind frames that are still live (the traced
         # call may terminate via an exception caught above us).
-        while self._live_frames:
-            self._live_frames.pop()
-            self._live_entries.pop()
-            if self._frame_kinds and self._frame_kinds.pop() == _REGION_INNER:
-                continue
-            self._columns.push_return(0)
-        self.flush()
+        self._unwind()
         self._base_frame = None
 
     def flush(self) -> None:
-        """Drain buffered events into the engine's columnar fast lane."""
-        self._detached(self._drain)
+        """Hand the hook's encoding state back to the engine.
 
-    def _drain(self) -> None:
-        cols = self._columns
-        if len(cols):
-            try:
-                self.engine.process_columns(cols)
-            finally:
-                cols.clear()
-
-    def _detached(self, fn: Callable[[], Any]) -> Any:
-        """Run engine work ``fn()`` with this tracer's profile hook off.
-
-        Every tracer→engine entry made from traced code goes through
-        here, so engine calls never pay an interpreter round-trip into
-        the hook; the hook is restored even when ``fn`` raises.  Inside
-        the hook callback itself CPython already delivers no profile
-        events, so the hook drains and samples without this.  A profile
-        function that is not this tracer's hook is left in place.
+        Afterwards the engine's statistics, counters and thread state
+        are current; while tracing, the hook takes them up again on
+        its next event.
         """
-        hook = sys.getprofile()
-        if hook is not self._hook:
-            return fn()
-        sys.setprofile(None)
-        try:
-            return fn()
-        finally:
-            sys.setprofile(hook)
+        self._detached(_nothing)
+
+    def live_frames(self) -> List[Tuple[FrameType, int]]:
+        """Every live traced frame with the function id it was entered
+        under, bottom first.
+
+        In targeted mode an out-of-plan frame carries
+        ``UNTRACKED_FUNCTION``.
+        """
+        return [(record[0], record[1][1]) for record in self._stack]
 
     # ------------------------------------------------------------------
     # the profile hook
     # ------------------------------------------------------------------
     def _make_hook(self) -> Callable[[FrameType, str, Any], None]:
-        """Build the profile hook for this tracer's mode (once, at init).
+        """Build the profile hook and its engine-state handlers (once).
 
-        Per call: a code-cache probe by ``id(code)`` (a miss classifies
-        the code object), the caller's entry from the top of
-        ``_live_entries``, a per-caller ``lasti -> site`` probe (a miss
-        allocates through :meth:`_callsite_id`), and direct column
-        stores.  A call whose parent is not the top live frame (a
-        callback from C, or from skipped code) attaches to the top frame,
-        which is also the caller when the parent *is* the top frame.
-        c_call / c_return / exception events carry no Python frame
-        transition to encode.
+        **Patches.**  A call is looked up in the caller's patch map:
+        its entry's ``lasti -> {id(callee code) -> patch}`` (the root
+        and, in targeted mode, the ``<untracked>`` region have one map
+        each, at offset 0).  A patch restates the ``FastPathTable``
+        entry for ``(site, callee)`` together with the callee's cache
+        entry, so a hit does exactly what ``columnar_kernel`` does for
+        that row, inline.  A patch-map miss (the site's first call to
+        this callee, or a call whose parent frame is not the top live
+        frame) runs :func:`resolve`: it classifies the callee and
+        resolves the call site as the front end always has, then
+        probes ``entries``, ``back_entries`` and (targeted mode) the
+        boundary rule.  A probe hit installs the patch and carries on
+        inline; a probe miss sends that one event to the general path.
+        Patches are valid while ``engine._ensure_fastpath()`` returns
+        the table they were made from; a new table clears every map.
+
+        **Entered state.**  Between events the hook holds the kernel's
+        locals: the id register, the ccStack view (bound lazily), the
+        folded counters and one calls countdown for the engine's sample
+        hook, ``sample_every`` and the adaptive window.  :func:`leave`
+        hands them back — ``_materialise``, ``kernel_fold``, the id
+        write-back and ``_flush_fastpath_counters``.  Every miss, sample
+        and trigger check leaves first and runs the engine with the hook
+        detached (:func:`detached`); so do :meth:`flush`, :meth:`sample`,
+        :meth:`decode`, :meth:`expected_context` and :meth:`stop`.  The
+        next call or return enters again (:func:`enter`), re-reading
+        ``state.frames``, ``state.ccstack`` and the table, which
+        re-encoding, rollback and resync replace; so a run of misses
+        pays one leave and no entry between them.
+
+        **One shadow stack.**  ``self._stack`` holds a record per live
+        traced frame (``_Record``).  The records below ``mirrored`` are
+        in ``state.frames`` (action ``_MIRRORED``) or made no engine
+        event; the ones above are the kernel's scratch frames, until
+        :func:`leave` materialises them and marks them mirrored.  A
+        return pops a scratch record as the kernel pops a scratch frame,
+        and a mirrored one as the kernel returns a materialised frame.
+        A call whose caller is not the engine's top function
+        deoptimises, as the kernel's ``top_fn == cr`` test does; the two
+        only disagree after a ``recover`` fault, so it is checked when
+        the hook enters and when a mirrored frame returns.
+
+        A call whose parent is not the top live frame (a callback from
+        C, or from skipped code) attaches to the top frame, which is
+        also the caller when the parent *is* the top frame.  c_call /
+        c_return / exception events carry no Python frame transition to
+        encode.
         """
+        tracer = self
+        engine = self.engine
+        # Fixed for the engine's life.
+        warm = engine._warm
+        stats = engine.stats
+        observe = engine._h_ccstack_depth.observe if engine._obs else None
+        tracked = engine._targeted_fns
         cache_get = self._code_cache.get
         classify = self._classify
         callsite_id = self._callsite_id
-        live = self._live_frames
-        entries = self._live_entries
-        kinds = self._frame_kinds
+        plan = self._plan_fns
+        getprofile = sys.getprofile
+        setprofile = sys.setprofile
         root = self._entry(None, ROOT_FUNCTION)
-        cols = self._columns
-        op = cols.op
-        callsites = cols.callsite
-        callers = cols.caller
-        callees = cols.callee
-        limit = self._buffer_limit
-        flush = self._drain
-        sample = self._record_sample
+        region = self._entry(None, UNTRACKED_FUNCTION)
+        root_patches = root[4].setdefault(0, {})
+        region_patches = region[4].setdefault(0, {})
+        no_patches: Dict[int, _Patch] = {}
+        #: Every patch map that holds a patch (cleared on a new table).
+        patched: List[Dict[int, _Patch]] = []
+        stack = self._stack
+        stack_append = stack.append
+        stack_pop = stack.pop
+        act_none = _Action.NONE
+        act_id = _Action.ID
+        act_push = _Action.PUSH
+        act_cmp = _Action.COMPRESS
+        act_disc = _Action.DISCOVERY_PUSH
+        act_unt = _Action.UNTRACKED
+        act_dep = _Action.BOUNDARY_DEP
+        act_re = _Action.BOUNDARY_RE
 
-        def hook(frame: FrameType, event: str, arg: Any) -> None:
-            if event == "call":
-                code = frame.f_code
-                entry = cache_get(id(code)) or classify(code)
-                callee = entry[1]
-                if callee == _SKIP:
-                    return
-                if live:
-                    top = entries[-1]
-                    parent = frame.f_back
-                    lasti = parent.f_lasti if parent is not None else 0
+        # Entered state (see the docstring): bound by ``enter``.
+        entered = False
+        desync = False
+        #: ``stack[mirrored:]`` holds no mirrored record.
+        mirrored = 0
+        state: Any = None
+        frames: List[_Frame] = []
+        cur_id = 0
+        table: Optional[FastPathTable] = None
+        entries_get: Any = None
+        back_get: Any = None
+        mark_id = 0
+        prof: Optional[SampleHook] = None
+        every = 0
+        # Calls countdown: ``left`` runs down from ``limit0`` (the nearer
+        # of the engine's sample countdown ``p_at`` and the tracer's
+        # ``s_at``); ``limit0 - left`` is the calls since ``enter``, and
+        # the adaptive window is full when ``left <= t_left``.
+        p_at = s_at = limit0 = left = t_left = 0
+        # The ccStack while bound (``CcStack.kernel_view``).
+        ccs: Optional[CcStack] = None
+        ents: List[CcEntry] = []
+        depth = max_depth = cap = 0
+        compress_on = False
+        s_pop = s_dcmp = 0
+        # Folded counters (``columnar_kernel``'s, less the derived ones).
+        rets = id_updates = tcstack = 0
+        pushes = compressions = pops = bpushes = bpops = untracked = 0
+
+        def enter() -> None:
+            """Take the engine's state up into the hook's locals."""
+            nonlocal entered, desync, state, frames, cur_id, table
+            nonlocal entries_get, back_get, mark_id, prof, every
+            nonlocal p_at, s_at, limit0, left, t_left
+            state = engine._threads[0]
+            frames = state.frames
+            cur_id = state.id_value
+            current = engine._fastpath
+            if (
+                current is None
+                or current is not table
+                or engine._current is not current.dictionary
+                or len(engine._tail_calling_functions) != current.tail_set_size
+            ):
+                # Stale (the staleness test ``process_columns`` makes
+                # after each deopt): ask for the current table.
+                current = engine._ensure_fastpath()
+            if current is not table:
+                for patches in patched:
+                    patches.clear()
+                patched.clear()
+                table = current
+                entries_get = current.entries.get
+                back_get = current.back_entries.get
+                mark_id = current.dictionary.max_id + 1
+            prof = engine._prof
+            p_at = prof.countdown if prof is not None else _NEVER
+            every = tracer.sample_every
+            s_at = every - tracer._calls_since_sample if every else _NEVER
+            limit0 = left = p_at if p_at < s_at else s_at
+            t_left = (
+                limit0
+                - engine.config.adaptive.check_interval
+                + engine._window.calls
+            )
+            desync = frames[-1].function != (
+                stack[-1][1][1] if stack else ROOT_FUNCTION
+            )
+            entered = True
+
+        def leave() -> None:
+            """Hand the hook's locals back to the engine."""
+            nonlocal entered, ccs, mirrored, rets, id_updates, tcstack
+            nonlocal pushes, compressions, pops, bpushes, bpops, untracked
+            if not entered:
+                return
+            entered = False
+            if ccs is not None:
+                ccs.kernel_fold(
+                    depth, max_depth, pushes + bpushes, compressions, s_pop, s_dcmp
+                )
+                ccs = None
+            if len(stack) > mirrored:
+                scratch = [r[2:] for r in stack[mirrored:] if r[5] is not None]
+                if scratch:
+                    _materialise(scratch, frames, state.ccstack.saved_state())
+                    for i in range(mirrored, len(stack)):
+                        record = stack[i]
+                        if record[5] is not None:
+                            stack[i] = record[:5] + (_MIRRORED,)
+                mirrored = len(stack)
+            state.id_value = cur_id
+            calls = limit0 - left
+            if prof is not None:
+                prof.countdown = p_at - calls
+            if every:
+                tracer._calls_since_sample += calls
+            if calls or rets:
+                engine._flush_fastpath_counters(
+                    calls + rets, calls, rets, id_updates, tcstack, pushes,
+                    compressions, pops, bpushes, bpops, untracked,
+                )
+                rets = id_updates = tcstack = 0
+                pushes = compressions = pops = bpushes = bpops = untracked = 0
+
+        def bind() -> None:
+            """Take the current ccStack into locals (first use per stay)."""
+            nonlocal ccs, ents, depth, max_depth, cap, compress_on, s_pop, s_dcmp
+            ccs = state.ccstack
+            ents, depth, max_depth, cap, compress_on = ccs.kernel_view()
+            s_pop = s_dcmp = 0
+
+        def detached(fn: Callable[..., Any], *args: Any) -> Any:
+            """Leave, then run engine work ``fn(*args)`` with this
+            tracer's profile hook off.
+
+            Every tracer→engine entry goes through here (or
+            :func:`general_call`), so engine calls never run under the
+            hook, even those the hook makes itself (a sample callback
+            sees ``sys.getprofile()`` as ``None``).  The hook is restored
+            even when ``fn`` raises; a profile function that is not this
+            tracer's hook is left in place.  The hook enters again on
+            its next event.
+            """
+            installed = getprofile() is hook
+            if installed:
+                setprofile(None)
+            leave()
+            try:
+                return fn(*args)
+            finally:
+                if installed:
+                    setprofile(hook)
+
+        def general_call(
+            frame: FrameType, entry: _Entry, site: int, cr: int, ce: int
+        ) -> None:
+            """Send one call to the general path, as :func:`detached`
+            would, then count it towards ``sample_every``."""
+            nonlocal mirrored
+            installed = getprofile() is hook
+            if installed:
+                setprofile(None)
+            leave()
+            stack_append((frame, entry, ce, site, 0, _MIRRORED))
+            mirrored = len(stack)
+            engine.fastpath.misses += 1
+            try:
+                engine.on_event(CallEvent(0, site, cr, ce))
+            except BaseException:
+                # The call never started: its frame unwinds unprofiled.
+                stack_pop()
+                mirrored = len(stack)
+                raise
+            finally:
+                if installed:
+                    setprofile(hook)
+            period = tracer.sample_every
+            if period:
+                tracer._calls_since_sample += 1
+                if tracer._calls_since_sample >= period:
+                    detached(take_sample)
+
+        def fire_profile_sample() -> None:
+            current = engine._prof
+            if current is not None:
+                engine._fire_profile_sample(current, 0)
+
+        def take_sample() -> None:
+            tracer._calls_since_sample = 0
+            tracer._record_sample()
+
+        def due_call() -> None:
+            """The calls countdown ran out: an engine and/or tracer sample."""
+            calls = limit0 - left
+            take = calls >= s_at
+            if calls >= p_at:
+                detached(fire_profile_sample)
+            if take:
+                detached(take_sample)
+
+        def compile_patch(entry: _Entry, site: int, cr: int, ce: int) -> Optional[_Patch]:
+            """The patch for ``(site, ce)`` under the current table, or
+            ``None`` where the kernel would deoptimise."""
+            key = (site, ce)
+            found = entries_get(key)
+            if found is not None:
+                delta = found[0]
+                return (
+                    _ENCODED, entry, ce, site, cr, delta, found[1], found[2],
+                    act_id if delta else act_none,
+                )
+            back = back_get(key)
+            if back is not None:
+                return (_BACK, entry, ce, site, cr, back)
+            if tracked is None:
+                return None
+            cr_in = cr in tracked
+            ce_in = ce in tracked
+            if cr_in and ce_in:
+                return None  # a tracked edge the table lacks
+            if cr_in:
+                return (_BOUNDARY, entry, ce, site, cr, act_dep, cr)
+            if ce_in:
+                return (_BOUNDARY, entry, ce, site, cr, act_re, ce)
+            return (_UNTRACKED, entry, ce, site, cr)
+
+        def resolve(frame: FrameType) -> Optional[_Patch]:
+            """Resolve a call the patch maps did not answer.
+
+            Returns the patch to apply inline, or ``None`` when the call
+            was handled here (no event, or the general path).  The patch
+            is installed in the map the fast lookup would probe.
+            """
+            code = frame.f_code
+            key = id(code)
+            entry = cache_get(key) or classify(code)
+            callee = entry[1]
+            parent = frame.f_back
+            patches: Optional[Dict[int, _Patch]]
+            if stack:
+                top = stack[-1]
+                caller = top[1]
+                in_region = caller[1] == UNTRACKED_FUNCTION
+                lasti = parent.f_lasti if parent is not None else 0
+                if in_region:
+                    patches = region_patches
+                elif parent is top[0]:
+                    patches = caller[4].get(lasti)
+                    if patches is None:
+                        patches = caller[4][lasti] = {}
                 else:
-                    top = root
-                    lasti = 0
-                sites = top[2]
-                site = sites.get(lasti)
+                    patches = None
+            else:
+                caller = root
+                in_region = False
+                lasti = 0
+                patches = root_patches
+            if callee == _SKIP:
+                patch: Optional[_Patch] = (_SKIP_CALL, entry)
+            elif in_region and callee == UNTRACKED_FUNCTION:
+                # Interior of an untracked region: zero engine events.
+                # This is the tracer-side saving of targeted mode — with
+                # per-code DISABLE (sys.monitoring) or binary patching
+                # the interpreter would not even invoke the hook here.
+                patch = (_INNER, entry)
+            else:
+                site = None
+                if plan is not None:
+                    if callee != UNTRACKED_FUNCTION:
+                        if in_region:
+                            # Re-entry from an untracked region: the true
+                            # call path passed through unencoded code, so
+                            # the caller is the merged ``<untracked>``
+                            # pseudo-function (the engine pushes the
+                            # boundary ccStack entry Algorithm 1 needs).
+                            caller = region
+                            lasti = 0
+                        # A tracked pair takes its seeded static site.
+                        site = caller[3].get(callee)
+                    elif stack and parent is not top[0]:
+                        # A departure is attributed to the real call
+                        # site in the tracked caller, or to offset 0.
+                        lasti = 0
                 if site is None:
-                    site = sites[lasti] = callsite_id(top[1], lasti)
-                i = cols._n
-                op[i] = EV_CALL
-                callsites[i] = site
-                callers[i] = top[1]
-                callees[i] = callee
-                cols._n = i + 1
-                live.append(frame)
-                entries.append(entry)
-                if self.sample_every:
-                    self._calls_since_sample += 1
-                    if self._calls_since_sample >= self.sample_every:
-                        self._calls_since_sample = 0
-                        sample()  # flushes: the slab is empty after it
-                        return
-                if i + 1 >= limit:
-                    flush()
-            elif event == "return":
-                if not live or live[-1] is not frame:
-                    return  # the return of an untraced frame
-                live.pop()
-                entries.pop()
-                i = cols._n
-                op[i] = EV_RETURN
-                callsites[i] = 0
-                callers[i] = 0
-                callees[i] = 0
-                cols._n = i + 1
-                if i + 1 >= limit:
-                    flush()
-
-        if self._plan_fns is None:
-            return hook
-        untracked = self._entry(None, UNTRACKED_FUNCTION)
-
-        def targeted_hook(frame: FrameType, event: str, arg: Any) -> None:
-            if event == "call":
-                code = frame.f_code
-                entry = cache_get(id(code)) or classify(code)
-                callee = entry[1]
-                if callee == _SKIP:
-                    return
-                in_region = bool(kinds) and kinds[-1] != _TRACKED
-                if callee != UNTRACKED_FUNCTION:
-                    kind = _TRACKED
-                    if in_region:
-                        # Re-entry from an untracked region: the true
-                        # call path passed through unencoded code, so the
-                        # caller is the merged ``<untracked>``
-                        # pseudo-function (the engine pushes the boundary
-                        # ccStack entry Algorithm 1 needs).
-                        top = untracked
-                        lasti = 0
-                    elif live:
-                        top = entries[-1]
-                        parent = frame.f_back
-                        lasti = parent.f_lasti if parent is not None else 0
-                    else:
-                        top = root
-                        lasti = 0
-                    # A tracked pair takes its seeded static site.
-                    site = top[3].get(callee)
-                elif in_region:
-                    # Interior of an untracked region: zero engine
-                    # events.  This is the tracer-side saving of targeted
-                    # mode — with per-code DISABLE (sys.monitoring) or
-                    # binary patching the interpreter would not even
-                    # invoke the hook here.
-                    live.append(frame)
-                    entries.append(entry)
-                    kinds.append(_REGION_INNER)
-                    self.suppressed_events += 1
-                    return
-                else:
-                    # Departure into untracked code: one boundary event
-                    # opens the region, attributed to the real call site
-                    # in the tracked caller; everything beneath it is
-                    # suppressed.
-                    kind = _REGION_OPEN
-                    if live:
-                        top = entries[-1]
-                        parent = frame.f_back
-                        lasti = parent.f_lasti if parent is live[-1] else 0
-                    else:
-                        top = root
-                        lasti = 0
-                    site = None
-                if site is None:
-                    sites = top[2]
+                    sites = caller[2]
                     site = sites.get(lasti)
                     if site is None:
-                        site = sites[lasti] = callsite_id(top[1], lasti)
-                i = cols._n
-                op[i] = EV_CALL
-                callsites[i] = site
-                callers[i] = top[1]
-                callees[i] = callee
-                cols._n = i + 1
-                live.append(frame)
-                entries.append(entry)
-                kinds.append(kind)
-                if self.sample_every:
-                    self._calls_since_sample += 1
-                    if self._calls_since_sample >= self.sample_every:
-                        self._calls_since_sample = 0
-                        sample()  # flushes: the slab is empty after it
-                        return
-                if i + 1 >= limit:
-                    flush()
-            elif event == "return":
-                if not live or live[-1] is not frame:
-                    return  # the return of an untraced frame
-                live.pop()
-                entries.pop()
-                if kinds.pop() == _REGION_INNER:
-                    self.suppressed_events += 1
-                    return
-                i = cols._n
-                op[i] = EV_RETURN
-                callsites[i] = 0
-                callers[i] = 0
-                callees[i] = 0
-                cols._n = i + 1
-                if i + 1 >= limit:
-                    flush()
+                        site = sites[lasti] = callsite_id(caller[1], lasti)
+                patch = compile_patch(entry, site, caller[1], callee)
+                if patch is None or desync:
+                    general_call(frame, entry, site, caller[1], callee)
+                    return None
+            if patches is not None:
+                if not patches:
+                    patched.append(patches)
+                patches[key] = patch
+            return patch
 
-        return targeted_hook
+        def frame_return() -> None:
+            """Return of a mirrored frame: the kernel's materialised-frame
+            branch, or the general path."""
+            nonlocal cur_id, rets, id_updates, pops, bpops, s_pop, s_dcmp
+            nonlocal depth, desync
+            if len(frames) > 1:
+                top_frame = frames[-1]
+                act = top_frame.action
+                cc_pop = act is not act_id and act is not act_none and act is not act_unt
+                if cc_pop and ccs is None:
+                    bind()
+                # Tail chains, discovery entries and a pop from an empty
+                # ccStack (which the general path reports) deoptimise.
+                if not top_frame.chain and act is not act_disc and (ents or not cc_pop):
+                    frames.pop()
+                    if act is act_id:
+                        id_updates += 1
+                    elif cc_pop:
+                        top = ents[-1]
+                        if top[3]:
+                            top[3] -= 1
+                            s_dcmp += 1
+                        else:
+                            ents.pop()
+                            s_pop += 1
+                        depth -= 1
+                        if observe is not None:
+                            observe(depth)
+                        if act is act_push or act is act_cmp:
+                            pops += 1
+                        else:
+                            bpops += 1
+                    cur_id = top_frame.restore_id
+                    rets += 1
+                    desync = frames[-1].function != (
+                        stack[-1][1][1] if stack else ROOT_FUNCTION
+                    )
+                    if left <= t_left:
+                        detached(engine._maybe_check_triggers)
+                    return
+            engine.fastpath.misses += 1
+            detached(engine.on_event, _RETURN)
+
+        def hook(frame: FrameType, event: str, arg: Any) -> None:
+            nonlocal cur_id, left, rets, id_updates, tcstack, mirrored
+            nonlocal pushes, compressions, pops, bpushes, bpops, untracked
+            nonlocal depth, max_depth, s_pop, s_dcmp
+            if event == "call":
+                if not entered:
+                    enter()
+                try:
+                    top = stack[-1]
+                except IndexError:
+                    patch = root_patches.get(id(frame.f_code))
+                else:
+                    caller = top[1]
+                    parent = frame.f_back
+                    if caller[1] == UNTRACKED_FUNCTION:
+                        patch = region_patches.get(id(frame.f_code))
+                    elif parent is top[0]:
+                        patch = caller[4].get(parent.f_lasti, no_patches).get(
+                            id(frame.f_code)
+                        )
+                    else:
+                        patch = None
+                if patch is None or desync:
+                    patch = resolve(frame)
+                    if patch is None:
+                        return
+                kind = patch[0]
+                if not kind:  # _ENCODED
+                    edge = patch[6]
+                    if warm and not edge.invocations and edge.seeded:
+                        stats.warmstart_handler_hits_avoided += 1
+                    edge.invocations += 1
+                    stack_append((frame, patch[1], patch[2], patch[3], cur_id, patch[8]))
+                    delta = patch[5]
+                    if delta:
+                        cur_id += delta
+                        id_updates += 1
+                    if patch[7]:
+                        tcstack += 1
+                elif kind == _BACK:
+                    # ``_push_unencoded`` inlined, as in the kernel.
+                    if ccs is None:
+                        bind()
+                    back = patch[5]
+                    ce = patch[2]
+                    cs = patch[3]
+                    n = len(ents)
+                    if n:
+                        top_entry = ents[-1]
+                        top_count = top_entry[3]
+                        repeat = (
+                            top_entry[0] == cur_id
+                            and top_entry[1] == cs
+                            and top_entry[2] == ce
+                        )
+                    else:
+                        top_count = 0
+                        repeat = False
+                    compress = repeat and back[2] and compress_on
+                    # A push that would overflow deoptimises before any
+                    # state changes (the policy counters too).
+                    if not compress and n >= cap:
+                        general_call(frame, patch[1], patch[3], patch[4], patch[2])
+                        return
+                    counters = back[1]
+                    counters[0] += 1
+                    if repeat:
+                        counters[1] += 1
+                    if compress:
+                        top_entry[3] = top_count + 1
+                        stack_append((frame, patch[1], ce, cs, cur_id, act_cmp, n, top_count))
+                        compressions += 1
+                    else:
+                        ents.append([cur_id, cs, ce, 0, False])
+                        stack_append((frame, patch[1], ce, cs, cur_id, act_push, n, top_count))
+                        pushes += 1
+                    depth += 1
+                    if depth > max_depth:
+                        max_depth = depth
+                    if observe is not None:
+                        observe(depth)
+                    cur_id = mark_id
+                    edge = back[0]
+                    if warm and not edge.invocations and edge.seeded:
+                        stats.warmstart_handler_hits_avoided += 1
+                    edge.invocations += 1
+                    if back[3]:
+                        tcstack += 1
+                elif kind == _SKIP_CALL:
+                    return
+                elif kind == _INNER:
+                    stack_append((frame, patch[1], UNTRACKED_FUNCTION, 0, 0, None))
+                    tracer.suppressed_events += 1
+                    return
+                elif kind == _BOUNDARY:
+                    # A boundary crossing saves the context with the
+                    # tracked end as the target; an overflow deoptimises.
+                    if ccs is None:
+                        bind()
+                    n = len(ents)
+                    if n >= cap:
+                        general_call(frame, patch[1], patch[3], patch[4], patch[2])
+                        return
+                    stack_append(
+                        (
+                            frame, patch[1], patch[2], patch[3], cur_id, patch[5],
+                            n, ents[-1][3] if n else 0,
+                        )
+                    )
+                    ents.append([cur_id, UNTRACKED_CALLSITE, patch[6], 0, False])
+                    depth += 1
+                    if depth > max_depth:
+                        max_depth = depth
+                    if observe is not None:
+                        observe(depth)
+                    cur_id = mark_id
+                    bpushes += 1
+                else:
+                    stack_append((frame, patch[1], patch[2], patch[3], cur_id, act_unt))
+                    untracked += 1
+                left -= 1
+                if left <= 0:
+                    due_call()
+            elif event == "return":
+                try:
+                    record = stack[-1]
+                except IndexError:
+                    return
+                if record[0] is not frame:
+                    return  # the return of an untraced frame
+                if not entered:
+                    enter()
+                stack_pop()
+                act = record[5]
+                if act is act_id:
+                    id_updates += 1
+                elif act is act_none:
+                    pass
+                elif act is _MIRRORED:
+                    mirrored = len(stack)
+                    frame_return()
+                    return
+                elif act is None:
+                    mirrored = min(mirrored, len(stack))
+                    tracer.suppressed_events += 1
+                    return
+                elif act is not act_unt:
+                    # A back-edge or boundary entry, on top by the
+                    # checkpoint invariant.
+                    if act is act_cmp:
+                        ents[-1][3] -= 1
+                        s_dcmp += 1
+                        pops += 1
+                    else:
+                        ents.pop()
+                        s_pop += 1
+                        if act is act_push:
+                            pops += 1
+                        else:
+                            bpops += 1
+                    depth -= 1
+                    if observe is not None:
+                        observe(depth)
+                cur_id = record[4]
+                rets += 1
+                if left <= t_left:
+                    detached(engine._maybe_check_triggers)
+
+        def unwind() -> None:
+            """Return every live frame through the hook, then leave."""
+            nonlocal mirrored
+            while stack:
+                record = stack[-1]
+                if record[5] is None:
+                    stack_pop()
+                    mirrored = min(mirrored, len(stack))
+                else:
+                    hook(record[0], "return", None)
+            leave()
+            # As ``process_columns`` does before it returns: one table
+            # per committed dictionary, even if no event follows it.
+            engine._ensure_fastpath()
+
+        self._detached = detached
+        self._unwind = unwind
+        return hook
 
     # ------------------------------------------------------------------
     # sampling / decoding
@@ -603,7 +1044,6 @@ class PythonDacceTracer:
         return self._detached(self._record_sample)
 
     def _record_sample(self) -> CollectedSample:
-        self._drain()
         sample = self.engine.on_sample(_SAMPLE)
         self.samples.append(sample)
         self.sample_weights.append(self._next_weight())
@@ -618,23 +1058,14 @@ class PythonDacceTracer:
         self._last_sample_time = now
         return now - previous if previous is not None else 0.0
 
+
     def decode(self, sample: CollectedSample) -> CallingContext:
         """Decode a sample back into the full Python call path."""
-
-        def decode() -> CallingContext:
-            self._drain()
-            return self.engine.decoder().decode(sample)
-
-        return self._detached(decode)
+        return self._detached(lambda: self.engine.decoder().decode(sample))
 
     def expected_context(self) -> CallingContext:
         """The engine's shadow-stack oracle for the current point."""
-
-        def expected() -> CallingContext:
-            self._drain()
-            return self.engine.expected_context(0)
-
-        return self._detached(expected)
+        return self._detached(lambda: self.engine.expected_context(0))
 
     def format_context(self, context: CallingContext) -> str:
         """Render a decoded context with real function names."""

@@ -16,22 +16,33 @@ and the telemetry registry.  Dense recursion (affinity 0.9) and a
 handled inside the kernel, which exercises its stale-table exit; draws
 over the compression mode and telemetry cover every back-edge shape the
 kernel handles.  A third arm replays recursion streams recorded from
-the real Python tracer (fib, mutual and tree recursion).  A targeted
-arm runs synthetic programs under a ``build_targeted`` plan (boundary
-crossings, interior untracked calls and tail calls across the
-boundary) and replays a targeted stream recorded from the real tracer.
-The main and targeted synthetic arms also draw a continuous-profiling
-sample hook (period 1, 3 or 17) whose callback may remove it, or swap
-it for one with another period, mid-run; both arms must deliver the
-same hook samples with the same weights.
+real Python (fib, mutual and tree recursion) by a test-only recording
+hook, :class:`_Recorder`, which resolves calls as the tracer's front
+end does.  A targeted arm runs synthetic programs under a
+``build_targeted`` plan (boundary crossings, interior untracked calls
+and tail calls across the boundary) and replays a targeted stream
+recorded the same way.  The main and targeted synthetic arms also draw
+a continuous-profiling sample hook (period 1, 3 or 17) whose callback
+may remove it, or swap it for one with another period, mid-run; both
+arms must deliver the same hook samples with the same weights.
+
+The Python tracer's profile hook is the table's second driver.  The
+last arm runs the front-end golden corpus and the recursion programs
+under the hook-resident tracer and, separately, as their recorded
+streams through ``process_columns``, and requires the same samples,
+hook samples, fast-path hits/misses/compiles, ccStack statistics, cost
+charges, thread state and decodes.
 
 The same discipline is applied to the decode side:
 ``decode_log_parallel`` must reproduce sequential ``decode_log`` output
 exactly, including best-effort ``PartialDecode`` fault ordering.
 """
 
+import contextlib
 import dataclasses
 import functools
+import gc
+import sys
 import tempfile
 
 from hypothesis import given, settings, strategies as st
@@ -41,17 +52,21 @@ import random
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.columnar import EventColumns
 from repro.core.engine import CompressionMode, DacceConfig, DacceEngine
-from repro.core.events import EV_CALL, EV_RETURN, EV_SAMPLE, inflate
+from repro.core.events import EV_CALL, EV_RETURN, EV_SAMPLE, SampleEvent, inflate
 from repro.core.faults import FaultPolicy
 from repro.core.serialize import decoding_state_to_dict
 from repro.obs import Telemetry
 from repro.program.generator import GeneratorConfig, generate_program
+from repro.core.ccstack import UNTRACKED_FUNCTION
 from repro.pytrace import PythonDacceTracer
+from repro.pytrace.tracer import ROOT_FUNCTION, _SKIP as SKIP
 from repro.program.trace import ThreadSpec, TraceExecutor, WorkloadSpec
+from repro.static.pyextract import FunctionIndex, extract_package
 from repro.static.synthetic import extract_program
 from repro.static.targeted import build_targeted
 from repro.static.warmstart import build_warmstart
 from tests.pytrace import targeted_program
+from tests.pytrace import test_frontend_golden as golden
 
 
 # ----------------------------------------------------------------------
@@ -332,29 +347,107 @@ def test_process_batch_equals_per_event_under_fault_recovery(
 # ----------------------------------------------------------------------
 # recorded real-Python recursion
 # ----------------------------------------------------------------------
-def _record_tracer(program, tracer):
-    """The compact event stream a traced run feeds its engine.
+class _Recorder:
+    """A test-only stand-in for a tracer that records instead of encoding.
 
-    Column batches are captured as the tracer drains them and each
-    ``tracer.sample()`` becomes a sample record at its position.
+    Its profile hook is the front end's call resolution from before the
+    hook encoded at the call: the tracer's code cache, ``_classify`` and
+    call-site tables, the caller from the top of a shadow stack, and
+    targeted regions (an in-region call emits nothing, a re-entry comes
+    from ``<untracked>``, a departure from its real call site).  Each
+    call and return becomes a compact record, as the tracer's column
+    slab once held them; ``sample()`` and ``sample_every`` become sample
+    records at their positions.  The tracer's engine sees nothing.
     """
-    engine = tracer.engine
-    records = []
-    process_columns = engine.process_columns
-    on_sample = engine.on_sample
 
-    def recording_columns(cols):
-        records.extend(cols.iter_compact())
-        process_columns(cols)
+    def __init__(self, tracer):
+        self.records = []
+        self.tracer = tracer
+        self.since_sample = 0
+        self.live = []  # (frame, entry, emits events?)
+        self.skip = {_Recorder.sample.__code__, _Recorder.run.__code__}
 
-    def recording_sample(event):
-        records.append((EV_SAMPLE, event.thread))
-        return on_sample(event)
+    def sample(self):
+        self.records.append((EV_SAMPLE, 0))
 
-    engine.process_columns = recording_columns
-    engine.on_sample = recording_sample
-    tracer.run(program, tracer)
-    return records
+    def run(self, fn, *args):
+        self.since_sample = 0
+        sys.setprofile(self._hook)
+        try:
+            return fn(*args)
+        finally:
+            sys.setprofile(None)
+            while self.live:
+                if self.live.pop()[2]:
+                    self.records.append((EV_RETURN, 0))
+
+    def _hook(self, frame, event, arg):
+        tracer = self.tracer
+        live = self.live
+        if event == "call":
+            code = frame.f_code
+            if code in self.skip:
+                return
+            entry = tracer._code_cache.get(id(code)) or tracer._classify(code)
+            callee = entry[1]
+            if callee == SKIP:
+                return
+            parent = frame.f_back
+            in_region = bool(live) and live[-1][1][1] == UNTRACKED_FUNCTION
+            if live:
+                caller = live[-1][1]
+                lasti = parent.f_lasti if parent is not None else 0
+            else:
+                caller = tracer._entry(None, ROOT_FUNCTION)
+                lasti = 0
+            site = None
+            if tracer._plan_fns is not None:
+                if callee != UNTRACKED_FUNCTION:
+                    if in_region:
+                        caller = tracer._entry(None, UNTRACKED_FUNCTION)
+                        lasti = 0
+                    site = caller[3].get(callee)
+                elif in_region:
+                    live.append((frame, entry, False))
+                    return
+                elif live and parent is not live[-1][0]:
+                    lasti = 0
+            if site is None:
+                sites = caller[2]
+                site = sites.get(lasti)
+                if site is None:
+                    site = sites[lasti] = tracer._callsite_id(caller[1], lasti)
+            self.records.append((EV_CALL, 0, site, caller[1], callee, 0))
+            live.append((frame, entry, True))
+            if tracer.sample_every:
+                self.since_sample += 1
+                if self.since_sample >= tracer.sample_every:
+                    self.since_sample = 0
+                    self.sample()
+        elif event == "return":
+            if live and live[-1][0] is frame and live.pop()[2]:
+                self.records.append((EV_RETURN, 0))
+
+
+@contextlib.contextmanager
+def _gc_off():
+    """No collection mid-trace: a finalizer traced under one side only
+    would be an event the other side lacks."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _record_tracer(program, tracer):
+    """The call/return/sample stream ``program(recorder)`` produces when
+    ``tracer`` resolves its calls (see :class:`_Recorder`)."""
+    recorder = _Recorder(tracer)
+    with _gc_off():
+        recorder.run(program, recorder)
+    return recorder.records
 
 
 def _fib_program(tracer):
@@ -499,18 +592,20 @@ def _targeted_python_stream():
     """A py_targeted-shaped stream recorded from the real tracer, and
     the static graph its plans are built from."""
     with tempfile.TemporaryDirectory() as directory:
-        tracer = None
+        recorder = None
 
         def probe():
-            tracer.sample()
+            recorder.sample()
 
         module, graph = targeted_program.load(directory, probe)
-        tracer = PythonDacceTracer(
-            targeted=targeted_program.plan_for(graph), source_root=directory
+        recorder = _Recorder(
+            PythonDacceTracer(
+                targeted=targeted_program.plan_for(graph), source_root=directory
+            )
         )
-        records = _record_tracer(
-            lambda _tracer: module.run_iteration(24), tracer
-        )
+        with _gc_off():
+            recorder.run(lambda _recorder: module.run_iteration(24), recorder)
+        records = recorder.records
     return tuple(records), graph
 
 
@@ -631,3 +726,140 @@ def test_recorded_recursion_live_state_equals_per_event_at_every_slab(
     columnar = _engine(config)
     _assert_lockstep(per_event, columnar, records, batch_size)
     assert columnar.stats.back_edge_calls > 100
+
+
+# ----------------------------------------------------------------------
+# the hook-resident tracer against its recorded stream
+# ----------------------------------------------------------------------
+def _golden_program(name, directory):
+    """``(tracer kwargs, run)`` for one program of the front-end golden
+    corpus or the recursion corpus.  ``run(target)`` traces the program
+    with ``target`` (a tracer or a :class:`_Recorder`) as the golden test
+    does: two runs, samples through ``target.sample``."""
+    if name in PYTHON_PROGRAMS:
+        program = PYTHON_PROGRAMS[name]
+        return {}, lambda target: target.run(program, target)
+    expect = None
+    kwargs = {}
+    if name in ("static", "targeted"):
+        module = golden._package(directory)
+        graph = extract_package(directory, index=FunctionIndex(first_id=1))
+        namespaces = [vars(module)]
+        kwargs["source_root"] = directory
+        if name == "static":
+            outside = golden._namespace(golden.OUTSIDE, "outside")
+            outside["main"] = module.main
+            entry = functools.partial(outside["outside"], 3)
+            kwargs["static_graph"] = graph
+        else:
+            entry = module.main
+            kwargs["sample_every"] = 5
+            kwargs["targeted"] = lambda: build_targeted(
+                graph, ["sink_op"], root=ROOT_FUNCTION
+            )
+    else:
+        source = {
+            "flat": golden._flat_source(),
+            "sampled": golden._flat_source(),
+            "recursive": golden.RECURSIVE,
+            "generators": golden.GENERATORS,
+            "exceptions": golden.EXCEPTIONS,
+            "callbacks": golden.CALLBACKS,
+        }[name]
+        namespace = golden._namespace(source, name)
+        namespaces = [namespace]
+        entry = namespace["main"]
+        if name == "sampled":
+            kwargs["sample_every"] = 41
+        if name == "exceptions":
+            expect = RuntimeError
+
+    def run(target):
+        for namespace in namespaces:
+            namespace["probe"] = target.sample
+        for _ in range(golden.RUNS):
+            try:
+                target.run(entry)
+            except RuntimeError:
+                assert expect is RuntimeError
+            else:
+                assert expect is None
+
+    return kwargs, run
+
+
+def _new_tracer(kwargs, config, telemetry):
+    kwargs = dict(kwargs)
+    if "targeted" in kwargs:
+        kwargs["targeted"] = kwargs["targeted"]()  # a fresh plan per engine
+    return PythonDacceTracer(
+        config=config, telemetry=Telemetry() if telemetry else None, **kwargs
+    )
+
+
+def _replay(engine, records, batch_size):
+    """Feed a recorded stream to ``engine`` as the old tracer fed its
+    slab: events through ``process_columns`` in ``batch_size`` slabs, and
+    each sample straight to ``on_sample`` after the events before it."""
+    samples = []
+    pending = []
+
+    def drain():
+        for start in range(0, len(pending), batch_size):
+            engine.process_columns(
+                EventColumns.from_compact(pending[start : start + batch_size])
+            )
+        pending.clear()
+
+    for record in records:
+        if record[0] == EV_SAMPLE:
+            drain()
+            samples.append(engine.on_sample(SampleEvent(0)))
+        else:
+            pending.append(record)
+    drain()
+    return samples
+
+
+GOLDEN_PROGRAMS = sorted(golden.PROGRAMS) + sorted(PYTHON_PROGRAMS)
+
+
+@given(
+    name=st.sampled_from(GOLDEN_PROGRAMS),
+    check_interval=st.sampled_from([16, 64, 512]),
+    batch_size=st.sampled_from([1, 7, 64, 4096]),
+    compression=st.sampled_from(list(CompressionMode)),
+    telemetry=st.booleans(),
+    hook=HOOKS,
+)
+@settings(max_examples=40, deadline=None)
+def test_hook_resident_tracer_equals_its_recorded_stream(
+    name, check_interval, batch_size, compression, telemetry, hook
+):
+    config = _config(check_interval, compression=compression)
+    with tempfile.TemporaryDirectory() as directory:
+        kwargs, run = _golden_program(name, directory)
+        hooked = _new_tracer(kwargs, config, telemetry)
+        hooked_log = _install_hook(hooked.engine, hook)
+        with _gc_off():
+            run(hooked)
+        recorder = _Recorder(_new_tracer(kwargs, config, False))
+        with _gc_off():
+            run(recorder)
+    engine = hooked.engine
+    replayed = _new_tracer(kwargs, config, telemetry).engine
+    replayed_log = _install_hook(replayed, hook)
+    samples = _replay(replayed, recorder.records, batch_size)
+
+    assert engine.fastpath.batches == 0 and engine.fastpath_stats()["enabled"]
+    assert hooked.samples == samples
+    assert hooked.sample_weights == [1.0] * len(samples)
+    _assert_same_hook_logs(hooked_log, replayed_log, hook)
+    for key in ("hits", "misses", "compiles"):
+        assert engine.fastpath_stats()[key] == replayed.fastpath_stats()[key], key
+    _assert_equivalent(engine, replayed)
+    assert _thread_states(engine) == _thread_states(replayed)
+    hooked_decoder = engine.decoder()
+    replayed_decoder = replayed.decoder()
+    for sample in samples:
+        assert hooked_decoder.decode(sample) == replayed_decoder.decode(sample)

@@ -2,10 +2,13 @@
 
 The profile hook finds a code object's function id by ``id(code)``.
 Each cache entry holds its code object, so an ``id()`` cannot be
-recycled while the tracer lives.  This test churns code objects (exec a
-fresh source, trace a call, drop it, collect) and checks that every id
-the hook used is the one :meth:`PythonDacceTracer._function_id` gives,
-and that equal code objects from identical source still share one id.
+recycled while the tracer lives.  Call sites are patched per
+callee by ``id(code)`` too, and a patch holds the callee's cache entry.
+This test churns code objects (exec a fresh source, trace a call, drop
+it, collect) and checks that every id the hook used is the one
+:meth:`PythonDacceTracer._function_id` gives, that every patch is keyed
+by the ``id()`` of the code object its callee entry holds, and that
+equal code objects from identical source still share one id.
 """
 
 import gc
@@ -42,10 +45,10 @@ def test_churned_code_objects_never_serve_a_stale_entry():
     def probe(x):
         sample = tracer.sample()
         agreements.append(contexts_agree(tracer.decode(sample), walk_stack(tracer)))
-        for frame, entry in zip(tracer._live_frames, tracer._live_entries):
+        for frame, function in tracer.live_frames():
             identities.append(
-                entry[0] is frame.f_code
-                and entry[1] == tracer._function_id(frame.f_code)
+                tracer._code_cache[id(frame.f_code)][0] is frame.f_code
+                and function == tracer._function_id(frame.f_code)
             )
         return x
 
@@ -69,3 +72,11 @@ def test_churned_code_objects_never_serve_a_stale_entry():
     assert len(shared_entries) == ITERATIONS
     assert {entry[1] for entry in shared_entries} == shared_ids
     assert len(shared_ids) == 1
+    patches = [
+        (key, patch)
+        for entry in tracer._code_cache.values()
+        for site_patches in entry[4].values()
+        for key, patch in site_patches.items()
+    ]
+    assert patches
+    assert all(key == id(patch[1][0]) for key, patch in patches)

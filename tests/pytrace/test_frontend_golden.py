@@ -17,12 +17,13 @@ tracer):
 * ``targeted`` — targeted mode over an on-disk package, with
   automatic sampling.
 
-For each program the fixture stores the SHA-256 of every flushed
-slab's ``to_compact()`` stream, the collected samples, the call-site
-map, the function names and the front-end counters (``static_hits``,
+For each program the fixture stores, per traced run, the SHA-256 of
+the miss stream (the compact form of every event the profile hook hands
+the engine's general path), the collected samples, the call-site map,
+the function names and the front-end counters (``static_hits``,
 ``skipped_code_objects``, ``suppressed_events``).  Any change to what
-the profile hook emits, where it flushes, or how it names functions and
-call sites shows up as a mismatch.
+the profile hook encodes inline and what it leaves to the general path,
+or to how it names functions and call sites, shows up as a mismatch.
 
 Regenerate the fixture (only for a deliberate behaviour change, named in
 the change log) with::
@@ -46,6 +47,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import pytest
 
+from repro.core.events import compact
 from repro.pytrace import PythonDacceTracer
 from repro.pytrace.tracer import ROOT_FUNCTION
 from repro.static.pyextract import FunctionIndex, extract_package
@@ -284,23 +286,26 @@ def _trace(
     """Run ``entry`` ``RUNS`` times under ``tracer``; the fixture record."""
     for namespace in probe_globals:
         namespace["probe"] = tracer.sample
-    flushes: List[str] = []
-    process = tracer.engine.process_columns
+    misses: List[Any] = []
+    on_event = tracer.engine.on_event
 
-    def recording(cols):
-        canonical = json.dumps(cols.to_compact(), separators=(",", ":"))
-        flushes.append(hashlib.sha256(canonical.encode()).hexdigest())
-        process(cols)
+    def recording(event):
+        misses.append(compact(event))
+        on_event(event)
 
-    tracer.engine.process_columns = recording
+    tracer.engine.on_event = recording
+    streams: List[str] = []
     for _ in range(RUNS):
         if expect is None:
             tracer.run(entry)
         else:
             with pytest.raises(expect):
                 tracer.run(entry)
+        canonical = json.dumps(misses, separators=(",", ":"))
+        streams.append(hashlib.sha256(canonical.encode()).hexdigest())
+        misses.clear()
     return {
-        "flush_sha256": flushes,
+        "flush_sha256": streams,
         "samples": json.loads(json.dumps(tracer.samples)),
         "callsites": sorted(
             [caller, lasti, site]

@@ -9,9 +9,12 @@ Both gates count work instead of timing it, so they hold on any host:
 * in targeted mode at steady state, boundary crossings (departures from
   the plan and runtime-only re-entries into it) run in the kernel and
   their ccStack traffic never triggers a pass;
-* a recursive back-edge call the kernel handles costs a scratch tuple
-  and a ccStack entry, not a ``_Frame``: frames are built only for the
-  calls still live when the kernel leaves the thread.
+* once the edges are encoded, a traced run is encoded wholly in the
+  profile hook: no column batch, no general-path event and no
+  ``_Frame``;
+* a recursive back-edge call the hook handles costs a shadow-stack
+  record and a ccStack entry, not a ``_Frame``: frames are built only
+  for the calls still live when the hook leaves.
 """
 
 import importlib.util
@@ -19,20 +22,28 @@ import random
 from collections import Counter
 
 from repro.core import fastpath
+from repro.core.adaptive import AdaptiveConfig
+from repro.core.engine import DacceConfig
 from repro.pytrace import PythonDacceTracer
 from repro.pytrace.tracer import ROOT_FUNCTION
 from repro.static.pyextract import FunctionIndex, extract_package
 from repro.static.targeted import build_targeted
 
 
-def test_front_end_classifies_each_code_object_once(monkeypatch):
-    # A generated DAG: f<i> calls f<2i+1> and f<2i+2>; main walks it 5 times.
+def _flat_dag():
+    """A generated DAG: f<i> calls f<2i+1> and f<2i+2>; main walks it 5
+    times (201 calls per run)."""
     lines = ["def main():\n    for _ in range(5):\n        f0(1)\n"]
     for i in range(40):
         callees = ["f%d(x)" % j for j in (2 * i + 1, 2 * i + 2) if j < 40]
         lines.append("def f%d(x):\n    return %s\n" % (i, " + ".join(callees) or "x"))
     namespace = {}
     exec(compile("\n".join(lines), "<generated>", "exec"), namespace)
+    return namespace
+
+
+def test_front_end_classifies_each_code_object_once(monkeypatch):
+    namespace = _flat_dag()
 
     classified = Counter()
     assigned = Counter()
@@ -58,6 +69,45 @@ def test_front_end_classifies_each_code_object_once(monkeypatch):
     assert set(assigned.values()) == {1}, assigned
     assert len(assigned) == 41 == tracer.num_functions, (assigned, tracer.num_functions)
     assert sum(1 for e in tracer._code_cache.values() if e[1] > 0) == 41
+
+
+def test_steady_state_runs_are_encoded_in_the_hook(monkeypatch):
+    # The check interval outlasts the runs: a trigger check leaves the
+    # hook mid-run and materialises the live frames, as the kernel's
+    # trigger exit does.  One explicit pass encodes what run 1 found.
+    namespace = _flat_dag()
+    tracer = PythonDacceTracer(
+        config=DacceConfig(adaptive=AdaptiveConfig(check_interval=10**9))
+    )
+    tracer.run(namespace["main"])
+    engine = tracer.engine
+    assert engine.reencode()
+    work = Counter()
+    process_columns = engine.process_columns
+    on_event = engine.on_event
+    frame = fastpath._Frame
+
+    def counting_process_columns(cols):
+        work["process_columns"] += 1
+        process_columns(cols)
+
+    def counting_on_event(event):
+        work["on_event"] += 1
+        on_event(event)
+
+    def counting_frame(*args):
+        work["frames"] += 1
+        return frame(*args)
+
+    monkeypatch.setattr(engine, "process_columns", counting_process_columns)
+    monkeypatch.setattr(engine, "on_event", counting_on_event)
+    monkeypatch.setattr(fastpath, "_Frame", counting_frame)
+    hits = engine.fastpath.hits
+    for _ in range(3):
+        tracer.run(namespace["main"])
+    assert work == Counter(), work
+    assert engine.fastpath.hits - hits == 3 * 2 * 201
+    assert engine.stats.calls == engine.stats.returns == 4 * 201
 
 
 def test_targeted_boundary_crossings_stay_on_the_fast_path(tmp_path):

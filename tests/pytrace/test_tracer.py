@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from repro.core.engine import DacceConfig
 from repro.core.errors import TraceError
+from repro.core.faults import FaultKind, FaultPolicy, RecoveryAction
 from repro.pytrace import PythonDacceTracer, contexts_agree, walk_stack
 
 
@@ -187,8 +189,18 @@ def test_function_info_lookup():
         tracer.function_info(99999)
 
 
-def test_buffered_tracer_flushes_through_batches():
+def test_traced_run_never_calls_process_columns():
+    """The profile hook encodes at the call: no column batch is built."""
     tracer = PythonDacceTracer()
+    engine = tracer.engine
+    batches = []
+    process_columns = engine.process_columns
+
+    def recording(cols):
+        batches.append(len(cols))
+        process_columns(cols)
+
+    engine.process_columns = recording
 
     def leaf():
         return 1
@@ -196,11 +208,13 @@ def test_buffered_tracer_flushes_through_batches():
     def fanout():
         return sum(leaf() for _ in range(300))
 
-    tracer.run(fanout)
-    # stop() drained the columnar buffer into the engine.
-    assert len(tracer._columns) == 0
-    assert tracer.engine.fastpath.batches > 0
-    stats = tracer.engine.stats
+    for _ in range(3):
+        assert tracer.run(fanout) == 300
+    assert batches == []
+    assert engine.fastpath.batches == 0
+    assert engine.fastpath.hits > 0
+    assert engine.fastpath_stats()["enabled"]
+    stats = engine.stats
     assert stats.calls == stats.returns > 0
 
 
@@ -230,22 +244,76 @@ def test_engine_work_runs_with_the_hook_detached():
     assert sys.getprofile() is None
 
 
-def test_hook_is_restored_when_a_strict_engine_error_escapes_flush():
-    tracer = PythonDacceTracer()
+def _trapping_tracer(policy, program, *args):
+    """A tracer whose thread-0 ccStack holds one entry, warmed up on
+    ``program`` so that its edges are known and the forward ones
+    encoded: the first back-edge push of a recursion fills the stack
+    and the second one traps."""
+    tracer = PythonDacceTracer(config=DacceConfig(fault_policy=policy))
+    tracer.run(program, *args)
+    assert tracer.engine.reencode()
+    tracer.engine._threads[0].ccstack.capacity = 1
+    return tracer
+
+
+def _countdown(n):
+    return _countdown(n - 1) + 1 if n else 0
+
+
+@pytest.mark.faultinject
+def test_capacity_trap_in_real_recursion_is_quarantined_and_resynced():
+    tracer = _trapping_tracer(FaultPolicy.RECOVER, _countdown, 6)
+    engine = tracer.engine
+    assert tracer.run(_countdown, 8) == 8
+    trace_errors = [
+        record
+        for record in engine.faults.records()
+        if record.kind is FaultKind.TRACE_ERROR
+    ]
+    assert len(trace_errors) == 1
+    assert trace_errors[0].recovery is RecoveryAction.RESYNCED
+    assert "ccStack overflow" in trace_errors[0].message
+    agreements = []
+
+    def probe():
+        decoded = tracer.decode(tracer.sample())
+        agreements.append(contexts_agree(decoded, walk_stack(tracer)))
+
+    def leaf(n):
+        if n == 0:
+            probe()
+            return 0
+        return leaf(n - 1) + 1
+
+    for _ in range(3):
+        assert tracer.run(leaf, 5) == 5
+    assert agreements == [True] * 3
+
+
+def test_capacity_trap_in_real_recursion_surfaces_under_strict():
     caught = []
 
     def body():
-        # A call from a function that is not on the shadow stack: the
-        # strict policy raises out of the engine, through flush().
-        tracer._columns.push_call(0, 1, 424242, 7)
         try:
-            tracer.flush()
+            _countdown(8)
         except TraceError as error:
-            caught.append((error, sys.getprofile()))
+            caught.append((error, sys.getprofile(), len(tracer.live_frames())))
         return len(caught)
 
+    tracer = _trapping_tracer(FaultPolicy.STRICT, body)
+    engine = tracer.engine
+    assert caught == []
     assert tracer.run(body) == 1
-    ((error, profile),) = caught
-    assert "424242" in str(error)
-    assert profile is tracer._hook
-    assert len(tracer._columns) == 0  # the failed slab was dropped
+    ((error, profile, live),) = caught
+    assert "ccStack overflow" in str(error)
+    # Raised from the hook at the second back-edge call, so CPython
+    # removed the profile hook; the trapped call never started.
+    assert profile is None
+    assert live == 3  # body and two _countdown frames
+    assert sys.getprofile() is None
+    stats = engine.stats
+    # on_call counts the trapped call before its push traps, and it
+    # never returns; every call the engine applied has returned.
+    assert stats.calls == stats.returns + 1
+    assert len(engine._threads[0].frames) == 1
+    assert engine.faults.total == 0
