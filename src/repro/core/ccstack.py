@@ -14,12 +14,15 @@ both by the cost model (Figure 8) and by the adaptive policy's
 
 Storage is one plain list per entry, ``[id, callsite, target, count,
 discovery]`` (:data:`CcEntry`), bottom to top.  The methods here are the
-general path's API over it; the columnar kernel
-(:func:`repro.core.fastpath.columnar_kernel`) and the Python tracer's
-profile hook push, compress and pop the same lists directly.  Each takes
-them with :meth:`CcStack.kernel_view`, keeps the logical depth and the
-operation counters in locals, and hands those back with
-:meth:`CcStack.kernel_fold` when it leaves the thread.
+general path's API over it; the fast path's two drivers, the columnar
+kernel (:func:`repro.core.fastpath.columnar_kernel`) and the Python
+tracer's profile hook, push, compress and pop the same lists directly.
+Each takes them with :meth:`CcStack.kernel_view` and keeps the logical
+depth and the operation counts in locals; the end of its stay on the
+thread (:func:`repro.core.fastpath.hand_back`) returns them with
+:meth:`CcStack.kernel_fold`.  Whether a back edge compresses is decided
+per edge by the engine (its compression mode and the adaptive policy),
+not by the stack.
 :meth:`CcStack.snapshot` and :meth:`CcStack.entries` copy the content out
 as tuples.
 """
@@ -78,25 +81,14 @@ class CcStackStats:
 
 
 class CcStack:
-    """One thread's ccStack.
+    """One thread's ccStack."""
 
-    ``compression_enabled`` reflects the adaptive policy: the paper turns
-    recursion compression on when the collected contexts show highly
-    repetitive ccStack content (Section 4); the ablation benchmark drives
-    it directly.
-    """
-
-    def __init__(
-        self,
-        compression_enabled: bool = True,
-        capacity: Optional[int] = None,
-    ):
+    def __init__(self, capacity: Optional[int] = None):
         self._entries: List[CcEntry] = []
         #: Logical depth (including compressed repetitions), maintained
         #: incrementally so the per-push ``max_depth`` update is O(1)
         #: instead of a full-stack sum.
         self._depth = 0
-        self.compression_enabled = compression_enabled
         #: Section 5.3: the ccStack is allocated lazily per thread and its
         #: bottom page is protected to detect overflow.  ``capacity``
         #: models the protected bound; ``None`` means unbounded.
@@ -123,7 +115,6 @@ class CcStack:
         stats = self.stats
         if (
             allow_compress
-            and self.compression_enabled
             and entries
             and entries[-1][0] == id_value
             and entries[-1][1] == callsite
@@ -203,18 +194,17 @@ class CcStack:
         bottom to top."""
         return [(e[0], e[1], e[2], e[3], bool(e[4])) for e in self._entries]
 
-    def kernel_view(self) -> Tuple[List[CcEntry], int, int, int, bool]:
-        """What the columnar kernel keeps in locals while it runs on this
-        stack: ``(entries, depth, max_depth, capacity limit, compression
-        enabled)``.  ``entries`` is the storage itself, which the kernel
-        pushes, compresses and pops in place."""
+    def kernel_view(self) -> Tuple[List[CcEntry], int, int, int]:
+        """What a fast-path driver keeps in locals while it runs on this
+        stack: ``(entries, depth, max_depth, capacity limit)``.
+        ``entries`` is the storage itself, which the driver pushes,
+        compresses and pops in place."""
         capacity = self.capacity
         return (
             self._entries,
             self._depth,
             self.stats.max_depth,
             sys.maxsize if capacity is None else capacity,
-            self.compression_enabled,
         )
 
     def kernel_fold(
@@ -226,8 +216,8 @@ class CcStack:
         pops: int,
         decompressions: int,
     ) -> None:
-        """Take back the depth and the operation counts the kernel kept
-        in locals since :meth:`kernel_view`."""
+        """Take back the depth and the operation counts a fast-path
+        driver kept in locals since :meth:`kernel_view`."""
         self._depth = depth
         stats = self.stats
         stats.pushes += pushes

@@ -344,7 +344,7 @@ class DacceEngine:
         self._threads[0] = _ThreadState(
             thread=0,
             id_value=0,
-            ccstack=CcStack(compression_enabled=True),
+            ccstack=CcStack(),
             frames=[
                 _Frame(
                     function=root,
@@ -634,14 +634,15 @@ class DacceEngine:
         loop iterates raw integer columns with one dict probe and one
         integer add per hot event (a ccStack push or pop per back-edge
         or boundary event), with statistics, window counters, cost
-        charges and telemetry folded into per-run flushes.
+        charges and telemetry folded into one flush per stay on a thread
+        (:func:`repro.core.fastpath.hand_back`).
 
         Everything else (unencoded edges, indirect/tail/PLT calls,
         tail-chain returns, samples, thread events, malformed events)
-        *deoptimises* without leaving the kernel: it calls this batch's
-        ``deopt`` closure, which flushes the folded counters,
-        materialises that single compact tuple (``cols.record(i)``) and
-        dispatches it through :meth:`on_event`, so the general path —
+        *deoptimises* without leaving the kernel: it ends the stay and
+        calls this batch's ``deopt`` closure, which materialises that
+        single compact tuple (``cols.record(i)``) and dispatches it
+        through :meth:`on_event`, so the general path —
         fault checks under either policy, warm-start accounting,
         adaptive re-encoding — behaves exactly as in per-event
         processing.  The kernel exits only when the batch is done, a
@@ -649,18 +650,17 @@ class DacceEngine:
         made it stale; every run resumes the same iterator over the
         column views.
 
-        Folded counters are flushed before every deoptimisation and
-        every adaptive trigger check, so anything the general path
-        observes (``stats.calls`` in fault records, window evidence in
-        trigger decisions, re-encoding pass reports) sees the same
-        values as per-event processing.  The differential property suite
-        (``tests/core/test_fastpath_property.py``) asserts byte-identical
-        end states.
+        A stay ends, and its counters are flushed, before every
+        deoptimisation, sample and adaptive trigger check, so anything
+        the general path observes (``stats.calls`` in fault records,
+        window evidence in trigger decisions, re-encoding pass reports)
+        sees the same values as per-event processing.  The differential
+        property suite (``tests/core/test_fastpath_property.py``) asserts
+        byte-identical end states.
         """
         if not len(cols):
             return
         self.fastpath.batches += 1
-        flush = self._flush_fastpath_counters
         on_event = self.on_event
         record = cols.record
         tail_set = self._tail_calling_functions
@@ -671,28 +671,7 @@ class DacceEngine:
         table: FastPathTable
         profiled: bool
 
-        def deopt(
-            i: int,
-            countdown: int,
-            hits: int,
-            calls: int,
-            returns: int,
-            id_updates: int,
-            tcstack: int,
-            pushes: int,
-            compressions: int,
-            pops: int,
-            boundary_pushes: int,
-            boundary_pops: int,
-            untracked: int,
-            /,
-        ) -> Tuple[int, int, bool]:
-            if hits:
-                flush(
-                    hits, calls, returns, id_updates, tcstack, pushes,
-                    compressions, pops, boundary_pushes, boundary_pops,
-                    untracked,
-                )
+        def deopt(i: int, countdown: int) -> Tuple[int, int, bool]:
             self.fastpath.misses += 1
             prof = self._prof
             if prof is not None:
@@ -704,8 +683,7 @@ class DacceEngine:
             return (
                 self._window.calls,
                 prof.countdown if prof is not None else 0,
-                self._current is not table.dictionary
-                or len(tail_set) != table.tail_set_size
+                not table.valid_for(self._current, len(tail_set))
                 or (prof is not None) is not profiled,
             )
 
@@ -717,12 +695,13 @@ class DacceEngine:
                 table = self._ensure_fastpath()
                 prof = self._prof
                 profiled = prof is not None
-                i, reason, thread, countdown, *folded = columnar_kernel(
+                i, reason, thread, countdown = columnar_kernel(
                     events,
                     i,
                     self._threads,
                     table,
                     deopt,
+                    self._flush_fastpath_counters,
                     self.stats,
                     self._window.calls,
                     self.config.adaptive.check_interval,
@@ -732,10 +711,6 @@ class DacceEngine:
                     self._h_ccstack_depth.observe if self._obs else None,
                     self._targeted_fns,
                 )
-                # Flush the folded counters before any general-path work:
-                # everything a sample callback or a trigger check
-                # observes must match per-event state.
-                flush(*folded)
                 # A sample callback run by a deopt may have swapped hooks.
                 prof = self._prof
                 if prof is not None:
@@ -753,7 +728,6 @@ class DacceEngine:
 
     def _flush_fastpath_counters(
         self,
-        hits: int,
         calls: int,
         returns: int,
         id_updates: int,
@@ -765,7 +739,9 @@ class DacceEngine:
         boundary_pops: int,
         untracked: int,
     ) -> None:
-        """Fold per-run kernel counters into engine state.
+        """Fold one fast-path stay's counters into engine state.
+
+        Every call and return of a stay is a fast-path hit.
 
         The charges are exact under folding: the cost parameters
         involved (baseline 150.0, id_update 1.5, tcstack 5.0, ccStack
@@ -776,7 +752,7 @@ class DacceEngine:
         of the trigger-(c) window, as in :meth:`_apply_targeted` and
         :meth:`on_return`.
         """
-        self.fastpath.hits += hits
+        self.fastpath.hits += calls + returns
         obs = self._obs
         if calls:
             self.stats.calls += calls
@@ -1195,7 +1171,7 @@ class DacceEngine:
             # put a re-entry record directly above the clone sentinel and
             # leave the spawned thread's contexts undecodable.
             self._targeted_fns.add(event.entry)
-        ccstack = CcStack(compression_enabled=True)
+        ccstack = CcStack()
         ccstack.push(0, CLONE_CALLSITE, event.entry)
         state = _ThreadState(
             thread=event.thread,
@@ -1984,7 +1960,7 @@ class DacceEngine:
         what the new instrumentation would have produced — which is what
         replaying the shadow stack computes.
         """
-        ccstack = CcStack(compression_enabled=True)
+        ccstack = CcStack()
         old_stats = state.ccstack.stats
         if state.spawned_entry is not None:
             ccstack.push(0, CLONE_CALLSITE, state.spawned_entry)

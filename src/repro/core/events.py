@@ -111,13 +111,16 @@ Event = Union[
 # ----------------------------------------------------------------------
 # compact wire format
 # ----------------------------------------------------------------------
-# Hot event producers (the trace executor, the Python tracer) emit plain
-# tuples instead of frozen dataclasses: at millions of events per run the
-# dataclass allocation and attribute protocol dominate the engine's fast
-# path.  ``EventColumns`` (:mod:`repro.core.columnar`) packs these
-# tuples into the struct-of-arrays batches ``DacceEngine.process_columns``
-# consumes, and the kernel materialises one tuple per general-path
-# event; ``inflate``/``compact`` convert to and from the dataclass API, which
+# The trace executor, the synthetic substrate's event producer, emits
+# plain tuples instead of frozen dataclasses: at millions of events per
+# run the dataclass allocation and attribute protocol dominate the
+# engine's fast path.  ``EventColumns`` (:mod:`repro.core.columnar`)
+# packs these tuples into the struct-of-arrays batches
+# ``DacceEngine.process_columns`` consumes, and ``process_columns``
+# materialises one tuple per general-path event.  The Python tracer
+# emits no stream at all: its profile hook encodes at the call and
+# hands the general path one dataclass event per miss.
+# ``inflate``/``compact`` convert to and from the dataclass API, which
 # remains the compatibility surface (``on_event`` and everything above
 # it is unchanged).
 #

@@ -12,11 +12,15 @@ dict probe and one integer add each — no dataclass unpacking, no
 handler/fault branches.  The Python tracer's profile hook
 (:mod:`repro.pytrace.tracer`) does the same work per row at the call
 itself: it patches each call site with the table's entry for its
-callee, and leaves to the engine (``_materialise``,
-``CcStack.kernel_fold``, ``DacceEngine._flush_fastpath_counters``)
-exactly where the kernel would.  Both drivers deoptimise the same
-events to the same general path, so they count the same hits and
-misses.
+callee.  Both drivers deoptimise the same events to the same general
+path, so they count the same hits and misses.
+
+A *stay* is the stretch during which a driver holds one thread's engine
+state in its locals: the id register, its deferred frames, the
+ccStack's depth and operation counts, and the engine counters it has
+folded since the stay began.  Every stay ends in :func:`hand_back`,
+which returns all of it to the engine, so nothing outside a driver ever
+sees engine state that a driver still holds.
 
 The table is a pure *specialisation cache*: every entry restates what
 the general path would compute for that edge under the current
@@ -37,7 +41,8 @@ is identical under either policy and only speed changes.
 
 Invalidation is by identity: a table is valid exactly while the engine's
 current dictionary is the *object* it was compiled from and the
-tail-caller set has not grown.  Re-encoding replaces the dictionary
+tail-caller set has not grown (:meth:`FastPathTable.valid_for`, the one
+place the rule is written).  Re-encoding replaces the dictionary
 object (and a rolled-back pass restores the previous object, for which
 the previous table is still exact), so transactional re-encoding and
 warm-start seeding need no extra hooks.  A triggered re-encoding pass
@@ -57,7 +62,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Protocol,
     Tuple,
     Union,
 )
@@ -316,11 +320,11 @@ class _Frame:
 #
 # The kernel works on the ccStack's storage (:data:`CcEntry` lists)
 # directly.  On the first ccStack event of a stay on a thread it takes
-# the entry list, the logical depth, ``max_depth``, the capacity and the
-# compression switch into locals (``CcStack.kernel_view``); the stack's
-# operation counters count in locals from zero.  ``CcStack.kernel_fold``
-# hands them back when the kernel leaves the thread, and only if it
-# took them, so entering a thread costs nothing.
+# the entry list, the logical depth, ``max_depth`` and the capacity into
+# locals (``CcStack.kernel_view``); pops and decompressions count in
+# locals from zero, and pushes and compressions are the stay's engine
+# counters.  The stay's end folds them back, and only if it took them,
+# so entering a thread costs nothing.
 #
 # A back-edge call is the general path's ``_push_unencoded`` inlined:
 # the repeat-top test feeds the policy's push counters, the top entry's
@@ -343,20 +347,18 @@ class _Frame:
 # ``back_edge_calls``, and stay out of the trigger-(c) window, because
 # no encoding can remove them.
 #
-# Deopts stay inside the kernel.  On a miss it leaves the thread
-# (materialising its scratch frames, folding the ccStack locals and
-# writing the id register back) and calls the per-batch ``deopt``
-# closure (:class:`Deopt`), which flushes the folded counters, runs the
-# general path on that one event and returns ``(window calls, sample
-# countdown, stale)``; the kernel then re-enters the event thread on the
-# next event.  ``stale`` is true when the general path changed what the
-# kernel's arguments were taken from (the dictionary, the tail-caller
-# set) or installed or removed the sampling hook.
-#
-# The folded counters, in the order the kernel returns them and passes
-# them to ``deopt``, are ``hits, calls, returns, id_updates, tcstack,
-# ccstack_pushes, ccstack_compressions, ccstack_pops, boundary_pushes,
-# boundary_pops, untracked_calls``.
+# A stay on a thread ends at a thread switch, before a deopt and when
+# the kernel returns, and always in :func:`hand_back`: the scratch
+# frames are materialised, the ccStack locals folded, the id register
+# written back and the stay's engine counters flushed.  The kernel then
+# adds the stay's calls to its copy of the adaptive window, so the
+# trigger test ``wcalls + calls >= interval`` stays exact.  On a miss
+# it calls the per-batch ``deopt`` closure (:data:`Deopt`), which runs
+# the general path on that one event and returns ``(window calls,
+# sample countdown, stale)``; the kernel then re-enters the event
+# thread on the next event.  ``stale`` is true when the general path
+# changed what the kernel's arguments were taken from (the dictionary,
+# the tail-caller set) or installed or removed the sampling hook.
 
 #: Exit reasons of a kernel run.
 KERNEL_DONE = 0  #: every event consumed
@@ -377,31 +379,14 @@ _Scratch = Union[
 ]
 
 
-class Deopt(Protocol):
-    """The per-batch general path for one event the kernel missed.
+#: The per-batch general path for one event the kernel missed:
+#: ``deopt(i, countdown)`` with the event index and the sampling
+#: countdown returns ``(window calls, sampling countdown, stale)``.
+Deopt = Callable[[int, int], Tuple[int, int, bool]]
 
-    Called as ``deopt(i, countdown, *folded)`` with the event index, the
-    sampling countdown and the folded counters; returns ``(window calls,
-    sampling countdown, stale)``.
-    """
-
-    def __call__(
-        self,
-        i: int,
-        countdown: int,
-        hits: int,
-        calls: int,
-        returns: int,
-        id_updates: int,
-        tcstack: int,
-        pushes: int,
-        compressions: int,
-        pops: int,
-        boundary_pushes: int,
-        boundary_pops: int,
-        untracked: int,
-        /,
-    ) -> Tuple[int, int, bool]: ...
+#: ``DacceEngine._flush_fastpath_counters``, which folds one stay's
+#: engine counters, passed in :func:`hand_back`'s parameter order.
+Flush = Callable[[int, int, int, int, int, int, int, int, int, int], None]
 
 
 def _materialise(
@@ -424,12 +409,60 @@ def _materialise(
     scratch.clear()
 
 
+def hand_back(
+    state: "_ThreadState",
+    cur_id: int,
+    scratch: List[_Scratch],
+    ccs: Optional[CcStack],
+    depth: int,
+    max_depth: int,
+    cc_pops: int,
+    cc_decompressions: int,
+    flush: Flush,
+    calls: int,
+    returns: int,
+    id_updates: int,
+    tcstack: int,
+    pushes: int,
+    compressions: int,
+    pops: int,
+    boundary_pushes: int,
+    boundary_pops: int,
+    untracked: int,
+) -> None:
+    """End a driver's stay on ``state``: hand its locals back.
+
+    ``cur_id`` is the id register, ``scratch`` the deferred frames and
+    ``ccs`` the ccStack the driver bound (``None`` if it touched none),
+    with the ``depth``, ``max_depth``, pops and decompressions it kept
+    for it.  The rest are the stay's engine counters, which ``flush``
+    folds into the engine; the stay's ccStack pushes and compressions
+    are among them.  Afterwards the thread state, the ccStack and the
+    engine's statistics, window and cost report are what per-event
+    processing would have left.
+    """
+    if ccs is not None:
+        ccs.kernel_fold(
+            depth, max_depth, pushes + boundary_pushes, compressions,
+            cc_pops, cc_decompressions,
+        )
+    if scratch:
+        _materialise(scratch, state.frames, state.ccstack.saved_state())
+    state.id_value = cur_id
+    if calls or returns:
+        flush(
+            calls, returns, id_updates, tcstack, pushes, compressions, pops,
+            boundary_pushes, boundary_pops, untracked,
+        )
+
+
 def columnar_kernel(
     events: Iterator[ColumnarRow],
     i: int,
     threads: Mapping[ThreadId, "_ThreadState"],
     table: FastPathTable,
     deopt: Deopt,
+    flush: Flush,
     stats: "DacceStats",
     wcalls: int,
     interval: int,
@@ -438,18 +471,17 @@ def columnar_kernel(
     pcount: int,
     observe: Optional[Callable[[int], None]],
     tracked: Optional[AbstractSet[FunctionId]],
-) -> Tuple[int, ...]:
+) -> Tuple[int, int, int, int]:
     """Dispatch column events until the batch ends or the engine must act.
 
     ``events`` is a shared iterator over the batch's rows and ``i`` the
     index of the last event already consumed; ``wcalls`` is the adaptive
     window's call count and ``pcount`` the sampling countdown (read only
-    when ``profiled``).  Returns ``(i, reason, thread, countdown,
-    *folded)`` after leaving the thread (scratch frames materialised,
-    ccStack locals folded, id register written back): ``i`` is the last
-    event consumed (pass it back in to resume), ``reason`` one of the
-    ``KERNEL_*`` codes, ``thread`` the thread the kernel was on, and
-    ``folded`` the eleven per-run counters listed above.
+    when ``profiled``); every stay ends in :func:`hand_back` with
+    ``flush``.  Returns ``(i, reason, thread, countdown)`` once the last
+    stay has ended: ``i`` is the last event consumed (pass it back in to
+    resume), ``reason`` one of the ``KERNEL_*`` codes and ``thread`` the
+    thread the kernel was on.
     """
     threads_get = threads.get
     entries_get = table.entries.get
@@ -473,13 +505,12 @@ def columnar_kernel(
     cur_id = 0
     top_fn = -1
     # The current thread's ccStack while bound (``CcStack.kernel_view``);
-    # its operation counters count from zero until ``kernel_fold``.
+    # its pops and decompressions count from zero until the stay ends.
     ccs: Optional[CcStack] = None
     ents: List[CcEntry] = []
-    depth = max_depth = limit = 0
-    compress_on = False
-    s_push = s_cmp = s_pop = s_dcmp = 0
-    hits = calls = rets = id_updates = tcstack = 0
+    depth = max_depth = limit = s_pop = s_dcmp = 0
+    # The stay's engine counters.
+    calls = rets = id_updates = tcstack = 0
     pushes = compressions = pops = bpushes = bpops = untracked = 0
     reason = KERNEL_DONE
     for op, et, cs, cr, ce, ek in events:
@@ -488,12 +519,15 @@ def columnar_kernel(
             # A NORMAL call or a return: enter the event's thread.
             if et != cur_t:
                 if cur_t != -1:
-                    if ccs is not None:
-                        ccs.kernel_fold(depth, max_depth, s_push, s_cmp, s_pop, s_dcmp)
-                        ccs = None
-                    if scratch:
-                        _materialise(scratch, frames, state.ccstack.saved_state())
-                    state.id_value = cur_id
+                    hand_back(
+                        state, cur_id, scratch, ccs, depth, max_depth, s_pop, s_dcmp,
+                        flush, calls, rets, id_updates, tcstack, pushes,
+                        compressions, pops, bpushes, bpops, untracked,
+                    )
+                    ccs = None
+                    wcalls += calls
+                    calls = rets = id_updates = tcstack = 0
+                    pushes = compressions = pops = bpushes = bpops = untracked = 0
                 ns = threads_get(et)
                 if ns is None:
                     cur_t = -1  # the general path reports the unknown thread
@@ -525,7 +559,6 @@ def columnar_kernel(
                             tcstack += 1
                         top_fn = ce
                         calls += 1
-                        hits += 1
                         if profiled:
                             pcount -= 1
                             if pcount <= 0:
@@ -536,8 +569,8 @@ def columnar_kernel(
                     if back is not None:
                         if ccs is None:
                             ccs = state.ccstack
-                            ents, depth, max_depth, limit, compress_on = ccs.kernel_view()
-                            s_push = s_cmp = s_pop = s_dcmp = 0
+                            ents, depth, max_depth, limit = ccs.kernel_view()
+                            s_pop = s_dcmp = 0
                         n = len(ents)
                         if n:
                             top = ents[-1]
@@ -546,7 +579,7 @@ def columnar_kernel(
                         else:
                             top_count = 0
                             repeat = False
-                        compress = repeat and back[2] and compress_on
+                        compress = repeat and back[2]
                         # A push that would overflow deoptimises before
                         # any state changes (the policy counters too).
                         if compress or n < limit:
@@ -558,12 +591,10 @@ def columnar_kernel(
                                 top[3] = top_count + 1
                                 scratch_append((ce, cs, cur_id, act_cmp, n, top_count))
                                 compressions += 1
-                                s_cmp += 1
                             else:
                                 ents.append([cur_id, cs, ce, 0, False])
                                 scratch_append((ce, cs, cur_id, act_push, n, top_count))
                                 pushes += 1
-                                s_push += 1
                             depth += 1
                             if depth > max_depth:
                                 max_depth = depth
@@ -578,7 +609,6 @@ def columnar_kernel(
                                 tcstack += 1
                             top_fn = ce
                             calls += 1
-                            hits += 1
                             if profiled:
                                 pcount -= 1
                                 if pcount <= 0:
@@ -597,8 +627,8 @@ def columnar_kernel(
                             # deoptimises.
                             if ccs is None:
                                 ccs = state.ccstack
-                                ents, depth, max_depth, limit, compress_on = ccs.kernel_view()
-                                s_push = s_cmp = s_pop = s_dcmp = 0
+                                ents, depth, max_depth, limit = ccs.kernel_view()
+                                s_pop = s_dcmp = 0
                             n = len(ents)
                             handled = n < limit
                             if handled:
@@ -611,7 +641,6 @@ def columnar_kernel(
                                 ents.append(
                                     [cur_id, UNTRACKED_CALLSITE, cr if cr_in else ce, 0, False]
                                 )
-                                s_push += 1
                                 depth += 1
                                 if depth > max_depth:
                                     max_depth = depth
@@ -626,7 +655,6 @@ def columnar_kernel(
                         if handled:
                             top_fn = ce
                             calls += 1
-                            hits += 1
                             if profiled:
                                 pcount -= 1
                                 if pcount <= 0:
@@ -657,7 +685,6 @@ def columnar_kernel(
                     if observe is not None:
                         observe(depth)
                 rets += 1
-                hits += 1
                 top_fn = scratch[-1][0] if scratch else frames[-1].function
                 if wcalls + calls >= interval:
                     reason = KERNEL_TRIGGER
@@ -669,8 +696,8 @@ def columnar_kernel(
                 cc_pop = act is not act_id and act is not act_none and act is not act_unt
                 if cc_pop and ccs is None:
                     ccs = state.ccstack
-                    ents, depth, max_depth, limit, compress_on = ccs.kernel_view()
-                    s_push = s_cmp = s_pop = s_dcmp = 0
+                    ents, depth, max_depth, limit = ccs.kernel_view()
+                    s_pop = s_dcmp = 0
                 # Tail chains, discovery entries and a pop from an empty
                 # ccStack (which the general path reports) deoptimise.
                 if not frame.chain and act is not act_disc and (ents or not cc_pop):
@@ -695,38 +722,31 @@ def columnar_kernel(
                             bpops += 1
                     cur_id = frame.restore_id
                     rets += 1
-                    hits += 1
                     top_fn = frames[-1].function
                     if wcalls + calls >= interval:
                         reason = KERNEL_TRIGGER
                         break
                     continue
-        # Anything else deoptimises: leave the thread and hand the event
-        # to the general path.
+        # Anything else deoptimises: end the stay and hand the event to
+        # the general path.
         if cur_t != -1:
-            if ccs is not None:
-                ccs.kernel_fold(depth, max_depth, s_push, s_cmp, s_pop, s_dcmp)
-                ccs = None
-            if scratch:
-                _materialise(scratch, frames, state.ccstack.saved_state())
-            state.id_value = cur_id
+            hand_back(
+                state, cur_id, scratch, ccs, depth, max_depth, s_pop, s_dcmp,
+                flush, calls, rets, id_updates, tcstack, pushes,
+                compressions, pops, bpushes, bpops, untracked,
+            )
+            ccs = None
             cur_t = -1
-        wcalls, pcount, stale = deopt(
-            i, pcount, hits, calls, rets, id_updates, tcstack,
-            pushes, compressions, pops, bpushes, bpops, untracked,
-        )
-        hits = calls = rets = id_updates = tcstack = 0
-        pushes = compressions = pops = bpushes = bpops = untracked = 0
+            calls = rets = id_updates = tcstack = 0
+            pushes = compressions = pops = bpushes = bpops = untracked = 0
+        wcalls, pcount, stale = deopt(i, pcount)
         if stale:
             reason = KERNEL_STALE
             break
     if cur_t != -1:
-        if ccs is not None:
-            ccs.kernel_fold(depth, max_depth, s_push, s_cmp, s_pop, s_dcmp)
-        if scratch:
-            _materialise(scratch, frames, state.ccstack.saved_state())
-        state.id_value = cur_id
-    return (
-        i, reason, cur_t, pcount, hits, calls, rets, id_updates, tcstack,
-        pushes, compressions, pops, bpushes, bpops, untracked,
-    )
+        hand_back(
+            state, cur_id, scratch, ccs, depth, max_depth, s_pop, s_dcmp,
+            flush, calls, rets, id_updates, tcstack, pushes,
+            compressions, pops, bpushes, bpops, untracked,
+        )
+    return i, reason, cur_t, pcount

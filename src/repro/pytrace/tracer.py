@@ -47,7 +47,7 @@ from ..core.context import CallingContext, CollectedSample
 from ..core.engine import DacceConfig, DacceEngine, SampleHook
 from ..core.errors import TraceError
 from ..core.events import CallEvent, ReturnEvent, SampleEvent
-from ..core.fastpath import FastPathTable, _Action, _Frame, _materialise
+from ..core.fastpath import FastPathTable, _Action, _Frame, _Scratch, hand_back
 
 #: Function id reserved for the tracing root (the ``main`` node).
 ROOT_FUNCTION = 0
@@ -113,7 +113,7 @@ _Entry = Tuple[
 #: One shadow-stack record per live traced frame: ``(frame, entry,
 #: function, call site, restore id, action)``, plus the pre-push ccStack
 #: checkpoint ``(physical length, top count)`` for a call that pushed.
-#: ``record[2:]`` is the kernel's scratch frame (``_materialise`` input).
+#: ``record[2:]`` is the kernel's scratch frame (``hand_back`` input).
 #: Action ``_MIRRORED`` marks a frame that is in ``state.frames`` (its
 #: return is the kernel's materialised-frame return), ``None`` one with
 #: no engine event (targeted mode: the interior of an untracked region).
@@ -242,10 +242,8 @@ class PythonDacceTracer:
             self._function_names[UNTRACKED_FUNCTION] = FunctionInfo(
                 UNTRACKED_FUNCTION, "<untracked>", "<targeted>", 0
             )
-        self._callsites: Dict[Tuple[int, int], int] = {}
-        #: Caller id -> {bytecode offset: call site}: the hook's view of
-        #: ``_callsites``, one dict per caller function, so a call-site
-        #: probe builds no tuple.
+        #: Caller id -> {bytecode offset: call site}, one dict per caller
+        #: function, so a call-site probe builds no tuple.
         self._caller_sites: Dict[int, Dict[int, int]] = {}
         self._next_function = ROOT_FUNCTION + 1
         self._next_callsite = 1
@@ -291,7 +289,6 @@ class PythonDacceTracer:
         self._code_cache: Dict[int, _Entry] = {}
         self._active = False
         self._calls_since_sample = 0
-        self._base_frame: Optional[FrameType] = None
         #: One record per live traced frame, bottom first (``_Record``).
         self._stack: List[_Record] = []
         self._hook = self._make_hook()
@@ -376,13 +373,11 @@ class PythonDacceTracer:
             {},
         )
 
-    def _callsite_id(self, caller: int, lasti: int) -> int:
-        key = (caller, lasti)
-        site = self._callsites.get(key)
-        if site is None:
-            site = self._next_callsite
-            self._callsites[key] = site
-            self._next_callsite += 1
+    def _callsite_id(self) -> int:
+        """Allocate the next call-site id (the caller's ``_caller_sites``
+        dict keeps it)."""
+        site = self._next_callsite
+        self._next_callsite += 1
         return site
 
     def function_info(self, function_id: int) -> FunctionInfo:
@@ -407,9 +402,6 @@ class PythonDacceTracer:
         self._active = True
         self._calls_since_sample = 0
         self._last_sample_time = time.perf_counter()
-        # Frames at or above the base frame belong to the harness, not
-        # the traced program; they map onto the engine's root node.
-        self._base_frame = sys._getframe(1)
         self.engine.fastpath.hook_runs += 1
         sys.setprofile(self._hook)
 
@@ -421,7 +413,6 @@ class PythonDacceTracer:
         # Synthetically unwind frames that are still live (the traced
         # call may terminate via an exception caught above us).
         self._unwind()
-        self._base_frame = None
 
     def flush(self) -> None:
         """Hand the hook's encoding state back to the engine.
@@ -467,8 +458,8 @@ class PythonDacceTracer:
         locals: the id register, the ccStack view (bound lazily), the
         folded counters and one calls countdown for the engine's sample
         hook, ``sample_every`` and the adaptive window.  :func:`leave`
-        hands them back — ``_materialise``, ``kernel_fold``, the id
-        write-back and ``_flush_fastpath_counters``.  Every miss, sample
+        ends the stay as the kernel does, through
+        :func:`~repro.core.fastpath.hand_back`.  Every miss, sample
         and trigger check leaves first and runs the engine with the hook
         detached (:func:`detached`); so do :meth:`flush`, :meth:`sample`,
         :meth:`decode`, :meth:`expected_context` and :meth:`stop`.  The
@@ -549,10 +540,8 @@ class PythonDacceTracer:
         # The ccStack while bound (``CcStack.kernel_view``).
         ccs: Optional[CcStack] = None
         ents: List[CcEntry] = []
-        depth = max_depth = cap = 0
-        compress_on = False
-        s_pop = s_dcmp = 0
-        # Folded counters (``columnar_kernel``'s, less the derived ones).
+        depth = max_depth = cap = s_pop = s_dcmp = 0
+        # The stay's engine counters, as ``columnar_kernel`` keeps them.
         rets = id_updates = tcstack = 0
         pushes = compressions = pops = bpushes = bpops = untracked = 0
 
@@ -564,16 +553,7 @@ class PythonDacceTracer:
             state = engine._threads[0]
             frames = state.frames
             cur_id = state.id_value
-            current = engine._fastpath
-            if (
-                current is None
-                or current is not table
-                or engine._current is not current.dictionary
-                or len(engine._tail_calling_functions) != current.tail_set_size
-            ):
-                # Stale (the staleness test ``process_columns`` makes
-                # after each deopt): ask for the current table.
-                current = engine._ensure_fastpath()
+            current = engine._ensure_fastpath()
             if current is not table:
                 for patches in patched:
                     patches.clear()
@@ -604,50 +584,45 @@ class PythonDacceTracer:
             if not entered:
                 return
             entered = False
-            if ccs is not None:
-                ccs.kernel_fold(
-                    depth, max_depth, pushes + bpushes, compressions, s_pop, s_dcmp
-                )
-                ccs = None
-            if len(stack) > mirrored:
-                scratch = [r[2:] for r in stack[mirrored:] if r[5] is not None]
-                if scratch:
-                    _materialise(scratch, frames, state.ccstack.saved_state())
-                    for i in range(mirrored, len(stack)):
-                        record = stack[i]
-                        if record[5] is not None:
-                            stack[i] = record[:5] + (_MIRRORED,)
-                mirrored = len(stack)
-            state.id_value = cur_id
+            # The records above ``mirrored`` that made an engine event
+            # are the stay's scratch frames.
+            scratch: List[_Scratch] = []
+            for i in range(mirrored, len(stack)):
+                record = stack[i]
+                if record[5] is not None:
+                    scratch.append(record[2:])
+                    stack[i] = record[:5] + (_MIRRORED,)
+            mirrored = len(stack)
             calls = limit0 - left
             if prof is not None:
                 prof.countdown = p_at - calls
             if every:
                 tracer._calls_since_sample += calls
-            if calls or rets:
-                engine._flush_fastpath_counters(
-                    calls + rets, calls, rets, id_updates, tcstack, pushes,
-                    compressions, pops, bpushes, bpops, untracked,
-                )
-                rets = id_updates = tcstack = 0
-                pushes = compressions = pops = bpushes = bpops = untracked = 0
+            hand_back(
+                state, cur_id, scratch, ccs, depth, max_depth, s_pop, s_dcmp,
+                engine._flush_fastpath_counters, calls, rets, id_updates, tcstack, pushes,
+                compressions, pops, bpushes, bpops, untracked,
+            )
+            ccs = None
+            rets = id_updates = tcstack = 0
+            pushes = compressions = pops = bpushes = bpops = untracked = 0
 
         def bind() -> None:
             """Take the current ccStack into locals (first use per stay)."""
-            nonlocal ccs, ents, depth, max_depth, cap, compress_on, s_pop, s_dcmp
+            nonlocal ccs, ents, depth, max_depth, cap, s_pop, s_dcmp
             ccs = state.ccstack
-            ents, depth, max_depth, cap, compress_on = ccs.kernel_view()
+            ents, depth, max_depth, cap = ccs.kernel_view()
             s_pop = s_dcmp = 0
 
         def detached(fn: Callable[..., Any], *args: Any) -> Any:
             """Leave, then run engine work ``fn(*args)`` with this
             tracer's profile hook off.
 
-            Every tracer→engine entry goes through here (or
-            :func:`general_call`), so engine calls never run under the
-            hook, even those the hook makes itself (a sample callback
-            sees ``sys.getprofile()`` as ``None``).  The hook is restored
-            even when ``fn`` raises; a profile function that is not this
+            Every tracer→engine entry goes through here, misses
+            included, so engine calls never run under the hook, even
+            those the hook makes itself (a sample callback sees
+            ``sys.getprofile()`` as ``None``).  The hook is restored even
+            when ``fn`` raises; a profile function that is not this
             tracer's hook is left in place.  The hook enters again on
             its next event.
             """
@@ -661,29 +636,31 @@ class PythonDacceTracer:
                 if installed:
                     setprofile(hook)
 
-        def general_call(
-            frame: FrameType, entry: _Entry, site: int, cr: int, ce: int
-        ) -> None:
-            """Send one call to the general path, as :func:`detached`
-            would, then count it towards ``sample_every``."""
+        def send_call(record: _Record, event: CallEvent) -> None:
+            """Push a call's mirrored record and hand the call to the
+            general path (run :func:`detached`)."""
             nonlocal mirrored
-            installed = getprofile() is hook
-            if installed:
-                setprofile(None)
-            leave()
-            stack_append((frame, entry, ce, site, 0, _MIRRORED))
+            stack_append(record)
             mirrored = len(stack)
             engine.fastpath.misses += 1
             try:
-                engine.on_event(CallEvent(0, site, cr, ce))
+                engine.on_event(event)
             except BaseException:
                 # The call never started: its frame unwinds unprofiled.
                 stack_pop()
                 mirrored = len(stack)
                 raise
-            finally:
-                if installed:
-                    setprofile(hook)
+
+        def general_call(
+            frame: FrameType, entry: _Entry, site: int, cr: int, ce: int
+        ) -> None:
+            """Send one call to the general path, then count it towards
+            ``sample_every``."""
+            detached(
+                send_call,
+                (frame, entry, ce, site, 0, _MIRRORED),
+                CallEvent(0, site, cr, ce),
+            )
             period = tracer.sample_every
             if period:
                 tracer._calls_since_sample += 1
@@ -795,7 +772,7 @@ class PythonDacceTracer:
                     sites = caller[2]
                     site = sites.get(lasti)
                     if site is None:
-                        site = sites[lasti] = callsite_id(caller[1], lasti)
+                        site = sites[lasti] = callsite_id()
                 patch = compile_patch(entry, site, caller[1], callee)
                 if patch is None or desync:
                     general_call(frame, entry, site, caller[1], callee)
@@ -907,7 +884,7 @@ class PythonDacceTracer:
                     else:
                         top_count = 0
                         repeat = False
-                    compress = repeat and back[2] and compress_on
+                    compress = repeat and back[2]
                     # A push that would overflow deoptimises before any
                     # state changes (the policy counters too).
                     if not compress and n >= cap:

@@ -51,8 +51,8 @@ def test_entries_lists_every_field_bottom_to_top():
 def test_kernel_fold_takes_back_the_kernel_locals():
     stack = CcStack(capacity=8)
     stack.push(4, 10, 2)
-    entries, depth, max_depth, limit, compress = stack.kernel_view()
-    assert (depth, max_depth, limit, compress) == (1, 1, 8, True)
+    entries, depth, max_depth, limit = stack.kernel_view()
+    assert (depth, max_depth, limit) == (1, 1, 8)
     entries.append([5, 11, 3, 0, False])  # the kernel pushes in place
     stack.kernel_fold(2, 2, 1, 0, 0, 0)
     assert stack.entries()[-1] == (5, 11, 3, 0, False)
@@ -67,13 +67,6 @@ def test_compression_requires_exact_match():
     assert not stack.push(5, 10, 2, allow_compress=True)  # id differs
     assert not stack.push(5, 11, 2, allow_compress=True)  # callsite differs
     assert len(stack) == 3
-
-
-def test_compression_disabled_globally():
-    stack = CcStack(compression_enabled=False)
-    stack.push(4, 10, 2, allow_compress=True)
-    assert not stack.push(4, 10, 2, allow_compress=True)
-    assert len(stack) == 2
 
 
 def test_pop_unwinds_compression_first():

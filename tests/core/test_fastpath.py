@@ -8,11 +8,13 @@ gate.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 
 from repro.baselines.globalid import GlobalIdEngine
 from repro.baselines.pcce import PcceEngine
+from repro.core.adaptive import AdaptiveConfig
 from repro.core.context import CallingContext
 from repro.core.decoder import DecodeCache
 from repro.core.engine import DacceConfig, DacceEngine
@@ -461,3 +463,65 @@ def test_boundary_push_past_capacity_deopts_to_the_general_path(policy):
         return engine
 
     _assert_trap_parity(make_engine, trap, policy)
+
+
+# ----------------------------------------------------------------------
+# stay ends
+# ----------------------------------------------------------------------
+def _alternating_stream():
+    """A two-thread stream whose threads alternate on every event.
+
+    The executor's per-thread event sequences are interleaved one event
+    at a time, so every kernel stay on a thread is a single event long
+    and ends in a thread switch: the most stay ends a stream can have.
+    """
+    program = generate_program(GeneratorConfig(seed=4, functions=30, edges=80))
+    spec = WorkloadSpec(
+        calls=3000,
+        seed=6,
+        sample_period=41,
+        recursion_affinity=0.5,
+        threads=[ThreadSpec(thread=1, entry=3, spawn_at_call=1)],
+    )
+    per_thread = {}
+    for record in TraceExecutor(program, spec).compact_events():
+        per_thread.setdefault(record[1], []).append(record)
+    assert sorted(per_thread) == [0, 1]
+    return [
+        record
+        for pair in itertools.zip_longest(per_thread[0], per_thread[1])
+        for record in pair
+        if record is not None
+    ]
+
+
+def test_alternating_threads_flush_exactly_at_every_stay_end():
+    records = _alternating_stream()
+    config = DacceConfig(adaptive=AdaptiveConfig(check_interval=64))
+
+    def observed(engine):
+        return (
+            engine.stats,
+            dataclasses.asdict(engine.cost.report),
+            engine.ccstack_stats(),
+            _thread_states(engine),
+            [
+                {k: v for k, v in report.to_dict().items() if k != "duration_seconds"}
+                for report in engine.reencode_passes
+            ],
+        )
+
+    per_event = DacceEngine(config=config)
+    for record in records:
+        per_event.on_event(inflate(record))
+    columnar = DacceEngine(config=config)
+    for start in range(0, len(records), 500):
+        columnar.process_columns(
+            EventColumns.from_compact(records[start : start + 500])
+        )
+    switches = sum(a[1] != b[1] for a, b in zip(records, records[1:]))
+    assert switches > len(records) // 2
+    assert columnar.fastpath.hits > columnar.fastpath.misses
+    assert columnar.stats.back_edge_calls > 0
+    assert columnar.stats.reencodings > 0
+    assert observed(columnar) == observed(per_event)

@@ -416,7 +416,7 @@ class _Recorder:
                 sites = caller[2]
                 site = sites.get(lasti)
                 if site is None:
-                    site = sites[lasti] = tracer._callsite_id(caller[1], lasti)
+                    site = sites[lasti] = tracer._callsite_id()
             self.records.append((EV_CALL, 0, site, caller[1], callee, 0))
             live.append((frame, entry, True))
             if tracer.sample_every:
@@ -662,9 +662,10 @@ def _thread_states(engine):
 
 
 def _assert_lockstep(per_event, columnar, records, batch_size):
-    """Feed both engines slab by slab and compare the live thread state
-    after every slab, where the kernel's deferred frames and ccStack
-    locals have just been materialised and folded."""
+    """Feed both engines slab by slab and compare the live thread state,
+    the statistics and the cost report after every slab, where the
+    kernel's last stay has just handed its deferred frames, ccStack
+    locals and counters back."""
     for start in range(0, len(records), batch_size):
         part = records[start : start + batch_size]
         for record in part:
@@ -672,6 +673,8 @@ def _assert_lockstep(per_event, columnar, records, batch_size):
         columnar.process_columns(EventColumns.from_compact(part))
         assert _thread_states(columnar) == _thread_states(per_event), start
         assert columnar.ccstack_stats() == per_event.ccstack_stats(), start
+        assert columnar.stats == per_event.stats, start
+        assert columnar.cost.report == per_event.cost.report, start
 
 
 @given(

@@ -309,7 +309,8 @@ def _trace(
         "samples": json.loads(json.dumps(tracer.samples)),
         "callsites": sorted(
             [caller, lasti, site]
-            for (caller, lasti), site in tracer._callsites.items()
+            for caller, sites in tracer._caller_sites.items()
+            for lasti, site in sites.items()
         ),
         "functions": sorted(
             [fid, info.name, os.path.basename(info.filename), info.firstlineno]

@@ -154,9 +154,10 @@ def test_tracked_calls_reuse_seeded_static_sites(project):
     static_pairs = {
         (edge.caller, edge.callee) for edge in plan.static_graph.edges()
     }
-    for (caller, callee), site in tracer._callsites.items():
-        if (caller, callee) in static_pairs:
-            assert site <= seeded_max
+    for caller, sites in tracer._caller_sites.items():
+        for callee, site in sites.items():
+            if (caller, callee) in static_pairs:
+                assert site <= seeded_max
 
 
 def test_targeted_requires_tracer_root_and_source_root(project):
