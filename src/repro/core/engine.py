@@ -612,6 +612,7 @@ class DacceEngine:
                 self._tail_calling_functions,
                 self._back_edge_spec,
                 self._targeted_fns,
+                self.indirect,
             )
             self._fastpath = table
             self.fastpath.compiles += 1
@@ -627,22 +628,25 @@ class DacceEngine:
     def process_columns(self, cols: EventColumns) -> None:
         """Process a struct-of-arrays batch through the columnar kernel.
 
-        The steady state — a NORMAL call over an edge the current
-        dictionary encodes, over a recursive back edge or (targeted
-        mode) across the plan boundary, and the matching return — runs
-        inside :func:`repro.core.fastpath.columnar_kernel`, whose inner
-        loop iterates raw integer columns with one dict probe and one
-        integer add per hot event (a ccStack push or pop per back-edge
-        or boundary event), with statistics, window counters, cost
-        charges and telemetry folded into one flush per stay on a thread
+        The steady state — a NORMAL or PLT call over an edge the
+        current dictionary encodes, an INDIRECT call over one whose
+        target is in its site's patched set, a NORMAL call over a
+        recursive back edge or (targeted mode) across the plan boundary,
+        and the matching return — runs inside
+        :func:`repro.core.fastpath.columnar_kernel`, whose inner loop
+        iterates raw integer columns with one dict probe and one integer
+        add per hot event (a ccStack push or pop per back-edge or
+        boundary event), with statistics, window counters, cost charges
+        and telemetry folded into one flush per stay on a thread
         (:func:`repro.core.fastpath.hand_back`).
 
-        Everything else (unencoded edges, indirect/tail/PLT calls,
-        tail-chain returns, samples, thread events, malformed events)
-        *deoptimises* without leaving the kernel: it ends the stay and
-        calls this batch's ``deopt`` closure, which materialises that
-        single compact tuple (``cols.record(i)``) and dispatches it
-        through :meth:`on_event`, so the general path —
+        Everything else (unencoded edges, first bindings, indirect
+        targets outside the patched set, indirect and PLT back edges,
+        tail calls, tail-chain returns, samples, thread events,
+        malformed events) *deoptimises* without leaving the kernel: it
+        ends the stay and calls this batch's ``deopt`` closure, which
+        materialises that single compact tuple (``cols.record(i)``) and
+        dispatches it through :meth:`on_event`, so the general path —
         fault checks under either policy, warm-start accounting,
         adaptive re-encoding — behaves exactly as in per-event
         processing.  The kernel exits only when the batch is done, a
@@ -738,19 +742,24 @@ class DacceEngine:
         boundary_pushes: int,
         boundary_pops: int,
         untracked: int,
+        indirect: int,
+        plt: int,
+        comparisons: int,
+        hash_lookups: int,
     ) -> None:
         """Fold one fast-path stay's counters into engine state.
 
-        Every call and return of a stay is a fast-path hit.
+        Every call and return of a stay is a fast-path hit, and every
+        INDIRECT call among them an indirect hit.
 
         The charges are exact under folding: the cost parameters
         involved (baseline 150.0, id_update 1.5, tcstack 5.0, ccStack
-        push/compress/pop 9.0/7.0/6.0) are dyadic rationals, so ``n``
-        separate float adds and one ``n *`` multiply produce
-        bit-identical sums.  Boundary pushes and pops are charged like
-        back-edge ones but count as ``boundary_crossings`` and stay out
-        of the trigger-(c) window, as in :meth:`_apply_targeted` and
-        :meth:`on_return`.
+        push/compress/pop 9.0/7.0/6.0, indirect compare/hash lookup
+        2.5/7.0) are dyadic rationals, so ``n`` separate float adds and
+        one ``n *`` multiply produce bit-identical sums.  Boundary
+        pushes and pops are charged like back-edge ones but count as
+        ``boundary_crossings`` and stay out of the trigger-(c) window,
+        as in :meth:`_apply_targeted` and :meth:`on_return`.
         """
         self.fastpath.hits += calls + returns
         obs = self._obs
@@ -759,7 +768,19 @@ class DacceEngine:
             self._window.calls += calls
             self.cost.charge_call_baseline(calls)
             if obs:
-                self._m_calls[CallKind.NORMAL].inc(calls)
+                normal = calls - indirect - plt
+                if normal:
+                    self._m_calls[CallKind.NORMAL].inc(normal)
+                if indirect:
+                    self._m_calls[CallKind.INDIRECT].inc(indirect)
+                if plt:
+                    self._m_calls[CallKind.PLT].inc(plt)
+        if indirect:
+            self.stats.indirect_hits += indirect
+            if comparisons:
+                self.cost.charge_comparisons(comparisons)
+            if hash_lookups:
+                self.cost.charge_hash_lookup(hash_lookups)
         if returns:
             self.stats.returns += returns
             if obs:

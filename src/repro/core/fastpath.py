@@ -7,8 +7,8 @@ at the interpreter level: :class:`FastPathTable` is a flat dictionary
 compiled from the current decoding dictionary, and two drivers run the
 steady state from it.  :func:`columnar_kernel`, which
 ``DacceEngine.process_columns`` runs for column sources (the synthetic
-substrate), handles encoded NORMAL calls and their returns with one
-dict probe and one integer add each — no dataclass unpacking, no
+substrate), handles encoded NORMAL and PLT calls and their returns with
+one dict probe and one integer add each — no dataclass unpacking, no
 handler/fault branches.  The Python tracer's profile hook
 (:mod:`repro.pytrace.tracer`) does the same work per row at the call
 itself: it patches each call site with the table's entry for its
@@ -24,7 +24,13 @@ sees engine state that a driver still holds.
 
 The table is a pure *specialisation cache*: every entry restates what
 the general path would compute for that edge under the current
-``gTimeStamp``.  Recursive back edges get a second map: a NORMAL call
+``gTimeStamp``.  A bound PLT call is a direct call (Section 5.1), so it
+probes the same map as a NORMAL call.  An INDIRECT call whose target is
+in its site's patched set does the compare-and-add of Figures 3-4: its
+own map holds the site and what the hit costs (the target's position +
+1 down an inline cache, one comparison behind a hash table), and a hit
+updates the site's counters as ``DacceEngine._dispatch_indirect`` does.
+Recursive back edges get a third map: a NORMAL call
 over a back edge pushes (or compresses) ``<id, callsite, target>`` on
 the ccStack and its return pops it, exactly as Figure 5(e) describes,
 without leaving the kernel.  In targeted mode a NORMAL call with an
@@ -32,12 +38,13 @@ end outside the plan is handled in the kernel too, as
 ``DacceEngine._apply_targeted`` handles it: a boundary crossing pushes
 ``<id, UNTRACKED_CALLSITE, tracked end>`` and its return pops it, and a
 call wholly outside the plan is a bare shadow frame.  Anything else (an
-unencoded edge, an indirect/tail/PLT call, a tail-chain return, a
-ccStack push past the stack's capacity, a sample, a thread event, a
-malformed event) misses and deoptimises to
-the general path — the engine's event handlers, which check every
-fault condition and apply the fault policy themselves — so behaviour
-is identical under either policy and only speed changes.
+unencoded edge, a first binding, an indirect target outside its site's
+patched set, an indirect or PLT back edge, a tail call or tail-chain
+return, a ccStack push past the stack's capacity, a sample, a thread
+event, a malformed event) misses and deoptimises to the general path —
+the engine's event handlers, which check every fault condition and
+apply the fault policy themselves — so behaviour is identical under
+either policy and only speed changes.
 
 Invalidation is by identity: a table is valid exactly while the engine's
 current dictionary is the *object* it was compiled from and the
@@ -45,7 +52,11 @@ tail-caller set has not grown (:meth:`FastPathTable.valid_for`, the one
 place the rule is written).  Re-encoding replaces the dictionary
 object (and a rolled-back pass restores the previous object, for which
 the previous table is still exact), so transactional re-encoding and
-warm-start seeding need no extra hooks.  A triggered re-encoding pass
+warm-start seeding need no extra hooks.  Indirect patches follow the
+same rule: sites are patched only at construction (warm start, PCCE's
+static chains), before any table exists, and by a re-encoding pass,
+which either commits a new dictionary or rolls back to the old one
+together with the old patches.  A triggered re-encoding pass
 that would change nothing commits nothing, so the table survives it.
 """
 
@@ -73,18 +84,26 @@ if TYPE_CHECKING:
     from .callgraph import CallEdge, CallGraph
     from .dictionary import EncodingDictionary
     from .engine import DacceStats, _ThreadState
+    from .indirect import IndirectCallSite, IndirectDispatchTable
 
 #: ``(callsite, callee) -> (encoding delta, edge, callee tail-calls?)``.
 #:
-#: The issue sketches the key as ``(thread_kind, callsite)``; the
-#: reproduction keys on ``(callsite, callee)`` instead because a call
-#: site is not guaranteed monomorphic (the Python tracer maps dynamic
-#: dispatch onto NORMAL calls), and the encoding is a per-target
-#: property.  The per-thread running-id register lives in the engine's
-#: ``_ThreadState.id_value``; the kernel keeps it in a local and writes
-#: it back whenever it leaves a thread.
+#: Keys are ``(callsite, callee)`` pairs, not call sites: a site is not
+#: guaranteed monomorphic (the Python tracer maps dynamic dispatch onto
+#: NORMAL calls, and an indirect site has one entry per patched
+#: target), and the encoding is a per-target property.  The per-thread
+#: running-id register lives in the engine's ``_ThreadState.id_value``;
+#: the kernel keeps it in a local and writes it back whenever it leaves
+#: a thread.
 FastPathEntry = Tuple[int, "CallEdge", bool]
 FastPathKey = Tuple[CallSiteId, FunctionId]
+
+#: ``(callsite, callee) -> (encoding delta, edge, callee tail-calls?,
+#: site, comparisons, hashed?)`` for an INDIRECT call whose target is in
+#: ``site``'s patched set: what :meth:`IndirectCallSite.dispatch` would
+#: charge for the hit (``comparisons``, behind a hash table if
+#: ``hashed``), on top of the :data:`FastPathEntry` fields.
+IndirectEntry = Tuple[int, "CallEdge", bool, "IndirectCallSite", int, bool]
 
 #: ``(callsite, callee) -> (edge, push counters, compress?, callee
 #: tail-calls?)`` for recursive back edges.  ``push counters`` is the
@@ -135,8 +154,8 @@ class FastPathStats:
 class FastPathTable:
     """One compiled dispatch table, pinned to a dictionary snapshot.
 
-    ``entries`` maps every encoded, non-back NORMAL edge of the source
-    dictionary to ``(delta, edge, callee_tail_calls)``:
+    ``entries`` maps every encoded, non-back NORMAL or PLT edge of the
+    source dictionary to ``(delta, edge, callee_tail_calls)``:
 
     * ``delta`` — the edge's encoding (``id += delta``; 0 for the
       hottest in-edge, matching the paper's zero-instrumentation case),
@@ -150,6 +169,11 @@ class FastPathTable:
     the kernel credits ``warmstart_handler_hits_avoided`` on their
     first hit exactly as the general path would.
 
+    NORMAL and PLT calls probe it: the general path applies a call of
+    either kind as a direct call.  ``indirect_entries`` maps every
+    encoded, non-back INDIRECT edge whose target is in its site's
+    patched set (see :data:`IndirectEntry`); INDIRECT calls probe it.
+
     ``back_entries`` maps every NORMAL back edge of the graph (see
     :data:`BackEdgeEntry`).  A back edge never carries an encoding, so
     its handling does not depend on the dictionary; the kernel probes
@@ -160,22 +184,29 @@ class FastPathTable:
     before it looks at the graph.
     """
 
-    __slots__ = ("entries", "back_entries", "dictionary", "tail_set_size")
+    __slots__ = (
+        "entries", "indirect_entries", "back_entries", "dictionary",
+        "tail_set_size",
+    )
 
     def __init__(
         self,
         entries: Dict[FastPathKey, FastPathEntry],
+        indirect_entries: Dict[FastPathKey, IndirectEntry],
         back_entries: Dict[FastPathKey, BackEdgeEntry],
         dictionary: "EncodingDictionary",
         tail_set_size: int,
     ):
         self.entries = entries
+        self.indirect_entries = indirect_entries
         self.back_entries = back_entries
         self.dictionary = dictionary
         self.tail_set_size = tail_set_size
 
     def __len__(self) -> int:
-        return len(self.entries) + len(self.back_entries)
+        return (
+            len(self.entries) + len(self.indirect_entries) + len(self.back_entries)
+        )
 
     def valid_for(
         self, dictionary: "EncodingDictionary", tail_set_size: int
@@ -188,6 +219,14 @@ class FastPathTable:
         is exact again).  The tail-caller set only grows, and growth
         flips the TcStack charge of affected callees, so its size is the
         second validity dimension.
+
+        The indirect entries need no third dimension.  A site's patch
+        (its target order and strategy) changes only where the
+        dictionary does: at engine construction, before any table is
+        compiled, and in a re-encoding pass, which re-patches only when
+        it commits a new dictionary object and restores the old patches
+        with the old object when it rolls back.  A no-op pass re-patches
+        nothing.
         """
         return (
             dictionary is self.dictionary
@@ -201,6 +240,7 @@ def compile_table(
     tail_calling_functions: AbstractSet[FunctionId],
     back_edge_spec: Optional[BackEdgeSpec] = None,
     tracked: Optional[AbstractSet[FunctionId]] = None,
+    indirect: Optional["IndirectDispatchTable"] = None,
 ) -> FastPathTable:
     """Compile the fast-path table for one dictionary snapshot.
 
@@ -208,13 +248,16 @@ def compile_table(
     most once per (dictionary, tail-set) state, so compilation cost is
     bounded by the adaptive machinery that triggered it.  Back edges
     are compiled in only when ``back_edge_spec`` supplies their policy
-    state; without it every back-edge call deoptimises.  ``tracked``
+    state, and indirect edges only when ``indirect`` supplies the
+    patched sites; without them those calls deoptimise.  ``tracked``
     (targeted mode) leaves out every edge with an end outside the set.
     """
     entries: Dict[FastPathKey, FastPathEntry] = {}
+    indirect_entries: Dict[FastPathKey, IndirectEntry] = {}
     back_entries: Dict[FastPathKey, BackEdgeEntry] = {}
     for edge in graph.edges():
-        if edge.kind is not CallKind.NORMAL:
+        kind = edge.kind
+        if kind is CallKind.TAIL:
             continue
         if tracked is not None and (
             edge.caller not in tracked or edge.callee not in tracked
@@ -222,7 +265,7 @@ def compile_table(
             continue
         tail_calls = edge.callee in tail_calling_functions
         if edge.is_back:
-            if back_edge_spec is not None:
+            if kind is CallKind.NORMAL and back_edge_spec is not None:
                 counters, compress = back_edge_spec(edge)
                 back_entries[(edge.callsite, edge.callee)] = (
                     edge,
@@ -234,9 +277,24 @@ def compile_table(
         encoding = dictionary.encoding(edge.callsite, edge.callee)
         if encoding is None:
             continue
-        entries[(edge.callsite, edge.callee)] = (encoding, edge, tail_calls)
+        key = (edge.callsite, edge.callee)
+        if kind is not CallKind.INDIRECT:
+            entries[key] = (encoding, edge, tail_calls)
+            continue
+        site = indirect.get(edge.callsite) if indirect is not None else None
+        if site is None:
+            continue
+        comparisons = site.hit_comparisons(edge.callee)
+        if comparisons is not None:
+            indirect_entries[key] = (
+                encoding, edge, tail_calls, site, comparisons, site.hashed,
+            )
     return FastPathTable(
-        entries, back_entries, dictionary, len(tail_calling_functions)
+        entries,
+        indirect_entries,
+        back_entries,
+        dictionary,
+        len(tail_calling_functions),
     )
 
 
@@ -298,8 +356,8 @@ class _Frame:
 # countdown (``profiled``), the ccStack-depth histogram (``observe``)
 # and the targeted boundary block (``tracked``); the adaptive check
 # interval is an argument too.  Everything that changes per encoding
-# epoch (the table's two maps, ``maxID + 1``) comes from the table, so a
-# re-encoding pass only recompiles the table.  The per-thread id
+# epoch (the table's three maps, ``maxID + 1``) comes from the table, so
+# a re-encoding pass only recompiles the table.  The per-thread id
 # register, the logical top-of-stack function and the sampling countdown
 # live in locals, so the steady-state inner loop is one dict probe plus
 # one integer add over raw integer columns.
@@ -309,8 +367,10 @@ class _Frame:
 # leaves a thread (deopt, thread switch, exit).  Nothing observes
 # ``state.frames`` between kernel events, so a call/return pair wholly
 # inside one stay on a thread never needs its frame.  Encoded and
-# ``UNTRACKED`` calls push ``(function, callsite, restore_id, action)``;
-# calls that touch the ccStack (``PUSH``, ``COMPRESS``, ``BOUNDARY_DEP``,
+# ``UNTRACKED`` calls push ``(function, callsite, restore_id, action)``,
+# and encoded INDIRECT and PLT calls add their ``CallKind`` (a tail
+# chain records the kind of the frame it replaces); calls that touch
+# the ccStack (``PUSH``, ``COMPRESS``, ``BOUNDARY_DEP``,
 # ``BOUNDARY_RE``) add their pre-push checkpoint ``(physical length, top
 # count)``, read off the stack's storage.  Materialisation walks the
 # scratch list newest to oldest and gives each encoded frame the
@@ -347,6 +407,13 @@ class _Frame:
 # ``back_edge_calls``, and stay out of the trigger-(c) window, because
 # no encoding can remove them.
 #
+# An encoded INDIRECT or PLT call is an encoded NORMAL call plus
+# bookkeeping: both count towards the stay's per-kind call counters, and
+# an INDIRECT hit also bumps its site's ``hits`` and
+# ``total_comparisons`` and adds its comparisons (or hash lookup) to the
+# stay's, which the flush charges to the cost model's ``indirect``
+# category and counts as ``stats.indirect_hits``.
+#
 # A stay on a thread ends at a thread switch, before a deopt and when
 # the kernel returns, and always in :func:`hand_back`: the scratch
 # frames are materialised, the ccStack locals folded, the id register
@@ -371,10 +438,12 @@ KERNEL_STALE = 3  #: a general-path event invalidated the kernel's arguments
 ColumnarRow = Tuple[int, int, int, int, int, int]
 
 #: A deferred frame.  Encoded and untracked calls: ``(function,
-#: callsite, restore_id, action)``; calls that touched the ccStack add
-#: the pre-push checkpoint ``(physical length, top count)``.
+#: callsite, restore_id, action)``; encoded INDIRECT and PLT calls add
+#: their kind; calls that touched the ccStack add the pre-push
+#: checkpoint ``(physical length, top count)``.
 _Scratch = Union[
     Tuple[FunctionId, CallSiteId, int, _Action],
+    Tuple[FunctionId, CallSiteId, int, _Action, CallKind],
     Tuple[FunctionId, CallSiteId, int, _Action, int, int],
 ]
 
@@ -386,7 +455,9 @@ Deopt = Callable[[int, int], Tuple[int, int, bool]]
 
 #: ``DacceEngine._flush_fastpath_counters``, which folds one stay's
 #: engine counters, passed in :func:`hand_back`'s parameter order.
-Flush = Callable[[int, int, int, int, int, int, int, int, int, int], None]
+Flush = Callable[
+    [int, int, int, int, int, int, int, int, int, int, int, int, int, int], None
+]
 
 
 def _materialise(
@@ -401,6 +472,9 @@ def _materialise(
     """
     built: List[_Frame] = []
     for sf in reversed(scratch):
+        if len(sf) == 5:
+            built.append(_Frame(sf[0], sf[1], sf[2], cc_state, sf[3], sf[4]))
+            continue
         if len(sf) == 6:
             cc_state = (sf[4], sf[5])
         built.append(_Frame(sf[0], sf[1], sf[2], cc_state, sf[3]))
@@ -429,6 +503,10 @@ def hand_back(
     boundary_pushes: int,
     boundary_pops: int,
     untracked: int,
+    indirect: int = 0,
+    plt: int = 0,
+    comparisons: int = 0,
+    hash_lookups: int = 0,
 ) -> None:
     """End a driver's stay on ``state``: hand its locals back.
 
@@ -437,9 +515,12 @@ def hand_back(
     with the ``depth``, ``max_depth``, pops and decompressions it kept
     for it.  The rest are the stay's engine counters, which ``flush``
     folds into the engine; the stay's ccStack pushes and compressions
-    are among them.  Afterwards the thread state, the ccStack and the
-    engine's statistics, window and cost report are what per-event
-    processing would have left.
+    are among them.  ``indirect`` and ``plt`` count the stay's INDIRECT
+    and PLT calls (among ``calls``), ``comparisons`` and
+    ``hash_lookups`` its indirect dispatches; the profile hook, which
+    handles only NORMAL calls, leaves them 0.  Afterwards the thread state, the
+    ccStack and the engine's statistics, window and cost report are
+    what per-event processing would have left.
     """
     if ccs is not None:
         ccs.kernel_fold(
@@ -452,7 +533,8 @@ def hand_back(
     if calls or returns:
         flush(
             calls, returns, id_updates, tcstack, pushes, compressions, pops,
-            boundary_pushes, boundary_pops, untracked,
+            boundary_pushes, boundary_pops, untracked, indirect, plt,
+            comparisons, hash_lookups,
         )
 
 
@@ -485,7 +567,10 @@ def columnar_kernel(
     """
     threads_get = threads.get
     entries_get = table.entries.get
+    indirect_get = table.indirect_entries.get
     back_get = table.back_entries.get
+    kind_indirect = CallKind.INDIRECT
+    kind_plt = CallKind.PLT
     mark_id = table.dictionary.max_id + 1
     act_none = _Action.NONE
     act_id = _Action.ID
@@ -498,6 +583,7 @@ def columnar_kernel(
     scratch: List[_Scratch] = []
     scratch_append = scratch.append
     scratch_pop = scratch.pop
+    entry: Optional[Union[FastPathEntry, IndirectEntry]]
     # ``state`` and ``frames`` are bound exactly while ``cur_t != -1``.
     state: "_ThreadState"
     frames: List[_Frame]
@@ -512,22 +598,26 @@ def columnar_kernel(
     # The stay's engine counters.
     calls = rets = id_updates = tcstack = 0
     pushes = compressions = pops = bpushes = bpops = untracked = 0
+    indirect = plt = comparisons = hashes = 0
     reason = KERNEL_DONE
     for op, et, cs, cr, ce, ek in events:
         i += 1
-        if (op == 0 and not ek) or op == 1:
-            # A NORMAL call or a return: enter the event's thread.
+        if (op == 0 and ek != 2) or op == 1:
+            # A call other than a tail call, or a return: enter the
+            # event's thread.
             if et != cur_t:
                 if cur_t != -1:
                     hand_back(
                         state, cur_id, scratch, ccs, depth, max_depth, s_pop, s_dcmp,
                         flush, calls, rets, id_updates, tcstack, pushes,
                         compressions, pops, bpushes, bpops, untracked,
+                        indirect, plt, comparisons, hashes,
                     )
                     ccs = None
                     wcalls += calls
                     calls = rets = id_updates = tcstack = 0
                     pushes = compressions = pops = bpushes = bpops = untracked = 0
+                    indirect = plt = comparisons = hashes = 0
                 ns = threads_get(et)
                 if ns is None:
                     cur_t = -1  # the general path reports the unknown thread
@@ -542,19 +632,42 @@ def columnar_kernel(
             elif op == 0:
                 if top_fn == cr:
                     key = (cs, ce)
-                    entry = entries_get(key)
+                    if not ek:
+                        entry = entries_get(key)
+                    elif ek == 1:
+                        entry = indirect_get(key)
+                        if entry is not None:
+                            # The site's patched compare-and-add hit.
+                            site = entry[3]
+                            site.hits += 1
+                            site.total_comparisons += entry[4]
+                            if entry[5]:
+                                hashes += 1
+                            else:
+                                comparisons += entry[4]
+                            indirect += 1
+                            kind = kind_indirect
+                    elif ek == 3:
+                        entry = entries_get(key)
+                        if entry is not None:
+                            plt += 1
+                            kind = kind_plt
+                    else:
+                        entry = None
                     if entry is not None:
                         edge = entry[1]
                         if warm and not edge.invocations and edge.seeded:
                             stats.warmstart_handler_hits_avoided += 1
                         edge.invocations += 1
                         delta = entry[0]
+                        act = act_id if delta else act_none
+                        if ek:
+                            scratch_append((ce, cs, cur_id, act, kind))
+                        else:
+                            scratch_append((ce, cs, cur_id, act))
                         if delta:
-                            scratch_append((ce, cs, cur_id, act_id))
                             cur_id += delta
                             id_updates += 1
-                        else:
-                            scratch_append((ce, cs, cur_id, act_none))
                         if entry[2]:
                             tcstack += 1
                         top_fn = ce
@@ -565,7 +678,7 @@ def columnar_kernel(
                                 reason = KERNEL_SAMPLE
                                 break
                         continue
-                    back = back_get(key)
+                    back = None if ek else back_get(key)
                     if back is not None:
                         if ccs is None:
                             ccs = state.ccstack
@@ -615,7 +728,7 @@ def columnar_kernel(
                                     reason = KERNEL_SAMPLE
                                     break
                             continue
-                    elif tracked is not None:
+                    elif tracked is not None and not ek:
                         cr_in = cr in tracked
                         ce_in = ce in tracked
                         if cr_in and ce_in:
@@ -734,11 +847,13 @@ def columnar_kernel(
                 state, cur_id, scratch, ccs, depth, max_depth, s_pop, s_dcmp,
                 flush, calls, rets, id_updates, tcstack, pushes,
                 compressions, pops, bpushes, bpops, untracked,
+                indirect, plt, comparisons, hashes,
             )
             ccs = None
             cur_t = -1
             calls = rets = id_updates = tcstack = 0
             pushes = compressions = pops = bpushes = bpops = untracked = 0
+            indirect = plt = comparisons = hashes = 0
         wcalls, pcount, stale = deopt(i, pcount)
         if stale:
             reason = KERNEL_STALE
@@ -748,5 +863,6 @@ def columnar_kernel(
             state, cur_id, scratch, ccs, depth, max_depth, s_pop, s_dcmp,
             flush, calls, rets, id_updates, tcstack, pushes,
             compressions, pops, bpushes, bpops, untracked,
+            indirect, plt, comparisons, hashes,
         )
     return i, reason, cur_t, pcount

@@ -92,23 +92,33 @@ class IndirectCallSite:
             self.promotions += 1
         return promoted
 
+    @property
+    def hashed(self) -> bool:
+        """Is the site patched with a hash table (Figure 4)?"""
+        return self.strategy is DispatchStrategy.HASH_TABLE
+
+    def hit_comparisons(self, target: FunctionId) -> Optional[int]:
+        """What a hit on ``target`` costs, or ``None`` if it would miss.
+
+        One comparison behind the hash (open addressing conflicts are
+        folded into the miss path like the paper's Figure 4), the
+        target's position + 1 down the inline chain.  Records nothing.
+        """
+        position = self._positions.get(target)
+        if position is None:
+            return None
+        return 1 if self.hashed else position + 1
+
     def dispatch(self, target: FunctionId) -> DispatchResult:
         """Test ``target`` against the patched set and record the cost."""
-        if self.strategy is DispatchStrategy.HASH_TABLE:
-            # One hash, one comparison; open addressing conflicts are
-            # folded into the miss path like the paper's Figure 4.
-            hit = target in self._positions
-            result = DispatchResult(hit=hit, comparisons=1, hashed=True)
+        hashed = self.hashed
+        comparisons = self.hit_comparisons(target)
+        if comparisons is not None:
+            result = DispatchResult(hit=True, comparisons=comparisons, hashed=hashed)
         else:
-            position = self._positions.get(target)
-            if position is None:
-                result = DispatchResult(
-                    hit=False, comparisons=len(self.order), hashed=False
-                )
-            else:
-                result = DispatchResult(
-                    hit=True, comparisons=position + 1, hashed=False
-                )
+            result = DispatchResult(
+                hit=False, comparisons=1 if hashed else len(self.order), hashed=hashed
+            )
         if result.hit:
             self.hits += 1
         else:

@@ -154,8 +154,8 @@ class CostModel:
     def charge_comparisons(self, count: int) -> None:
         self.report.add("indirect", count * self.parameters.compare)
 
-    def charge_hash_lookup(self) -> None:
-        self.report.add("indirect", self.parameters.hash_lookup)
+    def charge_hash_lookup(self, count: int = 1) -> None:
+        self.report.add("indirect", count * self.parameters.hash_lookup)
 
     def charge_tcstack(self, count: int = 1) -> None:
         self.report.add("tcstack", count * self.parameters.tcstack_op)

@@ -7,6 +7,7 @@ kernel, the :class:`DecodeCache` LRU, and the steady-state hit-rate
 gate.
 """
 
+import copy
 import dataclasses
 import itertools
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.baselines.globalid import GlobalIdEngine
 from repro.baselines.pcce import PcceEngine
+from repro.bench.suite import full_suite
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.context import CallingContext
 from repro.core.decoder import DecodeCache
@@ -32,7 +34,6 @@ from repro.core.events import (
     inflate,
 )
 from repro.core.columnar import EventColumns
-from repro.core.fastpath import compile_table
 from repro.core.faults import FaultPolicy
 from repro.core.serialize import decoding_state_to_dict
 from repro.program.generator import GeneratorConfig, generate_program
@@ -93,18 +94,48 @@ def _run_engine(calls=4000, **config):
     return engine
 
 
-def test_table_holds_only_encoded_normal_forward_edges():
-    engine = _run_engine()
-    engine.reencode()
-    table = compile_table(
-        engine.graph, engine._current, engine._tail_calling_functions
+def test_table_holds_encoded_forward_edges_of_the_kinds_its_maps_answer():
+    program = generate_program(
+        GeneratorConfig(
+            seed=9, functions=30, edges=80, indirect_fraction=0.4,
+            indirect_targets=(2, 6),
+        )
     )
-    assert len(table) > 0
+    # Sites with more than two targets are hashed, the rest inline.
+    engine = DacceEngine(config=DacceConfig(hash_threshold=2))
+    run_workload_columnar(program, WorkloadSpec(calls=4000, seed=3), engine)
+    engine.reencode()
+    table = engine._ensure_fastpath()
+    current = engine._current
+    tail_set = engine._tail_calling_functions
+    # NORMAL and PLT calls probe ``entries``.
+    kinds = set()
     for (callsite, callee), (delta, edge, tail) in table.entries.items():
-        assert edge.kind is CallKind.NORMAL and not edge.is_back
+        kinds.add(edge.kind)
         assert (edge.callsite, edge.callee) == (callsite, callee)
-        assert delta == engine._current.encoding(callsite, callee)
-        assert tail == (callee in engine._tail_calling_functions)
+        assert not edge.is_back
+        assert delta == current.encoding(callsite, callee)
+        assert tail == (callee in tail_set)
+    assert kinds == {CallKind.NORMAL, CallKind.PLT}
+    # INDIRECT calls probe ``indirect_entries``: only patched targets,
+    # costed as the site's dispatch would charge the hit.
+    strategies = set()
+    for key, entry in table.indirect_entries.items():
+        delta, edge, tail, site, comparisons, hashed = entry
+        assert edge.kind is CallKind.INDIRECT and not edge.is_back
+        assert (edge.callsite, edge.callee) == key
+        assert delta == current.encoding(*key)
+        assert tail == (edge.callee in tail_set)
+        assert site is engine.indirect.get(edge.callsite)
+        assert edge.callee in site.order
+        result = copy.deepcopy(site).dispatch(edge.callee)
+        assert result.hit
+        assert (comparisons, hashed) == (result.comparisons, result.hashed)
+        strategies.add(hashed)
+    assert strategies == {False, True}
+    assert len(table) == engine.fastpath_stats()["table_entries"] == (
+        len(table.entries) + len(table.indirect_entries) + len(table.back_entries)
+    )
 
 
 def test_table_validity_is_dictionary_identity():
@@ -246,6 +277,40 @@ def test_steady_state_hit_rate_above_90_percent():
     # steady state itself rather than deoptimising to the general path.
     assert engine.fastpath.compiles >= 1, engine.fastpath_stats()
     assert engine.fastpath.hit_rate > 0.90, engine.fastpath_stats()
+
+
+def test_x264_shaped_indirect_and_plt_calls_stay_on_the_kernel():
+    # The pipeline benchmark's synthetic_x264 program, pinned as
+    # benchmarks/pipeline/workloads.py pins it, at 15% of its calls:
+    # 82% of its calls are INDIRECT and 3% PLT.  After a warm-up pass,
+    # inline-cache and hash-table hits over encoded edges and bound PLT
+    # calls run in the kernel: the misses left are samples, thread
+    # events and the discoveries of each workload phase.
+    bench = full_suite().get("x264")
+    program = generate_program(
+        dataclasses.replace(bench.generator_config(1.0), seed=1000)
+    )
+    spec = dataclasses.replace(bench.workload_spec(calls=30_000, seed=1), seed=1)
+    records = list(TraceExecutor(program, spec).compact_events())
+    per_event = DacceEngine(root=program.main)
+    columnar = DacceEngine(root=program.main)
+    for run in range(2):
+        if run:
+            columnar.fastpath.hits = columnar.fastpath.misses = 0
+        for record in records:
+            per_event.on_event(inflate(record))
+        for start in range(0, len(records), 4096):
+            columnar.process_columns(
+                EventColumns.from_compact(records[start : start + 4096])
+            )
+    assert columnar.fastpath.hit_rate >= 0.95, columnar.fastpath_stats()
+    assert columnar.cost.report == per_event.cost.report
+    snapshot = columnar.stats_snapshot()
+    expected = per_event.stats_snapshot()
+    # Only the specialisation counters may differ.
+    snapshot.pop("fastpath")
+    expected.pop("fastpath")
+    assert snapshot == expected
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,15 @@ and tail calls across the boundary) and replays a targeted stream
 recorded the same way.  The main and targeted synthetic arms also draw
 a continuous-profiling sample hook (period 1, 3 or 17) whose callback
 may remove it, or swap it for one with another period, mid-run; both
-arms must deliver the same hook samples with the same weights.
+arms must deliver the same hook samples with the same weights.  An
+indirect arm draws indirect- and PLT-dense programs and hash thresholds
+of 1, 4 and 64, so inline caches and hash tables both run on the
+kernel, with re-encoding passes forced mid-batch from a sample-hook
+callback: passes that commit, or that alternately commit and roll back
+at the commit gate or after re-patching.  Further arms force the
+promotion of inline-cache sites to hash tables mid-batch, tail-call out
+of a kernel-handled indirect frame, and warm-start with seeded
+indirect patches.
 
 The Python tracer's profile hook is the table's second driver.  The
 last arm runs the front-end golden corpus and the recursion programs
@@ -45,14 +53,23 @@ import gc
 import sys
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import random
 
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.columnar import EventColumns
 from repro.core.engine import CompressionMode, DacceConfig, DacceEngine
-from repro.core.events import EV_CALL, EV_RETURN, EV_SAMPLE, SampleEvent, inflate
+from repro.core.events import (
+    EV_CALL,
+    EV_RETURN,
+    EV_SAMPLE,
+    KIND_CODE,
+    CallKind,
+    SampleEvent,
+    inflate,
+)
 from repro.core.faults import FaultPolicy
 from repro.core.serialize import decoding_state_to_dict
 from repro.obs import Telemetry
@@ -61,6 +78,7 @@ from repro.core.ccstack import UNTRACKED_FUNCTION
 from repro.pytrace import PythonDacceTracer
 from repro.pytrace.tracer import ROOT_FUNCTION, _SKIP as SKIP
 from repro.program.trace import ThreadSpec, TraceExecutor, WorkloadSpec
+from repro.static.graph import Confidence
 from repro.static.pyextract import FunctionIndex, extract_package
 from repro.static.synthetic import extract_program
 from repro.static.targeted import build_targeted
@@ -73,16 +91,19 @@ from tests.pytrace import test_frontend_golden as golden
 # harness
 # ----------------------------------------------------------------------
 def _stream(
-    program_seed, workload_seed, calls, threads, affinity, tail_fraction=0.05
+    program_seed, workload_seed, calls, threads, affinity, tail_fraction=0.05,
+    indirect_fraction=0.08, indirect_targets=(2, 4), library_functions=8,
 ):
     program = generate_program(
         GeneratorConfig(
             seed=program_seed,
             functions=30,
             edges=80,
-            indirect_fraction=0.08,
+            indirect_fraction=indirect_fraction,
+            indirect_targets=indirect_targets,
             tail_fraction=tail_fraction,
             recursive_sites=2,
+            library_functions=library_functions,
         )
     )
     spec = WorkloadSpec(
@@ -267,27 +288,38 @@ def test_process_batch_equals_per_event(
     affinity=st.sampled_from([0.3, 0.9]),
     check_interval=st.sampled_from([16, 512]),
     batch_size=st.sampled_from([1, 32, 4096]),
+    seed_indirect=st.booleans(),
 )
 @settings(max_examples=15, deadline=None)
 def test_process_batch_equals_per_event_warm_start(
-    program_seed, workload_seed, calls, affinity, check_interval, batch_size
+    program_seed, workload_seed, calls, affinity, check_interval, batch_size,
+    seed_indirect,
 ):
-    program, records = _stream(program_seed, workload_seed, calls, 0, affinity)
-    plan = build_warmstart(extract_program(program))
+    program, records = _stream(
+        program_seed, workload_seed, calls, 0, affinity,
+        indirect_fraction=0.3 if seed_indirect else 0.08,
+    )
+    # Observed indirect targets are MEDIUM-confidence static edges: a
+    # MEDIUM seed pre-patches their sites.
+    confidence = Confidence.MEDIUM if seed_indirect else Confidence.HIGH
 
     # NB: each engine needs its own freshly built plan — a WarmStartPlan
     # installs CallEdge objects by reference, so sharing one between two
     # engines would share (and double-consume) edge.invocations.
-    def fresh():
-        return DacceEngine(
-            config=_config(check_interval),
-            warm_start=build_warmstart(extract_program(program)),
-        )
+    def plan():
+        return build_warmstart(extract_program(program), min_confidence=confidence)
 
-    assert plan.seeded_edges > 0
+    def fresh():
+        return DacceEngine(config=_config(check_interval), warm_start=plan())
+
+    assert plan().seeded_edges > 0
     per_event = fresh()
     _drive_per_event(per_event, records, reencode_at=len(records) // 2)
     columnar = fresh()
+    if seed_indirect:
+        # The seeded patches are in the kernel's first table.
+        assert plan().indirect_sites()
+        assert columnar._ensure_fastpath().indirect_entries
     _drive_columnar(
         columnar, records, batch_size, reencode_at=len(records) // 2
     )
@@ -342,6 +374,214 @@ def test_process_batch_equals_per_event_under_fault_recovery(
     )
     _drive_columnar(columnar, records, batch_size)
     _assert_equivalent(per_event, columnar)
+
+
+# ----------------------------------------------------------------------
+# indirect and PLT calls
+# ----------------------------------------------------------------------
+#: Re-encoding passes forced from a sample-hook callback, i.e.
+#: mid-batch: none, passes that commit, or passes that alternately
+#: commit and roll back, at the commit gate or after re-patching the
+#: indirect sites (a thread regeneration that raises).
+FORCED = st.sampled_from([None, "commit", "gate", "regenerate"])
+
+
+def _assert_table_matches_patches(engine):
+    """The table the engine would run with agrees with the live patches."""
+    table = engine._ensure_fastpath()
+    for (callsite, callee), entry in table.indirect_entries.items():
+        site = engine.indirect.get(callsite)
+        assert entry[3] is site
+        assert entry[4:] == (site.hit_comparisons(callee), site.hashed)
+
+
+def _force_passes(engine, forced, period=17):
+    """Force a re-encoding pass at every ``period``-th call.
+
+    Returns a log of ``(promoted, reverted)`` per pass: whether the pass
+    moved a patched inline-cache site to a hash table, and whether a
+    rolled-back pass had patched the sites differently from what the
+    rollback restored.
+    """
+    log = []
+    if forced is None:
+        return log
+    indirect = engine.indirect
+
+    def callback(sample, weight):
+        inline = [s.callsite for s in indirect.sites() if s.order and not s.hashed]
+        candidates = []
+        if len(log) % 2 and forced == "gate":
+            engine._commit_gate = lambda dictionary: ["injected violation"]
+        elif len(log) % 2 and forced == "regenerate":
+
+            def explode(state):
+                candidates.append(indirect.snapshot_patches())
+                raise RuntimeError("injected")
+
+            engine._regenerate_thread = explode
+        try:
+            engine.reencode(("forced",))
+        finally:
+            vars(engine).pop("_commit_gate", None)
+            vars(engine).pop("_regenerate_thread", None)
+        _assert_table_matches_patches(engine)
+        promoted = any(indirect.get(cs).hashed for cs in inline)
+        reverted = bool(candidates) and candidates[0] != indirect.snapshot_patches()
+        log.append((promoted, reverted))
+
+    engine.install_sample_hook(period, callback)
+    return log
+
+
+def _count_general_dispatches(engine):
+    """Count the indirect dispatches ``engine``'s general path makes."""
+    counts = [0]
+    dispatch = engine._dispatch_indirect
+
+    def counting(state, event, edge):
+        counts[0] += 1
+        return dispatch(state, event, edge)
+
+    engine._dispatch_indirect = counting
+    return counts
+
+
+@given(
+    program_seed=st.integers(0, 40),
+    workload_seed=st.integers(0, 40),
+    calls=st.integers(200, 1500),
+    threads=st.integers(0, 1),
+    indirect_fraction=st.sampled_from([0.08, 0.3, 0.6]),
+    indirect_targets=st.sampled_from([(2, 4), (3, 9)]),
+    library_functions=st.sampled_from([8, 20]),
+    tail_fraction=st.sampled_from([0.05, 0.3]),
+    hash_threshold=st.sampled_from([1, 4, 64]),
+    check_interval=st.sampled_from([16, 512]),
+    batch_size=st.sampled_from([1, 7, 64, 4096]),
+    forced=FORCED,
+    telemetry=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_indirect_and_plt_dense_process_columns_equals_per_event(
+    program_seed, workload_seed, calls, threads, indirect_fraction,
+    indirect_targets, library_functions, tail_fraction, hash_threshold,
+    check_interval, batch_size, forced, telemetry,
+):
+    _, records = _stream(
+        program_seed, workload_seed, calls, threads, 0.3, tail_fraction,
+        indirect_fraction, indirect_targets, library_functions,
+    )
+    config = _config(
+        check_interval, hash_threshold=hash_threshold,
+        fault_policy=FaultPolicy.RECOVER,
+    )
+    per_event = _engine(config, telemetry)
+    per_event_log = _force_passes(per_event, forced)
+    _drive_per_event(per_event, records)
+    columnar = _engine(config, telemetry)
+    columnar_log = _force_passes(columnar, forced)
+    general = _count_general_dispatches(columnar)
+    _drive_columnar(columnar, records, batch_size)
+    _assert_equivalent(per_event, columnar)
+    assert per_event_log == columnar_log
+    # Every INDIRECT call is dispatched exactly once, by the kernel or
+    # the general path.
+    indirect_calls = sum(1 for r in records if r[0] == EV_CALL and r[5] == 1)
+    stats = columnar.stats
+    assert stats.indirect_hits + stats.indirect_misses == indirect_calls
+    if forced is not None and indirect_calls >= 100:
+        # Passes every 17 calls encode the indirect edges early: the
+        # kernel dispatches most INDIRECT calls itself.
+        assert general[0] < indirect_calls / 2, (general[0], indirect_calls)
+
+
+@given(
+    program_seed=st.integers(0, 40),
+    workload_seed=st.integers(0, 40),
+    calls=st.integers(600, 1500),
+    forced=st.sampled_from(["commit", "gate", "regenerate"]),
+    batch_size=st.sampled_from([7, 64, 4096]),
+    telemetry=st.booleans(),
+)
+@settings(max_examples=20, deadline=None)
+def test_promoted_and_rolled_back_patches_equal_per_event(
+    program_seed, workload_seed, calls, forced, batch_size, telemetry
+):
+    # Up to nine targets per site against a hash threshold of two: a
+    # site patched as an inline cache early is promoted by a later
+    # committed pass once its third target has been found, and the
+    # kernel then serves its hash-table entries.  A rolled-back pass
+    # must leave the kernel on the restored patches: the commit gate
+    # rejects before re-patching, a failed thread regeneration after it.
+    _, records = _stream(
+        program_seed, workload_seed, calls, 0, 0.3,
+        indirect_fraction=0.6, indirect_targets=(3, 9),
+    )
+    config = _config(512, hash_threshold=2, fault_policy=FaultPolicy.RECOVER)
+    per_event = _engine(config, telemetry)
+    per_event_log = _force_passes(per_event, forced)
+    _drive_per_event(per_event, records)
+    columnar = _engine(config, telemetry)
+    columnar_log = _force_passes(columnar, forced)
+    _drive_columnar(columnar, records, batch_size)
+    _assert_equivalent(per_event, columnar)
+    assert per_event_log == columnar_log
+    # About one draw in a hundred finds every target of a site before
+    # its first patch, which then starts out hashed; a pass that finds
+    # nothing new re-patches every site as it was.
+    assume(any(promoted for promoted, _ in columnar_log))
+    if forced == "regenerate":
+        assume(any(reverted for _, reverted in columnar_log))
+    assert any(entry[5] for entry in columnar._fastpath.indirect_entries.values())
+
+
+@pytest.mark.parametrize("hash_threshold", [1, 4])
+def test_tail_call_from_a_kernel_indirect_frame_records_its_kind(hash_threshold):
+    # root 0 calls 1 or 3 through indirect site 10; 1 tail-calls 2.
+    def columns(targets):
+        cols = EventColumns()
+        for target in targets:
+            cols.push_call(0, 10, 0, target, KIND_CODE[CallKind.INDIRECT])
+            if target == 1:
+                cols.push_call(0, 11, 1, 2, KIND_CODE[CallKind.TAIL])
+            cols.push_return(0)
+        return cols
+
+    def feed(cols):
+        for record in cols.to_compact():
+            per_event.on_event(inflate(record))
+        columnar.process_columns(cols)
+
+    config = _config(512, hash_threshold=hash_threshold)
+    per_event = _engine(config, True)
+    columnar = _engine(config, True)
+    feed(columns([3, 1, 3]))
+    per_event.reencode()
+    columnar.reencode()
+    site = columnar.indirect.get(10)
+    assert site.order == [3, 1] and site.hashed == (hash_threshold == 1)
+
+    # One batch: the kernel dispatches the call to 1, then hands its
+    # frame back before the tail call deoptimises.
+    probe = EventColumns()
+    probe.push_call(0, 10, 0, 1, KIND_CODE[CallKind.INDIRECT])
+    probe.push_call(0, 11, 1, 2, KIND_CODE[CallKind.TAIL])
+    hits = columnar.fastpath.hits
+    feed(probe)
+    assert columnar.fastpath.hits == hits + 1
+    for engine in (per_event, columnar):
+        top = engine._threads[0].frames[-1]
+        assert (top.function, top.kind) == (2, CallKind.TAIL)
+        assert top.chain == ((1, 10, CallKind.INDIRECT),)
+    assert _thread_states(columnar) == _thread_states(per_event)
+
+    done = EventColumns()
+    done.push_return(0)
+    feed(done)
+    feed(columns([1, 3]))
+    _assert_equivalent(per_event, columnar)
+    assert columnar.stats.tail_calls == 3
 
 
 # ----------------------------------------------------------------------

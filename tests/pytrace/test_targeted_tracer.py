@@ -151,13 +151,20 @@ def test_tracked_calls_reuse_seeded_static_sites(project):
     # Every tracked->tracked pair must land on its seeded static site:
     # no dynamically allocated callsite above the static range may name
     # a pair the plan already knows.
+    tracked = set(plan.functions)
     static_pairs = {
-        (edge.caller, edge.callee) for edge in plan.static_graph.edges()
+        (edge.caller, edge.callee)
+        for edge in plan.static_graph.edges()
+        if edge.caller in tracked and edge.callee in tracked
     }
-    for caller, sites in tracer._caller_sites.items():
-        for callee, site in sites.items():
-            if (caller, callee) in static_pairs:
-                assert site <= seeded_max
+    reached = [
+        edge
+        for edge in tracer.engine.graph.edges()
+        if (edge.caller, edge.callee) in static_pairs and edge.invocations
+    ]
+    assert reached
+    for edge in reached:
+        assert edge.callsite <= seeded_max, edge
 
 
 def test_targeted_requires_tracer_root_and_source_root(project):
