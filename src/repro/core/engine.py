@@ -99,9 +99,17 @@ from .fastpath import (
     KERNEL_SAMPLE,
     KERNEL_TRIGGER,
     FastPathStats,
+    FRAME_ACTION,
+    FRAME_CALLSITE,
+    FRAME_CC_STATE,
+    FRAME_CHAIN,
+    FRAME_FUNCTION,
+    FRAME_KIND,
+    FRAME_RESTORE_ID,
+    ChainLink,
     FastPathTable,
+    Frame,
     _Action,
-    _Frame,
     columnar_kernel,
     compile_table,
 )
@@ -156,8 +164,15 @@ class _ThreadState:
     thread: ThreadId
     id_value: int
     ccstack: CcStack
-    frames: List[_Frame]
+    frames: List[Frame]
     spawned_entry: Optional[FunctionId] = None
+
+
+def _chain_after(old: Frame) -> Tuple[ChainLink, ...]:
+    """The tail chain of the frame that replaces ``old`` (Figure 7)."""
+    function, callsite, _, _, _, kind, chain = old
+    assert callsite is not None, "the bottom frame is never tail-replaced"
+    return chain + ((function, callsite, kind),)
 
 
 @dataclass
@@ -345,15 +360,7 @@ class DacceEngine:
             thread=0,
             id_value=0,
             ccstack=CcStack(),
-            frames=[
-                _Frame(
-                    function=root,
-                    callsite=None,
-                    restore_id=0,
-                    cc_state=(0, 0),
-                    action=_Action.NONE,
-                )
-            ],
+            frames=[(root, None, 0, (0, 0), _Action.NONE, CallKind.NORMAL, ())],
         )
         # Fast-path specialisation state (docs/PERFORMANCE.md).  The
         # compiled dispatch table is built lazily on the first batch and
@@ -949,7 +956,7 @@ class DacceEngine:
         has no encoding, and the pseudo id is what lets Algorithm 1
         match the boundary entries on the ccStack.
         """
-        function = state.frames[-1].function
+        function = state.frames[-1][FRAME_FUNCTION]
         fns = self._targeted_fns
         if fns is not None and function not in fns:
             function = UNTRACKED_FUNCTION
@@ -990,20 +997,20 @@ class DacceEngine:
             )
             return
         frames = state.frames
-        if frames[-1].function != event.caller:
+        if frames[-1][FRAME_FUNCTION] != event.caller:
             # A caller live deeper in the shadow stack means missed
             # returns: recover unwinds to it, resynchronises the thread
             # and applies the call.  Any other caller is dropped.
             for index in range(len(frames) - 2, -1, -1):
-                if frames[index].function == event.caller:
+                if frames[index][FRAME_FUNCTION] == event.caller:
                     break
             else:
                 self._fault(
                     FaultKind.CALLER_MISMATCH,
                     "thread %d: call from %d but current function is %d"
-                    % (event.thread, event.caller, frames[-1].function),
+                    % (event.thread, event.caller, frames[-1][FRAME_FUNCTION]),
                     event,
-                    expected_function=frames[-1].function,
+                    expected_function=frames[-1][FRAME_FUNCTION],
                 )
                 return
             dropped = len(frames) - 1 - index
@@ -1071,10 +1078,10 @@ class DacceEngine:
         if self._obs:
             self._m_returns.inc()
 
-        action = frame.action
-        if frame.is_tail_chain:
+        action = frame[FRAME_ACTION]
+        if frame[FRAME_CHAIN]:
             # TcStack restoration: one restore covers the whole chain.
-            state.ccstack.restore(frame.cc_state)
+            state.ccstack.restore(frame[FRAME_CC_STATE])
             if action is not _Action.UNTRACKED:
                 # A chain that never left untracked code pushed nothing
                 # and carries no TcStack instrumentation to charge.
@@ -1102,7 +1109,7 @@ class DacceEngine:
         elif action is _Action.ID:
             self.cost.charge_id_update()
         # NONE and UNTRACKED returns: restoring the id is all.
-        state.id_value = frame.restore_id
+        state.id_value = frame[FRAME_RESTORE_ID]
 
         self._maybe_check_triggers()
 
@@ -1199,12 +1206,14 @@ class DacceEngine:
             id_value=self._current.max_id + 1,
             ccstack=ccstack,
             frames=[
-                _Frame(
-                    function=event.entry,
-                    callsite=None,
-                    restore_id=self._current.max_id + 1,
-                    cc_state=ccstack.saved_state(),
-                    action=_Action.NONE,
+                (
+                    event.entry,
+                    None,
+                    self._current.max_id + 1,
+                    ccstack.saved_state(),
+                    _Action.NONE,
+                    CallKind.NORMAL,
+                    (),
                 )
             ],
             spawned_entry=event.entry,
@@ -1274,9 +1283,9 @@ class DacceEngine:
         state = self._state(thread)
         steps: List[ContextStep] = []
         for frame in state.frames:
-            for function, callsite, _kind in frame.chain:
+            for function, callsite, _kind in frame[FRAME_CHAIN]:
                 steps.append(ContextStep(function, callsite))
-            steps.append(ContextStep(frame.function, frame.callsite))
+            steps.append(ContextStep(frame[FRAME_FUNCTION], frame[FRAME_CALLSITE]))
         if self._targeted_fns is not None:
             steps = self._collapse_untracked(steps)
         if state.spawned_entry is not None:
@@ -1326,7 +1335,7 @@ class DacceEngine:
     def call_stack_depth(self, thread: ThreadId = 0) -> int:
         """Logical call-stack depth (tail chains included) — Figure 10."""
         state = self._state(thread)
-        return sum(1 + len(frame.chain) for frame in state.frames)
+        return sum(1 + len(frame[FRAME_CHAIN]) for frame in state.frames)
 
     def ccstack_depth(
         self, thread: ThreadId = 0, include_discovery: bool = True
@@ -1478,14 +1487,7 @@ class DacceEngine:
             self.cost.charge_tcstack()
 
         state.frames.append(
-            _Frame(
-                function=event.callee,
-                callsite=event.callsite,
-                restore_id=restore_id,
-                cc_state=cc_state,
-                action=action,
-                kind=event.kind,
-            )
+            (event.callee, event.callsite, restore_id, cc_state, action, event.kind, ())
         )
 
     def _apply_direct(
@@ -1594,21 +1596,21 @@ class DacceEngine:
         """Replace the top frame (Figure 7); restoration via TcStack."""
         self.stats.tail_calls += 1
         old = state.frames.pop()
-        self._tail_calling_functions.add(old.function)
+        self._tail_calling_functions.add(old[FRAME_FUNCTION])
 
         if event.kind is CallKind.INDIRECT:
             action = self._dispatch_indirect(state, event, edge)
         else:
             action = self._apply_direct(state, event, edge)
         state.frames.append(
-            _Frame(
-                function=event.callee,
-                callsite=event.callsite,
-                restore_id=old.restore_id,
-                cc_state=old.cc_state,
-                action=action,
-                kind=event.kind,
-                chain=old.chain + ((old.function, old.callsite, old.kind),),
+            (
+                event.callee,
+                event.callsite,
+                old[FRAME_RESTORE_ID],
+                old[FRAME_CC_STATE],
+                action,
+                event.kind,
+                _chain_after(old),
             )
         )
 
@@ -1643,11 +1645,11 @@ class DacceEngine:
 
         if event.kind is CallKind.TAIL:
             old = state.frames.pop()
-            if old.function in fns:
-                self._tail_calling_functions.add(old.function)
-            chain = old.chain + ((old.function, old.callsite, old.kind),)
-            restore_id = old.restore_id
-            cc_state = old.cc_state
+            if old[FRAME_FUNCTION] in fns:
+                self._tail_calling_functions.add(old[FRAME_FUNCTION])
+            chain = _chain_after(old)
+            restore_id = old[FRAME_RESTORE_ID]
+            cc_state = old[FRAME_CC_STATE]
         else:
             chain = ()
             restore_id = state.id_value
@@ -1674,15 +1676,7 @@ class DacceEngine:
             action = _Action.UNTRACKED
 
         state.frames.append(
-            _Frame(
-                function=event.callee,
-                callsite=event.callsite,
-                restore_id=restore_id,
-                cc_state=cc_state,
-                action=action,
-                kind=event.kind,
-                chain=chain,
-            )
+            (event.callee, event.callsite, restore_id, cc_state, action, event.kind, chain)
         )
         return True
 
@@ -1989,26 +1983,26 @@ class DacceEngine:
         else:
             id_value = 0
 
-        new_frames: List[_Frame] = []
         bottom = state.frames[0]
-        new_frames.append(
-            _Frame(
-                function=bottom.function,
-                callsite=bottom.callsite,
-                restore_id=id_value,
-                cc_state=ccstack.saved_state(),
-                action=_Action.NONE,
-                kind=bottom.kind,
+        new_frames: List[Frame] = [
+            (
+                bottom[FRAME_FUNCTION],
+                bottom[FRAME_CALLSITE],
+                id_value,
+                ccstack.saved_state(),
+                _Action.NONE,
+                bottom[FRAME_KIND],
+                (),
             )
-        )
+        ]
 
         fns = self._targeted_fns
-        prev_fn = bottom.function
+        prev_fn = bottom[FRAME_FUNCTION]
         for frame in state.frames[1:]:
             chain_restore_id = id_value
             chain_cc_state = ccstack.saved_state()
-            transitions = list(frame.chain) + [
-                (frame.function, frame.callsite, frame.kind)
+            transitions = list(frame[FRAME_CHAIN]) + [
+                (frame[FRAME_FUNCTION], frame[FRAME_CALLSITE], frame[FRAME_KIND])
             ]
             action = _Action.NONE
             for function, callsite, kind in transitions:
@@ -2056,14 +2050,14 @@ class DacceEngine:
                         action = _Action.PUSH
                 prev_fn = function
             new_frames.append(
-                _Frame(
-                    function=frame.function,
-                    callsite=frame.callsite,
-                    restore_id=chain_restore_id,
-                    cc_state=chain_cc_state,
-                    action=action,
-                    kind=frame.kind,
-                    chain=frame.chain,
+                (
+                    frame[FRAME_FUNCTION],
+                    frame[FRAME_CALLSITE],
+                    chain_restore_id,
+                    chain_cc_state,
+                    action,
+                    frame[FRAME_KIND],
+                    frame[FRAME_CHAIN],
                 )
             )
 

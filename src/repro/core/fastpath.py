@@ -15,12 +15,14 @@ itself: it patches each call site with the table's entry for its
 callee.  Both drivers deoptimise the same events to the same general
 path, so they count the same hits and misses.
 
-A *stay* is the stretch during which a driver holds one thread's engine
-state in its locals: the id register, its deferred frames, the
-ccStack's depth and operation counts, and the engine counters it has
-folded since the stay began.  Every stay ends in :func:`hand_back`,
-which returns all of it to the engine, so nothing outside a driver ever
-sees engine state that a driver still holds.
+Every driver keeps the same shadow stack: one :data:`Frame` tuple per
+live call, in the thread's ``frames`` list, built by whichever driver
+handled the call.  A *stay* is the stretch during which a driver holds
+one thread's engine state in its locals: the id register, the ccStack's
+current checkpoint, depth and operation counts, and the engine counters
+it has folded since the stay began.  Every stay ends in
+:func:`hand_back`, which returns all of it to the engine, so nothing
+outside a driver ever sees engine state that a driver still holds.
 
 The table is a pure *specialisation cache*: every entry restates what
 the general path would compute for that edge under the current
@@ -314,36 +316,39 @@ class _Action(enum.Enum):
     BOUNDARY_RE = 7     # targeted mode: re-entry into the subgraph
 
 
-@dataclass(slots=True)
-class _Frame:
-    """Shadow-stack frame.
+#: One link of a tail chain: ``(function, callsite, kind)`` of a frame
+#: a tail call replaced.
+ChainLink = Tuple[FunctionId, CallSiteId, CallKind]
 
-    ``chain`` holds the (function, callsite, kind) sequence of tail-call
-    replaced predecessors — the logical context includes them even though
-    their machine frames are gone.  ``restore_id`` / ``cc_state`` are the
-    encoding context at entry of the *chain head*, which is what the
-    TcStack restores after a tail-call chain returns (Figure 7).
-
-    The general path allocates one frame per call it handles; the
-    columnar kernel builds frames only for the calls still live when it
-    leaves a thread (see :func:`_materialise`), so a call that returns
-    within one kernel stay never gets one.  Frames are never mutated, so
-    the chain is an immutable tuple (shared between a frame and its
-    regenerated twin) and the class is slotted to keep construction
-    cheap.
-    """
-
-    function: FunctionId
-    callsite: Optional[CallSiteId]
-    restore_id: int
-    cc_state: Tuple[int, int]
-    action: _Action
-    kind: CallKind = CallKind.NORMAL
-    chain: Tuple[Tuple[FunctionId, CallSiteId, CallKind], ...] = ()
-
-    @property
-    def is_tail_chain(self) -> bool:
-        return bool(self.chain)
+#: One shadow-stack frame: ``(function, callsite, restore_id, cc_state,
+#: action, kind, chain)``, read through the ``FRAME_*`` indices.
+#:
+#: ``restore_id`` and ``cc_state`` (the ccStack's ``(physical length,
+#: top count)`` checkpoint, :meth:`CcStack.saved_state`) are the encoding
+#: context at entry of the *chain head*, which is what a return restores
+#: and what the TcStack restores after a tail-call chain returns
+#: (Figure 7).  ``chain`` holds the :data:`ChainLink` of every tail-call
+#: replaced predecessor, oldest first: the logical context includes them
+#: even though their machine frames are gone.  Every driver pushes this
+#: tuple for every call it handles, so a frame is never rebuilt, and
+#: frames are never mutated, so a chain is shared between a frame and
+#: its regenerated twin.
+Frame = Tuple[
+    FunctionId,
+    Optional[CallSiteId],
+    int,
+    Tuple[int, int],
+    _Action,
+    CallKind,
+    Tuple[ChainLink, ...],
+]
+FRAME_FUNCTION = 0
+FRAME_CALLSITE = 1
+FRAME_RESTORE_ID = 2
+FRAME_CC_STATE = 3
+FRAME_ACTION = 4
+FRAME_KIND = 5
+FRAME_CHAIN = 6
 
 
 # ----------------------------------------------------------------------
@@ -362,21 +367,19 @@ class _Frame:
 # live in locals, so the steady-state inner loop is one dict probe plus
 # one integer add over raw integer columns.
 #
-# Frames are *deferred*: every call the kernel handles pushes a scratch
-# tuple, and real ``_Frame`` objects are built only when the kernel
-# leaves a thread (deopt, thread switch, exit).  Nothing observes
-# ``state.frames`` between kernel events, so a call/return pair wholly
-# inside one stay on a thread never needs its frame.  Encoded and
-# ``UNTRACKED`` calls push ``(function, callsite, restore_id, action)``,
-# and encoded INDIRECT and PLT calls add their ``CallKind`` (a tail
-# chain records the kind of the frame it replaces); calls that touch
-# the ccStack (``PUSH``, ``COMPRESS``, ``BOUNDARY_DEP``,
-# ``BOUNDARY_RE``) add their pre-push checkpoint ``(physical length, top
-# count)``, read off the stack's storage.  Materialisation walks the
-# scratch list newest to oldest and gives each encoded frame the
-# checkpoint of the nearest younger ccStack frame (the current one if
-# there is none): within a call's extent the ccStack returns to its entry
-# state, which is ``saved_state()``'s invariant.
+# Every call the kernel handles pushes its :data:`Frame` straight onto
+# the thread's ``frames``, as the general path does, and every return it
+# handles pops one; there is no second frame representation.  The frame's
+# ``cc_state`` is the ccStack checkpoint at the call, which the kernel
+# keeps in a local: it is read (``saved_state()``) when the kernel enters
+# a thread, an encoded or untracked call's frame takes it as it is, a
+# push, compression or boundary push advances it, and a return restores
+# it from the popped frame.  That restore is exact because within a
+# call's extent the ccStack returns to its entry state, which is
+# ``saved_state()``'s invariant.  An encoded INDIRECT or PLT call's frame
+# keeps its ``CallKind``: a tail chain records the kind of the frame it
+# replaces.  The loop reads frames by literal index, the ``FRAME_*``
+# values, which saves a global load per read.
 #
 # The kernel works on the ccStack's storage (:data:`CcEntry` lists)
 # directly.  On the first ccStack event of a stay on a thread it takes
@@ -400,10 +403,10 @@ class _Frame:
 # ``_apply_targeted``: a call with exactly one end in the set crosses
 # the boundary, pushing ``<id, UNTRACKED_CALLSITE, tracked end>`` (with
 # the same capacity test), setting ``id = maxID + 1`` and getting a
-# ``BOUNDARY_DEP``/``BOUNDARY_RE`` scratch frame, whose return pops; a
-# call with neither end in the set gets an ``UNTRACKED`` scratch frame,
-# which only restores the id.  Boundary pushes and pops are counted
-# apart from back-edge ones: they are ``boundary_crossings``, never
+# ``BOUNDARY_DEP``/``BOUNDARY_RE`` frame, whose return pops; a call
+# with neither end in the set gets an ``UNTRACKED`` frame, which only
+# restores the id.  Boundary pushes and pops are counted apart from
+# back-edge ones: they are ``boundary_crossings``, never
 # ``back_edge_calls``, and stay out of the trigger-(c) window, because
 # no encoding can remove them.
 #
@@ -415,15 +418,14 @@ class _Frame:
 # category and counts as ``stats.indirect_hits``.
 #
 # A stay on a thread ends at a thread switch, before a deopt and when
-# the kernel returns, and always in :func:`hand_back`: the scratch
-# frames are materialised, the ccStack locals folded, the id register
-# written back and the stay's engine counters flushed.  The kernel then
-# adds the stay's calls to its copy of the adaptive window, so the
-# trigger test ``wcalls + calls >= interval`` stays exact.  On a miss
-# it calls the per-batch ``deopt`` closure (:data:`Deopt`), which runs
-# the general path on that one event and returns ``(window calls,
-# sample countdown, stale)``; the kernel then re-enters the event
-# thread on the next event.  ``stale`` is true when the general path
+# the kernel returns, and always in :func:`hand_back`: the ccStack
+# locals are folded, the id register written back and the stay's engine
+# counters flushed.  The kernel then adds the stay's calls to its copy
+# of the adaptive window, so the trigger test ``wcalls + calls >=
+# interval`` stays exact.  On a miss it calls the per-batch ``deopt``
+# closure (:data:`Deopt`), which runs the general path on that one event
+# and returns ``(window calls, sample countdown, stale)``; the kernel
+# then re-enters the event thread on the next event.  ``stale`` is true when the general path
 # changed what the kernel's arguments were taken from (the dictionary,
 # the tail-caller set) or installed or removed the sampling hook.
 
@@ -437,17 +439,6 @@ KERNEL_STALE = 3  #: a general-path event invalidated the kernel's arguments
 #: kind)`` (see :mod:`repro.core.columnar`).
 ColumnarRow = Tuple[int, int, int, int, int, int]
 
-#: A deferred frame.  Encoded and untracked calls: ``(function,
-#: callsite, restore_id, action)``; encoded INDIRECT and PLT calls add
-#: their kind; calls that touched the ccStack add the pre-push
-#: checkpoint ``(physical length, top count)``.
-_Scratch = Union[
-    Tuple[FunctionId, CallSiteId, int, _Action],
-    Tuple[FunctionId, CallSiteId, int, _Action, CallKind],
-    Tuple[FunctionId, CallSiteId, int, _Action, int, int],
-]
-
-
 #: The per-batch general path for one event the kernel missed:
 #: ``deopt(i, countdown)`` with the event index and the sampling
 #: countdown returns ``(window calls, sampling countdown, stale)``.
@@ -460,33 +451,9 @@ Flush = Callable[
 ]
 
 
-def _materialise(
-    scratch: List[_Scratch], frames: List[_Frame], cc_state: Tuple[int, int]
-) -> None:
-    """Turn deferred scratch frames into real frames, oldest first.
-
-    ``cc_state`` is the ccStack's current checkpoint.  The walk goes
-    newest to oldest: a ccStack frame carries its own pre-push
-    checkpoint, and an encoded frame shares the one of the nearest
-    younger ccStack frame.
-    """
-    built: List[_Frame] = []
-    for sf in reversed(scratch):
-        if len(sf) == 5:
-            built.append(_Frame(sf[0], sf[1], sf[2], cc_state, sf[3], sf[4]))
-            continue
-        if len(sf) == 6:
-            cc_state = (sf[4], sf[5])
-        built.append(_Frame(sf[0], sf[1], sf[2], cc_state, sf[3]))
-    built.reverse()
-    frames.extend(built)
-    scratch.clear()
-
-
 def hand_back(
     state: "_ThreadState",
     cur_id: int,
-    scratch: List[_Scratch],
     ccs: Optional[CcStack],
     depth: int,
     max_depth: int,
@@ -510,10 +477,11 @@ def hand_back(
 ) -> None:
     """End a driver's stay on ``state``: hand its locals back.
 
-    ``cur_id`` is the id register, ``scratch`` the deferred frames and
-    ``ccs`` the ccStack the driver bound (``None`` if it touched none),
-    with the ``depth``, ``max_depth``, pops and decompressions it kept
-    for it.  The rest are the stay's engine counters, which ``flush``
+    ``cur_id`` is the id register and ``ccs`` the ccStack the driver
+    bound (``None`` if it touched none), with the ``depth``,
+    ``max_depth``, pops and decompressions it kept for it.  The frames
+    are already in ``state.frames``.  The rest are the stay's engine
+    counters, which ``flush``
     folds into the engine; the stay's ccStack pushes and compressions
     are among them.  ``indirect`` and ``plt`` count the stay's INDIRECT
     and PLT calls (among ``calls``), ``comparisons`` and
@@ -527,8 +495,6 @@ def hand_back(
             depth, max_depth, pushes + boundary_pushes, compressions,
             cc_pops, cc_decompressions,
         )
-    if scratch:
-        _materialise(scratch, state.frames, state.ccstack.saved_state())
     state.id_value = cur_id
     if calls or returns:
         flush(
@@ -569,6 +535,7 @@ def columnar_kernel(
     entries_get = table.entries.get
     indirect_get = table.indirect_entries.get
     back_get = table.back_entries.get
+    kind_normal = CallKind.NORMAL
     kind_indirect = CallKind.INDIRECT
     kind_plt = CallKind.PLT
     mark_id = table.dictionary.max_id + 1
@@ -580,13 +547,13 @@ def columnar_kernel(
     act_unt = _Action.UNTRACKED
     act_dep = _Action.BOUNDARY_DEP
     act_re = _Action.BOUNDARY_RE
-    scratch: List[_Scratch] = []
-    scratch_append = scratch.append
-    scratch_pop = scratch.pop
     entry: Optional[Union[FastPathEntry, IndirectEntry]]
-    # ``state`` and ``frames`` are bound exactly while ``cur_t != -1``.
+    # ``state``, ``frames`` and ``cc``, the ccStack's current checkpoint
+    # ``(physical length, top count)``, are bound exactly while
+    # ``cur_t != -1``.
     state: "_ThreadState"
-    frames: List[_Frame]
+    frames: List[Frame]
+    cc: Tuple[int, int]
     cur_t = -1
     cur_id = 0
     top_fn = -1
@@ -608,7 +575,7 @@ def columnar_kernel(
             if et != cur_t:
                 if cur_t != -1:
                     hand_back(
-                        state, cur_id, scratch, ccs, depth, max_depth, s_pop, s_dcmp,
+                        state, cur_id, ccs, depth, max_depth, s_pop, s_dcmp,
                         flush, calls, rets, id_updates, tcstack, pushes,
                         compressions, pops, bpushes, bpops, untracked,
                         indirect, plt, comparisons, hashes,
@@ -626,7 +593,8 @@ def columnar_kernel(
                     state = ns
                     frames = ns.frames
                     cur_id = ns.id_value
-                    top_fn = frames[-1].function
+                    cc = ns.ccstack.saved_state()
+                    top_fn = frames[-1][0]
             if cur_t == -1:
                 pass
             elif op == 0:
@@ -634,6 +602,7 @@ def columnar_kernel(
                     key = (cs, ce)
                     if not ek:
                         entry = entries_get(key)
+                        kind = kind_normal
                     elif ek == 1:
                         entry = indirect_get(key)
                         if entry is not None:
@@ -660,11 +629,9 @@ def columnar_kernel(
                             stats.warmstart_handler_hits_avoided += 1
                         edge.invocations += 1
                         delta = entry[0]
-                        act = act_id if delta else act_none
-                        if ek:
-                            scratch_append((ce, cs, cur_id, act, kind))
-                        else:
-                            scratch_append((ce, cs, cur_id, act))
+                        frames.append(
+                            (ce, cs, cur_id, cc, act_id if delta else act_none, kind, ())
+                        )
                         if delta:
                             cur_id += delta
                             id_updates += 1
@@ -702,11 +669,13 @@ def columnar_kernel(
                                 counters[1] += 1
                             if compress:
                                 top[3] = top_count + 1
-                                scratch_append((ce, cs, cur_id, act_cmp, n, top_count))
+                                frames.append((ce, cs, cur_id, cc, act_cmp, kind_normal, ()))
+                                cc = (n, top_count + 1)
                                 compressions += 1
                             else:
                                 ents.append([cur_id, cs, ce, 0, False])
-                                scratch_append((ce, cs, cur_id, act_push, n, top_count))
+                                frames.append((ce, cs, cur_id, cc, act_push, kind_normal, ()))
+                                cc = (n + 1, 0)
                                 pushes += 1
                             depth += 1
                             if depth > max_depth:
@@ -745,12 +714,13 @@ def columnar_kernel(
                             n = len(ents)
                             handled = n < limit
                             if handled:
-                                scratch_append(
+                                frames.append(
                                     (
-                                        ce, cs, cur_id, act_dep if cr_in else act_re,
-                                        n, ents[-1][3] if n else 0,
+                                        ce, cs, cur_id, cc, act_dep if cr_in else act_re,
+                                        kind_normal, (),
                                     )
                                 )
+                                cc = (n + 1, 0)
                                 ents.append(
                                     [cur_id, UNTRACKED_CALLSITE, cr if cr_in else ce, 0, False]
                                 )
@@ -762,7 +732,7 @@ def columnar_kernel(
                                 cur_id = mark_id
                                 bpushes += 1
                         else:
-                            scratch_append((ce, cs, cur_id, act_unt))
+                            frames.append((ce, cs, cur_id, cc, act_unt, kind_normal, ()))
                             untracked += 1
                             handled = True
                         if handled:
@@ -774,38 +744,9 @@ def columnar_kernel(
                                     reason = KERNEL_SAMPLE
                                     break
                             continue
-            elif scratch:
-                sf = scratch_pop()
-                cur_id = sf[2]
-                act = sf[3]
-                if act is act_id:
-                    id_updates += 1
-                elif act is not act_none and act is not act_unt:
-                    # A back-edge or boundary entry, on top by the
-                    # checkpoint invariant.
-                    if act is act_cmp:
-                        ents[-1][3] -= 1
-                        s_dcmp += 1
-                        pops += 1
-                    else:
-                        ents.pop()
-                        s_pop += 1
-                        if act is act_push:
-                            pops += 1
-                        else:
-                            bpops += 1
-                    depth -= 1
-                    if observe is not None:
-                        observe(depth)
-                rets += 1
-                top_fn = scratch[-1][0] if scratch else frames[-1].function
-                if wcalls + calls >= interval:
-                    reason = KERNEL_TRIGGER
-                    break
-                continue
             elif len(frames) > 1:
                 frame = frames[-1]
-                act = frame.action
+                act = frame[4]
                 cc_pop = act is not act_id and act is not act_none and act is not act_unt
                 if cc_pop and ccs is None:
                     ccs = state.ccstack
@@ -813,7 +754,7 @@ def columnar_kernel(
                     s_pop = s_dcmp = 0
                 # Tail chains, discovery entries and a pop from an empty
                 # ccStack (which the general path reports) deoptimise.
-                if not frame.chain and act is not act_disc and (ents or not cc_pop):
+                if not frame[6] and act is not act_disc and (ents or not cc_pop):
                     frames.pop()
                     if act is act_id:
                         id_updates += 1
@@ -833,9 +774,10 @@ def columnar_kernel(
                             pops += 1
                         else:
                             bpops += 1
-                    cur_id = frame.restore_id
+                    cur_id = frame[2]
+                    cc = frame[3]
                     rets += 1
-                    top_fn = frames[-1].function
+                    top_fn = frames[-1][0]
                     if wcalls + calls >= interval:
                         reason = KERNEL_TRIGGER
                         break
@@ -844,7 +786,7 @@ def columnar_kernel(
         # the general path.
         if cur_t != -1:
             hand_back(
-                state, cur_id, scratch, ccs, depth, max_depth, s_pop, s_dcmp,
+                state, cur_id, ccs, depth, max_depth, s_pop, s_dcmp,
                 flush, calls, rets, id_updates, tcstack, pushes,
                 compressions, pops, bpushes, bpops, untracked,
                 indirect, plt, comparisons, hashes,
@@ -860,7 +802,7 @@ def columnar_kernel(
             break
     if cur_t != -1:
         hand_back(
-            state, cur_id, scratch, ccs, depth, max_depth, s_pop, s_dcmp,
+            state, cur_id, ccs, depth, max_depth, s_pop, s_dcmp,
             flush, calls, rets, id_updates, tcstack, pushes,
             compressions, pops, bpushes, bpops, untracked,
             indirect, plt, comparisons, hashes,

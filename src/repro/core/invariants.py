@@ -16,7 +16,7 @@ tests use it to gate every randomly generated encoding.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from .dictionary import EncodingDictionary
 from .events import FunctionId
@@ -24,11 +24,12 @@ from .events import FunctionId
 
 def check_dictionary(dictionary: EncodingDictionary) -> List[str]:
     """All invariant violations of one dictionary (empty list = sound)."""
+    functions = _functions(dictionary)
     violations: List[str] = []
-    violations.extend(_check_acyclic(dictionary))
-    violations.extend(_check_numcc(dictionary))
-    violations.extend(_check_intervals(dictionary))
-    violations.extend(_check_maxid(dictionary))
+    violations.extend(_check_acyclic(dictionary, functions))
+    violations.extend(_check_numcc(dictionary, functions))
+    violations.extend(_check_intervals(dictionary, functions))
+    violations.extend(_check_maxid(dictionary, functions))
     return violations
 
 
@@ -39,8 +40,9 @@ def assert_sound(dictionary: EncodingDictionary) -> None:
 
 
 # ----------------------------------------------------------------------
-def _functions(dictionary: EncodingDictionary):
-    functions = set()
+def _functions(dictionary: EncodingDictionary) -> Set[FunctionId]:
+    """Every function the dictionary's edges touch, and its root."""
+    functions: Set[FunctionId] = set()
     for info in dictionary.edges():
         functions.add(info.caller)
         functions.add(info.callee)
@@ -48,13 +50,15 @@ def _functions(dictionary: EncodingDictionary):
     return functions
 
 
-def _check_acyclic(dictionary: EncodingDictionary) -> List[str]:
+def _check_acyclic(
+    dictionary: EncodingDictionary, functions: Set[FunctionId]
+) -> List[str]:
     adjacency: Dict[FunctionId, List[FunctionId]] = {}
     for info in dictionary.edges():
         if info.encoding is not None:
             adjacency.setdefault(info.caller, []).append(info.callee)
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {fn: WHITE for fn in _functions(dictionary)}
+    color = {fn: WHITE for fn in functions}
     violations = []
     for start in color:
         if color[start] != WHITE:
@@ -82,9 +86,11 @@ def _check_acyclic(dictionary: EncodingDictionary) -> List[str]:
     return violations
 
 
-def _check_numcc(dictionary: EncodingDictionary) -> List[str]:
+def _check_numcc(
+    dictionary: EncodingDictionary, functions: Set[FunctionId]
+) -> List[str]:
     violations = []
-    for fn in _functions(dictionary):
+    for fn in functions:
         total = sum(
             dictionary.numcc(info.caller)
             for info in dictionary.encoded_in_edges(fn)
@@ -98,9 +104,11 @@ def _check_numcc(dictionary: EncodingDictionary) -> List[str]:
     return violations
 
 
-def _check_intervals(dictionary: EncodingDictionary) -> List[str]:
+def _check_intervals(
+    dictionary: EncodingDictionary, functions: Set[FunctionId]
+) -> List[str]:
     violations = []
-    for fn in _functions(dictionary):
+    for fn in functions:
         intervals = sorted(
             (info.encoding, info.encoding + dictionary.numcc(info.caller))
             for info in dictionary.encoded_in_edges(fn)
@@ -123,10 +131,10 @@ def _check_intervals(dictionary: EncodingDictionary) -> List[str]:
     return violations
 
 
-def _check_maxid(dictionary: EncodingDictionary) -> List[str]:
-    peak = max(
-        (dictionary.numcc(fn) for fn in _functions(dictionary)), default=1
-    )
+def _check_maxid(
+    dictionary: EncodingDictionary, functions: Set[FunctionId]
+) -> List[str]:
+    peak = max((dictionary.numcc(fn) for fn in functions), default=1)
     if dictionary.max_id != peak - 1:
         return [
             "maxID = %d but max numCC - 1 = %d"

@@ -46,8 +46,8 @@ from ..core.ccstack import UNTRACKED_CALLSITE, UNTRACKED_FUNCTION, CcEntry, CcSt
 from ..core.context import CallingContext, CollectedSample
 from ..core.engine import DacceConfig, DacceEngine, SampleHook
 from ..core.errors import TraceError
-from ..core.events import CallEvent, ReturnEvent, SampleEvent
-from ..core.fastpath import FastPathTable, _Action, _Frame, _Scratch, hand_back
+from ..core.events import CallEvent, CallKind, ReturnEvent, SampleEvent
+from ..core.fastpath import FastPathTable, Frame, _Action, hand_back
 
 #: Function id reserved for the tracing root (the ``main`` node).
 ROOT_FUNCTION = 0
@@ -110,15 +110,14 @@ _Entry = Tuple[
     Dict[int, Dict[int, _Patch]],
 ]
 
-#: One shadow-stack record per live traced frame: ``(frame, entry,
-#: function, call site, restore id, action)``, plus the pre-push ccStack
-#: checkpoint ``(physical length, top count)`` for a call that pushed.
-#: ``record[2:]`` is the kernel's scratch frame (``hand_back`` input).
-#: Action ``_MIRRORED`` marks a frame that is in ``state.frames`` (its
-#: return is the kernel's materialised-frame return), ``None`` one with
-#: no engine event (targeted mode: the interior of an untracked region).
+#: One shadow-stack record per live traced frame: the Python frame and
+#: its code-cache entry, followed by the engine's
+#: :data:`~repro.core.fastpath.Frame` fields ``(function, call site,
+#: restore id, ccStack checkpoint, action, kind, chain)``, so
+#: ``record[2:]`` is the engine frame for the call.  Action ``None``
+#: marks a record with no engine event (targeted mode: the interior of
+#: an untracked region).
 _Record = Tuple[Any, ...]
-_MIRRORED = object()
 
 
 @dataclass
@@ -455,11 +454,11 @@ class PythonDacceTracer:
         the table they were made from; a new table clears every map.
 
         **Entered state.**  Between events the hook holds the kernel's
-        locals: the id register, the ccStack view (bound lazily), the
-        folded counters and one calls countdown for the engine's sample
-        hook, ``sample_every`` and the adaptive window.  :func:`leave`
-        ends the stay as the kernel does, through
-        :func:`~repro.core.fastpath.hand_back`.  Every miss, sample
+        locals: the id register, the ccStack checkpoint, the ccStack
+        view (bound lazily), the folded counters and one calls
+        countdown for the engine's sample hook, ``sample_every`` and
+        the adaptive window.  :func:`leave` ends the stay as the kernel
+        does, through :func:`~repro.core.fastpath.hand_back`.  Every miss, sample
         and trigger check leaves first and runs the engine with the hook
         detached (:func:`detached`); so do :meth:`flush`, :meth:`sample`,
         :meth:`decode`, :meth:`expected_context` and :meth:`stop`.  The
@@ -469,16 +468,19 @@ class PythonDacceTracer:
         pays one leave and no entry between them.
 
         **One shadow stack.**  ``self._stack`` holds a record per live
-        traced frame (``_Record``).  The records below ``mirrored`` are
-        in ``state.frames`` (action ``_MIRRORED``) or made no engine
-        event; the ones above are the kernel's scratch frames, until
-        :func:`leave` materialises them and marks them mirrored.  A
-        return pops a scratch record as the kernel pops a scratch frame,
-        and a mirrored one as the kernel returns a materialised frame.
-        A call whose caller is not the engine's top function
-        deoptimises, as the kernel's ``top_fn == cr`` test does; the two
-        only disagree after a ``recover`` fault, so it is checked when
-        the hook enters and when a mirrored frame returns.
+        traced frame (``_Record``), and a record that made an engine
+        event carries that event's engine frame, in the layout every
+        driver pushes, as ``record[2:]``.  The records below
+        ``mirrored`` are in ``state.frames`` or made no engine event;
+        the ones above are the stay's own, and :func:`leave` extends
+        ``state.frames`` with their engine frames.  So a return pops
+        one of the stay's records as the kernel pops the frame it
+        pushed, and an older one as the kernel returns a frame it found
+        in ``state.frames``.  A call whose caller is not the engine's
+        top function deoptimises, as the kernel's ``top_fn == cr`` test
+        does; the two only disagree after a ``recover`` fault, so it is
+        checked when the hook enters and when a frame in
+        ``state.frames`` returns.
 
         A call whose parent is not the top live frame (a callback from
         C, or from skipped code) attaches to the top frame, which is
@@ -517,15 +519,18 @@ class PythonDacceTracer:
         act_unt = _Action.UNTRACKED
         act_dep = _Action.BOUNDARY_DEP
         act_re = _Action.BOUNDARY_RE
+        kind_normal = CallKind.NORMAL
 
         # Entered state (see the docstring): bound by ``enter``.
         entered = False
         desync = False
-        #: ``stack[mirrored:]`` holds no mirrored record.
+        #: ``stack[:mirrored]`` is in ``state.frames`` or made no event.
         mirrored = 0
         state: Any = None
-        frames: List[_Frame] = []
+        frames: List[Frame] = []
         cur_id = 0
+        # The ccStack checkpoint ``(physical length, top count)``.
+        cc = (0, 0)
         table: Optional[FastPathTable] = None
         entries_get: Any = None
         back_get: Any = None
@@ -547,12 +552,13 @@ class PythonDacceTracer:
 
         def enter() -> None:
             """Take the engine's state up into the hook's locals."""
-            nonlocal entered, desync, state, frames, cur_id, table
+            nonlocal entered, desync, state, frames, cur_id, cc, table
             nonlocal entries_get, back_get, mark_id, prof, every
             nonlocal p_at, s_at, limit0, left, t_left
             state = engine._threads[0]
             frames = state.frames
             cur_id = state.id_value
+            cc = state.ccstack.saved_state()
             current = engine._ensure_fastpath()
             if current is not table:
                 for patches in patched:
@@ -572,7 +578,7 @@ class PythonDacceTracer:
                 - engine.config.adaptive.check_interval
                 + engine._window.calls
             )
-            desync = frames[-1].function != (
+            desync = frames[-1][0] != (
                 stack[-1][1][1] if stack else ROOT_FUNCTION
             )
             entered = True
@@ -585,13 +591,8 @@ class PythonDacceTracer:
                 return
             entered = False
             # The records above ``mirrored`` that made an engine event
-            # are the stay's scratch frames.
-            scratch: List[_Scratch] = []
-            for i in range(mirrored, len(stack)):
-                record = stack[i]
-                if record[5] is not None:
-                    scratch.append(record[2:])
-                    stack[i] = record[:5] + (_MIRRORED,)
+            # hold the stay's frames.
+            frames.extend([record[2:] for record in stack[mirrored:] if record[6] is not None])
             mirrored = len(stack)
             calls = limit0 - left
             if prof is not None:
@@ -599,7 +600,7 @@ class PythonDacceTracer:
             if every:
                 tracer._calls_since_sample += calls
             hand_back(
-                state, cur_id, scratch, ccs, depth, max_depth, s_pop, s_dcmp,
+                state, cur_id, ccs, depth, max_depth, s_pop, s_dcmp,
                 engine._flush_fastpath_counters, calls, rets, id_updates, tcstack, pushes,
                 compressions, pops, bpushes, bpops, untracked,
             )
@@ -637,8 +638,8 @@ class PythonDacceTracer:
                     setprofile(hook)
 
         def send_call(record: _Record, event: CallEvent) -> None:
-            """Push a call's mirrored record and hand the call to the
-            general path (run :func:`detached`)."""
+            """Push a call's record and hand the call to the general
+            path, which pushes its frame (run :func:`detached`)."""
             nonlocal mirrored
             stack_append(record)
             mirrored = len(stack)
@@ -656,9 +657,11 @@ class PythonDacceTracer:
         ) -> None:
             """Send one call to the general path, then count it towards
             ``sample_every``."""
+            # The general path's frame is the one in ``state.frames``;
+            # the record's own fields only mark it as made an event.
             detached(
                 send_call,
-                (frame, entry, ce, site, 0, _MIRRORED),
+                (frame, entry, ce, site, 0, (0, 0), act_none, kind_normal, ()),
                 CallEvent(0, site, cr, ce),
             )
             period = tracer.sample_every
@@ -784,19 +787,19 @@ class PythonDacceTracer:
             return patch
 
         def frame_return() -> None:
-            """Return of a mirrored frame: the kernel's materialised-frame
-            branch, or the general path."""
-            nonlocal cur_id, rets, id_updates, pops, bpops, s_pop, s_dcmp
+            """Return of a record ``state.frames`` holds: the kernel's
+            return branch, or the general path."""
+            nonlocal cur_id, cc, rets, id_updates, pops, bpops, s_pop, s_dcmp
             nonlocal depth, desync
             if len(frames) > 1:
                 top_frame = frames[-1]
-                act = top_frame.action
+                act = top_frame[4]
                 cc_pop = act is not act_id and act is not act_none and act is not act_unt
                 if cc_pop and ccs is None:
                     bind()
                 # Tail chains, discovery entries and a pop from an empty
                 # ccStack (which the general path reports) deoptimise.
-                if not top_frame.chain and act is not act_disc and (ents or not cc_pop):
+                if not top_frame[6] and act is not act_disc and (ents or not cc_pop):
                     frames.pop()
                     if act is act_id:
                         id_updates += 1
@@ -815,9 +818,10 @@ class PythonDacceTracer:
                             pops += 1
                         else:
                             bpops += 1
-                    cur_id = top_frame.restore_id
+                    cur_id = top_frame[2]
+                    cc = top_frame[3]
                     rets += 1
-                    desync = frames[-1].function != (
+                    desync = frames[-1][0] != (
                         stack[-1][1][1] if stack else ROOT_FUNCTION
                     )
                     if left <= t_left:
@@ -827,7 +831,7 @@ class PythonDacceTracer:
             detached(engine.on_event, _RETURN)
 
         def hook(frame: FrameType, event: str, arg: Any) -> None:
-            nonlocal cur_id, left, rets, id_updates, tcstack, mirrored
+            nonlocal cur_id, cc, left, rets, id_updates, tcstack, mirrored
             nonlocal pushes, compressions, pops, bpushes, bpops, untracked
             nonlocal depth, max_depth, s_pop, s_dcmp
             if event == "call":
@@ -858,7 +862,9 @@ class PythonDacceTracer:
                     if warm and not edge.invocations and edge.seeded:
                         stats.warmstart_handler_hits_avoided += 1
                     edge.invocations += 1
-                    stack_append((frame, patch[1], patch[2], patch[3], cur_id, patch[8]))
+                    stack_append(
+                        (frame, patch[1], patch[2], patch[3], cur_id, cc, patch[8], kind_normal, ())
+                    )
                     delta = patch[5]
                     if delta:
                         cur_id += delta
@@ -896,11 +902,17 @@ class PythonDacceTracer:
                         counters[1] += 1
                     if compress:
                         top_entry[3] = top_count + 1
-                        stack_append((frame, patch[1], ce, cs, cur_id, act_cmp, n, top_count))
+                        stack_append(
+                            (frame, patch[1], ce, cs, cur_id, cc, act_cmp, kind_normal, ())
+                        )
+                        cc = (n, top_count + 1)
                         compressions += 1
                     else:
                         ents.append([cur_id, cs, ce, 0, False])
-                        stack_append((frame, patch[1], ce, cs, cur_id, act_push, n, top_count))
+                        stack_append(
+                            (frame, patch[1], ce, cs, cur_id, cc, act_push, kind_normal, ())
+                        )
+                        cc = (n + 1, 0)
                         pushes += 1
                     depth += 1
                     if depth > max_depth:
@@ -917,7 +929,9 @@ class PythonDacceTracer:
                 elif kind == _SKIP_CALL:
                     return
                 elif kind == _INNER:
-                    stack_append((frame, patch[1], UNTRACKED_FUNCTION, 0, 0, None))
+                    stack_append(
+                        (frame, patch[1], UNTRACKED_FUNCTION, 0, 0, cc, None, kind_normal, ())
+                    )
                     tracer.suppressed_events += 1
                     return
                 elif kind == _BOUNDARY:
@@ -931,10 +945,11 @@ class PythonDacceTracer:
                         return
                     stack_append(
                         (
-                            frame, patch[1], patch[2], patch[3], cur_id, patch[5],
-                            n, ents[-1][3] if n else 0,
+                            frame, patch[1], patch[2], patch[3], cur_id, cc, patch[5],
+                            kind_normal, (),
                         )
                     )
+                    cc = (n + 1, 0)
                     ents.append([cur_id, UNTRACKED_CALLSITE, patch[6], 0, False])
                     depth += 1
                     if depth > max_depth:
@@ -944,7 +959,9 @@ class PythonDacceTracer:
                     cur_id = mark_id
                     bpushes += 1
                 else:
-                    stack_append((frame, patch[1], patch[2], patch[3], cur_id, act_unt))
+                    stack_append(
+                        (frame, patch[1], patch[2], patch[3], cur_id, cc, act_unt, kind_normal, ())
+                    )
                     untracked += 1
                 left -= 1
                 if left <= 0:
@@ -959,17 +976,20 @@ class PythonDacceTracer:
                 if not entered:
                     enter()
                 stack_pop()
-                act = record[5]
+                act = record[6]
+                if len(stack) < mirrored:
+                    # A record ``state.frames`` holds, or one with no event.
+                    mirrored = len(stack)
+                    if act is None:
+                        tracer.suppressed_events += 1
+                    else:
+                        frame_return()
+                    return
                 if act is act_id:
                     id_updates += 1
                 elif act is act_none:
                     pass
-                elif act is _MIRRORED:
-                    mirrored = len(stack)
-                    frame_return()
-                    return
                 elif act is None:
-                    mirrored = min(mirrored, len(stack))
                     tracer.suppressed_events += 1
                     return
                 elif act is not act_unt:
@@ -990,6 +1010,7 @@ class PythonDacceTracer:
                     if observe is not None:
                         observe(depth)
                 cur_id = record[4]
+                cc = record[5]
                 rets += 1
                 if left <= t_left:
                     detached(engine._maybe_check_triggers)
@@ -999,7 +1020,7 @@ class PythonDacceTracer:
             nonlocal mirrored
             while stack:
                 record = stack[-1]
-                if record[5] is None:
+                if record[6] is None:
                     stack_pop()
                     mirrored = min(mirrored, len(stack))
                 else:

@@ -19,7 +19,7 @@ from repro.bench.suite import full_suite
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.context import CallingContext
 from repro.core.decoder import DecodeCache
-from repro.core.engine import DacceConfig, DacceEngine
+from repro.core.engine import CompressionMode, DacceConfig, DacceEngine
 from repro.core.errors import TraceError
 from repro.core.events import (
     EV_CALL,
@@ -528,6 +528,80 @@ def test_boundary_push_past_capacity_deopts_to_the_general_path(policy):
         return engine
 
     _assert_trap_parity(make_engine, trap, policy)
+
+
+# ----------------------------------------------------------------------
+# the kernel's ccStack checkpoint
+# ----------------------------------------------------------------------
+def test_kernel_checkpoints_match_per_event_through_tail_chain_restores():
+    # main(0) -> f(1) over site 10, f -> f over the back edge at site 11
+    # and f -> g(2) over site 12 are kernel hits; g tail-calls h(3) at
+    # site 13, which deoptimises.  The kernel pushes every frame with
+    # its checkpoint local, and the TcStack restore of a chain's return
+    # reads the checkpoint the kernel stored in the chain head's frame,
+    # so a checkpoint the kernel got wrong moves the ccStack itself.
+    tail = CallKind.TAIL
+    warmup = [
+        CallEvent(0, 10, 0, 1),
+        CallEvent(0, 11, 1, 1),
+        CallEvent(0, 12, 1, 2),
+        CallEvent(0, 13, 2, 3, kind=tail),
+        ReturnEvent(0),
+        ReturnEvent(0),
+        ReturnEvent(0),
+    ]
+    events = [
+        CallEvent(0, 10, 0, 1),  # encoded
+        CallEvent(0, 11, 1, 1),  # push
+        CallEvent(0, 11, 1, 1),  # push (a new id)
+        CallEvent(0, 11, 1, 1),  # compress
+        CallEvent(0, 12, 1, 2),  # encoded, above the compression
+        CallEvent(0, 13, 2, 3, kind=tail),  # deopt: chain head g
+        ReturnEvent(0),  # the chain's return restores g's checkpoint
+        ReturnEvent(0),  # the decompressing return
+        CallEvent(0, 12, 1, 2),  # encoded, below the compression
+        CallEvent(0, 13, 2, 3, kind=tail),
+        ReturnEvent(0),
+        ReturnEvent(0),
+        ReturnEvent(0),
+        ReturnEvent(0),
+    ]
+    config = DacceConfig(compression=CompressionMode.ALWAYS)
+
+    def make_engine():
+        engine = DacceEngine(root=0, config=config)
+        for event in warmup:
+            engine.on_event(event)
+        assert engine.reencode()
+        table = engine._ensure_fastpath()
+        assert set(table.entries) == {(10, 1), (12, 2)}
+        assert set(table.back_entries) == {(11, 1)}
+        return engine
+
+    def observed(engine):
+        return (
+            _thread_states(engine),
+            engine.ccstack_stats(),
+            dataclasses.asdict(engine.cost.report),
+        )
+
+    per_event = make_engine()
+    columnar = make_engine()
+    start = 0
+    # Each slab ends with frames live: after the encoded call above the
+    # compression, after the one below it, and at the end.
+    for end in (5, 9, len(events)):
+        for event in events[start:end]:
+            per_event.on_event(event)
+        columnar.process_columns(
+            EventColumns.from_compact([compact(e) for e in events[start:end]])
+        )
+        assert observed(columnar) == observed(per_event), end
+        start = end
+    assert per_event.stats.tail_calls == 3
+    assert columnar.ccstack_stats()["compressions"] == 1
+    # Only the tail calls and the chains' returns left the kernel.
+    assert (columnar.fastpath.hits, columnar.fastpath.misses) == (10, 4)
 
 
 # ----------------------------------------------------------------------

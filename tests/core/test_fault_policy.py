@@ -18,6 +18,7 @@ from repro.core.events import (
     ThreadExitEvent,
     ThreadStartEvent,
 )
+from repro.core.fastpath import FRAME_ACTION, FRAME_FUNCTION
 from repro.core.faults import (
     FaultKind,
     FaultLog,
@@ -99,8 +100,8 @@ def test_resync_keeps_discovery_frames_discovery(rdriver):
     engine.on_event(CallEvent(thread=0, callsite=77, caller=B, callee=D))
     assert engine.faults.records()[-1].recovery is RecoveryAction.UNWOUND
     regenerated = engine._threads[0].frames[1]
-    assert regenerated.function == B
-    assert regenerated.action is _Action.DISCOVERY_PUSH
+    assert regenerated[FRAME_FUNCTION] == B
+    assert regenerated[FRAME_ACTION] is _Action.DISCOVERY_PUSH
     engine.on_event(ReturnEvent(thread=0))  # D
     before = dict(engine.cost.report.charges)
     discovery_ops = engine.stats.discovery_ccstack_ops

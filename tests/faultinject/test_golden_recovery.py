@@ -98,15 +98,16 @@ def _digest(engine: DacceEngine) -> str:
                 [list(e) for e in state.ccstack.entries()],
                 [
                     [
-                        f.function,
-                        f.callsite,
-                        f.restore_id,
-                        list(f.cc_state),
-                        f.action.name,
-                        f.kind.value,
-                        [[fn, cs, kind.value] for fn, cs, kind in f.chain],
+                        function,
+                        callsite,
+                        restore_id,
+                        list(cc_state),
+                        action.name,
+                        kind.value,
+                        [[fn, cs, link_kind.value] for fn, cs, link_kind in chain],
                     ]
-                    for f in state.frames
+                    for function, callsite, restore_id, cc_state, action, kind, chain
+                    in state.frames
                 ],
             ]
         )

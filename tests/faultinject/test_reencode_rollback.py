@@ -55,7 +55,7 @@ def _observable_state(engine):
         "threads": {
             thread: (
                 state.id_value,
-                tuple(frame.function for frame in state.frames),
+                tuple(frame[0] for frame in state.frames),
                 state.ccstack.saved_state(),
             )
             for thread, state in engine._threads.items()

@@ -10,18 +10,16 @@ Both gates count work instead of timing it, so they hold on any host:
   the plan and runtime-only re-entries into it) run in the kernel and
   their ccStack traffic never triggers a pass;
 * once the edges are encoded, a traced run is encoded wholly in the
-  profile hook: no column batch, no general-path event and no
-  ``_Frame``;
-* a recursive back-edge call the hook handles costs a shadow-stack
-  record and a ccStack entry, not a ``_Frame``: frames are built only
-  for the calls still live when the hook leaves.
+  profile hook: no column batch and no general-path event;
+* recursion stays in the hook too: a recursive back-edge call the hook
+  handles costs a shadow-stack record and a ccStack entry, and at most
+  one event in ten back-edge calls reaches the general path.
 """
 
 import importlib.util
 import random
 from collections import Counter
 
-from repro.core import fastpath
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.engine import DacceConfig
 from repro.pytrace import PythonDacceTracer
@@ -72,9 +70,8 @@ def test_front_end_classifies_each_code_object_once(monkeypatch):
 
 
 def test_steady_state_runs_are_encoded_in_the_hook(monkeypatch):
-    # The check interval outlasts the runs: a trigger check leaves the
-    # hook mid-run and materialises the live frames, as the kernel's
-    # trigger exit does.  One explicit pass encodes what run 1 found.
+    # The check interval outlasts the runs, so no trigger check leaves
+    # the hook mid-run.  One explicit pass encodes what run 1 found.
     namespace = _flat_dag()
     tracer = PythonDacceTracer(
         config=DacceConfig(adaptive=AdaptiveConfig(check_interval=10**9))
@@ -85,7 +82,6 @@ def test_steady_state_runs_are_encoded_in_the_hook(monkeypatch):
     work = Counter()
     process_columns = engine.process_columns
     on_event = engine.on_event
-    frame = fastpath._Frame
 
     def counting_process_columns(cols):
         work["process_columns"] += 1
@@ -95,13 +91,8 @@ def test_steady_state_runs_are_encoded_in_the_hook(monkeypatch):
         work["on_event"] += 1
         on_event(event)
 
-    def counting_frame(*args):
-        work["frames"] += 1
-        return frame(*args)
-
     monkeypatch.setattr(engine, "process_columns", counting_process_columns)
     monkeypatch.setattr(engine, "on_event", counting_on_event)
-    monkeypatch.setattr(fastpath, "_Frame", counting_frame)
     hits = engine.fastpath.hits
     for _ in range(3):
         tracer.run(namespace["main"])
@@ -156,7 +147,7 @@ def test_targeted_boundary_crossings_stay_on_the_fast_path(tmp_path):
     assert passes <= 1, rows
 
 
-def test_back_edge_calls_build_no_frames_in_the_kernel(monkeypatch):
+def test_back_edge_calls_stay_in_the_hook(monkeypatch):
     def fib(n):
         return n if n < 2 else fib(n - 1) + fib(n - 2)
 
@@ -177,19 +168,19 @@ def test_back_edge_calls_build_no_frames_in_the_kernel(monkeypatch):
     def workload():
         return fib(16), is_even(150), tree_sum(0)
 
-    built = Counter()
-    frame = fastpath._Frame
-
-    def counting_frame(*args):
-        built["frames"] += 1
-        return frame(*args)
-
-    monkeypatch.setattr(fastpath, "_Frame", counting_frame)
     tracer = PythonDacceTracer()
+    general = Counter()
+    on_event = tracer.engine.on_event
+
+    def counting_on_event(event):
+        general["on_event"] += 1
+        on_event(event)
+
+    monkeypatch.setattr(tracer.engine, "on_event", counting_on_event)
     for _ in range(5):
         assert tracer.run(workload) == (987, True, sum(range(60)))
     engine = tracer.engine
     back_edge_calls = engine.stats.back_edge_calls
     assert back_edge_calls > 10_000, engine.stats
-    assert built["frames"] <= back_edge_calls / 10, (built, back_edge_calls)
+    assert general["on_event"] <= back_edge_calls / 10, (general, back_edge_calls)
     assert engine.fastpath.hit_rate >= 0.95, engine.fastpath_stats()
