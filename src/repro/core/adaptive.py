@@ -73,7 +73,6 @@ class WindowStats:
     calls: int = 0
     unencoded_calls: int = 0
     ccstack_ops: int = 0
-    new_edges: int = 0
 
 
 @dataclass

@@ -79,6 +79,9 @@ class CallGraph:
         self._nodes: Dict[FunctionId, CallNode] = {}
         self._edges: Dict[Tuple[CallSiteId, FunctionId], CallEdge] = {}
         self._root = root
+        #: Call site → containing function; grow-only, read live by the
+        #: engine's decoder.
+        self.callsite_owners: Dict[CallSiteId, FunctionId] = {}
         # Monotone generation counter; bumped on every structural change so
         # dependent caches (encoder output, reachability) can be validated.
         self.generation = 0
@@ -141,6 +144,7 @@ class CallGraph:
         caller_node.out_edges.append(edge)
         callee_node.in_edges.append(edge)
         self._edges[key] = edge
+        self.callsite_owners[callsite] = caller
         self.generation += 1
         return edge
 
@@ -259,7 +263,11 @@ class CallGraph:
     # bulk helpers
     # ------------------------------------------------------------------
     def copy(self) -> "CallGraph":
-        """A deep structural copy (fresh edge objects, counters kept)."""
+        """A deep structural copy (fresh edge objects, counters kept).
+
+        Back-edge flags are copied verbatim, not re-derived: the source
+        graph already satisfies the acyclic-skeleton invariant.
+        """
         clone = CallGraph(self._root)
         for fn in self._nodes:
             clone.add_node(fn)
@@ -270,6 +278,7 @@ class CallGraph:
                 edge.callsite,
                 kind=edge.kind,
                 force_back=edge.is_back,
+                classify=False,
             )
             new.invocations = edge.invocations
             new.seeded = edge.seeded

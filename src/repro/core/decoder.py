@@ -69,11 +69,13 @@ class DecodeCache:
 
     Decoding is a pure function of the sample and the decoding state it
     is resolved against: dictionaries are immutable snapshots (one per
-    ``gTimeStamp``), thread-parent samples are write-once, and the
-    callsite-owner map only grows — an owner a past decode used can
-    never change.  A successful decode therefore never goes stale and
-    can be memoised for the lifetime of the decoding state, in the
-    value-context style (cache per-context results, invalidate never).
+    ``gTimeStamp``), the callsite-owner map only grows, and thread-parent
+    samples are only added as long as every thread start gets a fresh
+    thread id (a reused id replaces the earlier spawn's sample; the
+    engine does not check).  A successful decode therefore never goes
+    stale and can be memoised for the lifetime of the decoding state,
+    in the value-context style (cache per-context results, invalidate
+    never).
     Failed decodes are *not* cached: a later sample set (or a
     best-effort state reload) may supply what was missing.
 
@@ -141,9 +143,13 @@ class Decoder:
     (Section 5.3); with it, :meth:`decode` reconstructs full cross-thread
     contexts by recursively decoding and prepending the parent context.
 
+    The decoder holds its inputs by reference, never copying them: the
+    engine's decoder reads its live dictionary store, thread-parent map
+    and callsite-owner map, so one instance decodes everything the
+    engine records after it was made.
+
     ``cache`` optionally memoises successful decodes (see
-    :class:`DecodeCache`); pass a shared instance to reuse results
-    across decoders built over the same decoding state.
+    :class:`DecodeCache`).
     """
 
     def __init__(
@@ -154,13 +160,13 @@ class Decoder:
         cache: Optional[DecodeCache] = None,
     ):
         self._dictionaries = dictionaries
-        self._thread_parents = thread_parents or {}
+        self._thread_parents = {} if thread_parents is None else thread_parents
         # A call site is an *address*; the function containing it is a
         # static property, resolvable even when the edge it fed was
         # discovered after the sample's dictionary snapshot.  The engine
         # supplies this map (its full call graph) so Algorithm 1's
         # ``getEdge`` can always recover the saved caller.
-        self._callsite_owners = callsite_owners or {}
+        self._callsite_owners = {} if callsite_owners is None else callsite_owners
         self.cache = cache
 
     # ------------------------------------------------------------------

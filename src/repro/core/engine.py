@@ -298,7 +298,9 @@ class DacceEngine:
                     "warm-start dictionary must be at gTimeStamp 0, got %d"
                     % warm_start.dictionary.timestamp
                 )
-            graph = warm_start.graph
+            # A copy: runtime edges, counters and back-edge flags must
+            # not leak into the next engine built from the same plan.
+            graph = warm_start.graph.copy()
         self.graph = graph if graph is not None else CallGraph(root)
         if graph is not None:
             root = graph.root
@@ -368,10 +370,16 @@ class DacceEngine:
         # pins go stale.
         self._fastpath: Optional[FastPathTable] = None
         self.fastpath = FastPathStats()
-        # Shared LRU decode cache: dictionaries are immutable and
-        # thread-parent samples are write-once, so a successful decode
-        # stays valid for the lifetime of the engine (docs/PERFORMANCE.md).
+        # The one decoder, over live references to the decoding state;
+        # a successful decode stays valid for the lifetime of the engine
+        # (docs/PERFORMANCE.md), so its LRU cache is never invalidated.
         self._decode_cache = DecodeCache()
+        self._decoder = Decoder(
+            self.dictionaries,
+            self.thread_parents,
+            callsite_owners=self.graph.callsite_owners,
+            cache=self._decode_cache,
+        )
         # Continuous-profiling hook: None costs one test per call.
         self._prof: Optional[SampleHook] = None
         # Telemetry: one boolean guards every hot-path hook; instruments
@@ -898,21 +906,14 @@ class DacceEngine:
             )
 
     def decoder(self) -> Decoder:
-        """A decoder over every dictionary produced so far.
+        """The engine's one decoder, the same object on every call.
 
-        All decoders built from one engine share its LRU
-        :class:`~repro.core.decoder.DecodeCache`: dictionaries are
-        immutable, thread-parent samples are write-once and the
-        callsite-owner map only grows, so a successful decode never goes
-        stale (docs/PERFORMANCE.md).
+        It reads the engine's dictionaries, thread parents and
+        callsite owners live, so it decodes samples recorded after it
+        was obtained, and its :class:`~repro.core.decoder.DecodeCache`
+        memoises for the engine's lifetime (docs/PERFORMANCE.md).
         """
-        owners = {edge.callsite: edge.caller for edge in self.graph.edges()}
-        return Decoder(
-            self.dictionaries,
-            dict(self.thread_parents),
-            callsite_owners=owners,
-            cache=self._decode_cache,
-        )
+        return self._decoder
 
     # ------------------------------------------------------------------
     # continuous-profiling hook
@@ -1141,7 +1142,7 @@ class DacceEngine:
         from .errors import DecodingError  # local: avoid cycle at import
 
         try:
-            decoded = self.decoder().decode(sample)
+            decoded = self._decoder.decode(sample)
         except DecodingError as error:
             self.stats.validation_failures += 1
             logger.warning(
@@ -1291,7 +1292,8 @@ class DacceEngine:
         if state.spawned_entry is not None:
             parent_sample = self.thread_parents.get(thread)
             if parent_sample is not None:
-                parent = self._shadow_context_of_sample(parent_sample)
+                # Parent threads may have exited: decode their spawn sample.
+                parent = self._decoder.decode(parent_sample)
                 steps[0] = ContextStep(
                     steps[0].function, CLONE_CALLSITE, steps[0].count
                 )
@@ -1328,10 +1330,6 @@ class DacceEngine:
                 out.append(step)
         return out
 
-    def _shadow_context_of_sample(self, sample: CollectedSample) -> CallingContext:
-        """Decode a parent-thread spawn sample (threads may have exited)."""
-        return self.decoder().decode(sample)
-
     def call_stack_depth(self, thread: ThreadId = 0) -> int:
         """Logical call-stack depth (tail chains included) — Figure 10."""
         state = self._state(thread)
@@ -1360,7 +1358,7 @@ class DacceEngine:
         This is the tool-facing query the paper's clients issue: take
         the compact runtime state and expand it on demand.
         """
-        return self.decoder().decode(self._sample(self._state(thread)))
+        return self._decoder.decode(self._sample(self._state(thread)))
 
     def summary(self) -> Dict[str, object]:
         """A one-stop status snapshot for tooling and logs."""

@@ -137,7 +137,8 @@ def decoding_state_to_dict(engine) -> Dict[str, Any]:
         "format": FORMAT_VERSION,
         "dictionaries": dictionaries,
         "callsite_owners": {
-            str(edge.callsite): edge.caller for edge in engine.graph.edges()
+            str(callsite): owner
+            for callsite, owner in engine.graph.callsite_owners.items()
         },
         "thread_parents": {
             str(thread): sample_to_dict(sample)

@@ -6,9 +6,9 @@ through a pluggable :class:`~repro.ingest.sinks.EventSink`:
 
 * **Sample batches** — rides the engine's continuous-profiling hook;
   samples are buffered raw on the hot path (one list append) and decoded
-  lazily at flush time through the engine's shared memoized
-  :class:`~repro.core.decoder.DecodeCache`, then emitted as one
-  ``profile.samples`` frame carrying decoded paths.
+  lazily at flush time through ``engine.decoder()`` (one live decoder
+  per engine, memoised by its :class:`~repro.core.decoder.DecodeCache`),
+  then emitted as one ``profile.samples`` frame carrying decoded paths.
 * **Re-encoding passes** — via ``engine.reencode_listeners``; one
   ``reencode.pass`` frame per committed pass.
 * **Faults** — via ``engine.faults.subscribe``; one ``fault`` frame per
@@ -36,7 +36,6 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.context import CollectedSample
-from ..core.decoder import Decoder
 from ..obs.spans import NULL_SPANS, SpanRecorder
 from .frames import FRAME_SCHEMA, frame_line, make_frame, sample_entry
 from .sinks import EventSink, SinkError
@@ -82,8 +81,6 @@ class FrameEmitter:
         self._in_emit = False
         self._engine = None
         self._buffer: List[Tuple[CollectedSample, float]] = []
-        self._decoder: Optional[Decoder] = None
-        self._decoder_pin: Optional[Tuple[int, int, int]] = None
         self._entry_cache: Dict[Tuple[CollectedSample, float], str] = {}
         self._last_stats: Dict[str, float] = {}
         self._last_heartbeat = 0.0
@@ -191,8 +188,6 @@ class FrameEmitter:
                 pass
             self._reencode_listener = None
         self._engine = None
-        self._decoder = None
-        self._decoder_pin = None
         self._entry_cache.clear()
 
     def complete(self) -> None:
@@ -246,41 +241,23 @@ class FrameEmitter:
     # ------------------------------------------------------------------
     # flush points
     # ------------------------------------------------------------------
-    def _current_decoder(self) -> Decoder:
-        """The engine's decoder, rebuilt only when its inputs moved.
-
-        ``engine.decoder()`` walks every graph edge to build the
-        callsite-owner map; pinning on (gTimeStamp, thread-parents,
-        edge-count) amortizes that walk across sample batches while the
-        shared :class:`DecodeCache` memoizes the decodes themselves.
-        """
-        engine = self._engine
-        assert engine is not None
-        pin = (
-            engine.stats.reencodings,
-            len(engine.thread_parents),
-            engine.graph.num_edges,
-        )
-        if self._decoder is None or pin != self._decoder_pin:
-            self._decoder = engine.decoder()
-            self._decoder_pin = pin
-        return self._decoder
-
     def flush_samples(self) -> int:
         """Decode + emit buffered samples as one ``profile.samples`` frame.
 
         Entries are memoized as serialized JSON fragments keyed by
         ``(sample, weight)``: steady-state workloads revisit the same
         hot contexts, so a flush is mostly dictionary lookups plus one
-        join instead of per-sample decode + serialization.  Only
-        complete decodes are cached — a partial decode can become
-        complete after the next re-encoding pass — mirroring the
-        DecodeCache's failed-decodes-are-not-cached policy.
+        join instead of per-sample decode + serialization.  Misses
+        decode through the engine's one live decoder, which always sees
+        the engine's current dictionaries, call sites and thread
+        parents.  Only complete decodes are cached — a partial decode
+        can become complete after the next re-encoding pass — mirroring
+        the DecodeCache's failed-decodes-are-not-cached policy.
         """
         if not self._buffer or self._engine is None:
             return 0
         buffer, self._buffer = self._buffer, []
-        decoder: Optional[Decoder] = None
+        decoder = self._engine.decoder()
         cache = self._entry_cache
         fragments = []
         append = fragments.append
@@ -288,8 +265,6 @@ class FrameEmitter:
             fragment = cache.get(key)
             if fragment is None:
                 sample, weight = key
-                if decoder is None:
-                    decoder = self._current_decoder()
                 result = decoder.decode_best_effort(sample)
                 entry = sample_entry(
                     result.context.functions(),

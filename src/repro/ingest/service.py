@@ -66,8 +66,6 @@ from typing import (
 
 import time
 
-from ..core.context import CallingContext
-from ..core.faults import PartialDecode
 from ..obs.exporters import to_prometheus_text
 from ..obs.registry import DEFAULT_DURATION_BUCKETS, MetricsRegistry
 from ..obs.spans import NULL_SPANS, SpanContext, SpanRecorder
@@ -346,26 +344,14 @@ class IngestService:
         admit_pending = admit_seconds if tracing else None
         with self._lock:
             state = self._run_state(run_id)
-            if not tracing:
-                for line in lines:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    envelope = self._envelope_line(state, line, source)
-                    outcome = self._fold(envelope)
-                    counts[outcome] += 1
-                    state.outcomes[outcome] = (
-                        state.outcomes.get(outcome, 0) + 1
-                    )
-                    self._persist(state, envelope)
-                    self._publish(envelope)
-            else:
-                for line in lines:
-                    line = line.strip()
-                    if not line:
-                        continue
+            for line in lines:
+                line = line.strip()
+                if not line:
+                    continue
+                if tracing:
                     t0 = time.perf_counter()
-                    envelope = self._envelope_line(state, line, source)
+                envelope = self._envelope_line(state, line, source)
+                if tracing:
                     validate_dur = time.perf_counter() - t0
                     parent = SpanContext.from_frame_field(envelope.trace)
                     if parent is not None and admit_pending is not None:
@@ -377,22 +363,22 @@ class IngestService:
                         "validate", "ingest.validate", validate_dur, parent
                     )
                     t1 = time.perf_counter()
-                    outcome = self._fold(envelope)
-                    fold_dur = time.perf_counter() - t1
+                outcome = self._fold(envelope)
+                if tracing:
                     self._stage_span(
-                        "fold", "ingest.fold", fold_dur, parent,
-                        outcome=outcome,
+                        "fold", "ingest.fold", time.perf_counter() - t1,
+                        parent, outcome=outcome,
                     )
-                    counts[outcome] += 1
-                    state.outcomes[outcome] = (
-                        state.outcomes.get(outcome, 0) + 1
-                    )
+                counts[outcome] += 1
+                state.outcomes[outcome] = state.outcomes.get(outcome, 0) + 1
+                if tracing:
                     t2 = time.perf_counter()
-                    self._persist(state, envelope)
-                    self._publish(envelope)
-                    publish_dur = time.perf_counter() - t2
+                self._persist(state, envelope)
+                self._publish(envelope)
+                if tracing:
                     self._stage_span(
-                        "publish", "ingest.publish", publish_dur, parent
+                        "publish", "ingest.publish",
+                        time.perf_counter() - t2, parent,
                     )
             last_sequence = state.sequence
             if state._handle is not None:
@@ -595,16 +581,15 @@ class IngestService:
         return OUTCOME_FOLDED
 
     def _fold_samples(self, state: RunState, payload: Dict[str, Any]) -> None:
+        add_path = self.aggregator.add_path
         for entry in payload.get("samples", ()):
-            path = tuple(entry.get("path", ()))
             weight = float(entry.get("weight", 1.0))
-            gts = int(entry.get("gts", 0))
-            context = CallingContext.from_functions(path)
-            if entry.get("partial"):
-                result: Any = PartialDecode(context=context, complete=False)
-            else:
-                result = context
-            self.aggregator.add_decoded(result, weight, timestamp=gts)
+            add_path(
+                entry.get("path", ()),
+                weight,
+                int(entry.get("gts", 0)),
+                bool(entry.get("partial")),
+            )
             state.samples += 1
             state.weight += weight
 

@@ -225,7 +225,8 @@ class CCTAggregator:
       the attached decoder (best-effort: partial decodes are kept).
       This is the live path the engine's sampling hook drives.
     * :meth:`add_decoded` — ingest an already decoded
-      :class:`CallingContext` / :class:`PartialDecode`.
+      :class:`CallingContext` / :class:`PartialDecode`; it unwraps into
+      :meth:`add_path`, which ingest calls with shipped paths directly.
     * :meth:`aggregate_log` — batch path: shard a recorded log through
       :func:`~repro.core.parallel.decode_log_parallel` (worker-local
       :class:`~repro.core.decoder.DecodeCache` memoisation) and fold
@@ -315,12 +316,22 @@ class CCTAggregator:
     ) -> None:
         """Fold one decode result into the tree (epoch-merge rule)."""
         if isinstance(result, PartialDecode):
-            context = result.context
-            partial = not result.complete
+            self.add_path(
+                result.context.functions(), weight, timestamp,
+                not result.complete,
+            )
         else:
-            context = result
-            partial = False
-        path = context.functions()
+            self.add_path(result.functions(), weight, timestamp)
+
+    def add_path(
+        self,
+        path: Sequence[int],
+        weight: float = 1.0,
+        timestamp: Optional[int] = None,
+        partial: bool = False,
+    ) -> None:
+        """Fold one decoded function path; a ``partial`` one files under
+        ``<partial>``."""
         with self._lock:
             self.samples_total += 1
             self.weight_total += weight

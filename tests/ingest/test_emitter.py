@@ -181,12 +181,14 @@ def test_repeated_contexts_hit_the_entry_cache():
     assert misses_after_first >= 1
     run_simple_workload(engine, 40)  # identical contexts, same epoch
     decoder_calls = []
-    emitter._decoder.decode_best_effort = lambda sample: decoder_calls.append(
+    decoder = engine.decoder()
+    decoder.decode_best_effort = lambda sample: decoder_calls.append(
         sample
     )  # would blow up if consulted
     emitter.flush_samples()
     assert decoder_calls == []  # every entry came from the cache
-    emitter._decoder = None  # drop the instrumented decoder
+    # The decoder lives as long as the engine: drop the instrumentation.
+    del decoder.decode_best_effort
     emitter.detach()
 
 

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.core.context import CallingContext
+from repro.core.faults import PartialDecode
 from repro.ingest import (
     ENVELOPE_SCHEMA,
     FRAME_SCHEMA,
@@ -15,6 +17,7 @@ from repro.ingest import (
     sample_entry,
     samples_payload,
 )
+from repro.prof import CCTAggregator
 
 
 def make_sample_line(paths, weight=1.0, gts=0, seq=0):
@@ -38,6 +41,37 @@ def test_fold_counts_and_aggregation(recorded_frames):
     (main,) = tree["root"]["children"]
     assert main["name"] == "main"
     assert {child["name"] for child in main["children"]} == {"a"}
+
+
+def test_fold_samples_matches_the_add_decoded_route():
+    """Ingest folds shipped paths directly; the tree and the aggregator
+    counters equal folding the same entries as decode results."""
+    entries = [
+        sample_entry([0, 1, 2], 2.0, 0),
+        sample_entry([0, 1], 1.0, 1),
+        sample_entry([2, 3], 3.0, 1, partial=True, reason="stuck"),
+        sample_entry([0, 1, 2], 1.5, 1),
+        sample_entry([3], 0.5, 2, thread=1, partial=True),
+    ]
+    service = IngestService()
+    service.ingest_lines(
+        "r1",
+        [frame_line(make_frame(
+            "profile.samples", samples_payload(entries), 100.0, 0
+        ))],
+    )
+    reference = CCTAggregator()
+    for entry in entries:
+        context = CallingContext.from_functions(entry["path"])
+        result = (
+            PartialDecode(context=context, complete=False)
+            if entry.get("partial")
+            else context
+        )
+        reference.add_decoded(result, entry["weight"], timestamp=entry["gts"])
+    assert service.aggregator.to_dict() == reference.to_dict()
+    assert service.aggregator.stats() == reference.stats()
+    assert reference.stats()["samples_partial"] == 2
 
 
 def test_sequence_is_strictly_monotonic_across_batches():

@@ -175,3 +175,22 @@ def test_cold_engine_has_zero_warmstart_counters(program):
     run_workload(program, spec, engine)
     assert engine.stats.static_seeded_edges == 0
     assert engine.stats.warmstart_handler_hits_avoided == 0
+
+
+def test_engines_from_one_plan_match_engines_from_fresh_plans(program):
+    """An engine runs on a copy of its plan's graph: runtime edges,
+    invocation counts and back-edge flags never reach the next engine
+    built from the same plan."""
+    spec = WorkloadSpec(calls=3_000, seed=2, recursion_affinity=0.4)
+
+    def run(plan):
+        engine = DacceEngine(warm_start=plan)
+        run_workload(program, spec, engine)
+        return engine.stats, engine.max_id, engine.cost.report
+
+    shared = build_warmstart(extract_program(program))
+    reused = [run(shared) for _ in range(2)]
+    fresh = [run(build_warmstart(extract_program(program))) for _ in range(2)]
+    assert reused == fresh
+    assert reused[0][0].warmstart_handler_hits_avoided > 0
+    assert all(edge.invocations == 0 for edge in shared.graph.edges())
