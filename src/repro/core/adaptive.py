@@ -328,8 +328,6 @@ def classify_back_edges(graph: CallGraph, priority: str = "frequency", seed: int
     rng = random.Random(seed)
     for edges in nontrivial.values():
         changed += _classify_within_component(edges, priority, rng)
-    if changed:
-        graph.generation += 1
     return changed
 
 

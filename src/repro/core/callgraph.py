@@ -82,9 +82,6 @@ class CallGraph:
         #: Call site → containing function; grow-only, read live by the
         #: engine's decoder.
         self.callsite_owners: Dict[CallSiteId, FunctionId] = {}
-        # Monotone generation counter; bumped on every structural change so
-        # dependent caches (encoder output, reachability) can be validated.
-        self.generation = 0
         self.add_node(root)
 
     # ------------------------------------------------------------------
@@ -101,7 +98,6 @@ class CallGraph:
         if node is None:
             node = CallNode(function)
             self._nodes[function] = node
-            self.generation += 1
         return node
 
     def add_edge(
@@ -145,7 +141,6 @@ class CallGraph:
         callee_node.in_edges.append(edge)
         self._edges[key] = edge
         self.callsite_owners[callsite] = caller
-        self.generation += 1
         return edge
 
     # ------------------------------------------------------------------
@@ -331,13 +326,9 @@ def dfs_classify_back_edges(graph: CallGraph) -> int:
                 position += 1
                 target_color = color[edge.callee]
                 if target_color == GRAY:
-                    if not edge.is_back:
-                        graph.generation += 1
                     edge.is_back = True
                     back += 1
                 else:
-                    if edge.is_back:
-                        graph.generation += 1
                     edge.is_back = False
                     if target_color == WHITE:
                         color[edge.callee] = GRAY

@@ -186,25 +186,6 @@ class DictionaryStore:
             del self._by_timestamp[ts]
         return len(doomed)
 
-    def discard_newer(self, timestamp: int) -> int:
-        """Drop dictionaries newer than ``timestamp`` (re-encoding rollback).
-
-        Returns the number removed and re-derives the latest pointer, so
-        an aborted pass leaves the store exactly as it found it.
-        """
-        doomed = [ts for ts in self._by_timestamp if ts > timestamp]
-        for ts in doomed:
-            del self._by_timestamp[ts]
-        if doomed:
-            self._latest = None
-            for dictionary in self._by_timestamp.values():
-                if (
-                    self._latest is None
-                    or dictionary.timestamp >= self._latest.timestamp
-                ):
-                    self._latest = dictionary
-        return len(doomed)
-
     def timestamps(self) -> List[int]:
         return sorted(self._by_timestamp)
 

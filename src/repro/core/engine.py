@@ -594,7 +594,9 @@ class DacceEngine:
             thread = getattr(event, "thread", None)
             state = self._threads.get(thread) if thread is not None else None
             if state is not None:
-                self._regenerate_thread(state)
+                state.id_value, state.ccstack, state.frames = self._regenerated(
+                    state, self._current
+                )
             self._quarantine(
                 FaultKind.TRACE_ERROR,
                 str(error),
@@ -1024,7 +1026,9 @@ class DacceEngine:
                 dropped_frames=dropped,
             )
             del frames[index + 1:]
-            self._regenerate_thread(state)
+            state.id_value, state.ccstack, state.frames = self._regenerated(
+                state, self._current
+            )
         if event.kind is CallKind.TAIL and len(state.frames) <= 1:
             self._fault(
                 FaultKind.TAIL_BOTTOM,
@@ -1251,7 +1255,9 @@ class DacceEngine:
                 dropped_frames=dropped,
             )
             del state.frames[1:]
-            self._regenerate_thread(state)
+            state.id_value, state.ccstack, state.frames = self._regenerated(
+                state, self._current
+            )
         stats = state.ccstack.stats
         self._retired_ccstack["pushes"] += stats.pushes
         self._retired_ccstack["pops"] += stats.pops
@@ -1712,16 +1718,19 @@ class DacceEngine:
         wall-clock cost — and the ``engine.reencode`` span carries the
         same report as its attributes.
 
-        The pass is a transaction: the new dictionary is built against a
-        snapshot of the mutable state and must pass the commit gate
-        (``invariants.check_dictionary``) before taking effect.  On any
-        failure mid-pass everything is rolled back — ``gTimeStamp``, the
-        dictionary set, back-edge classification, indirect-site patches
-        and every thread's live encoding state — so a failed adaptation
-        can never leave threads straddling two timestamps.  In ``strict``
-        fault policy the rollback re-raises as
-        :class:`~repro.core.errors.ReencodeError`; in ``recover`` the
-        abort is quarantined and the engine keeps the old encoding.
+        The pass builds its candidate, then commits once.  Every fallible
+        step comes first: the new dictionary is encoded at the next
+        ``gTimeStamp`` and must pass the commit gate
+        (``invariants.check_dictionary``), and every thread's regenerated
+        id, ccStack and frames are built against it.  Only then is
+        anything installed: ``gTimeStamp`` and the dictionary, the
+        indirect-site patches and the thread states.  A pass that fails
+        before that point installs nothing, so a failed adaptation can
+        never leave threads straddling two timestamps; it restores only
+        the two analyses written in place beforehand, the back-edge flags
+        and the compressed set.  In ``strict`` fault policy the failure
+        raises :class:`~repro.core.errors.ReencodeError`; in ``recover``
+        the abort is quarantined and the engine keeps the old encoding.
 
         A *triggered* pass (one carrying its trigger ``decision``) whose
         candidate would change nothing — the same encodings and maxID,
@@ -1746,57 +1755,62 @@ class DacceEngine:
         )
         previous_max_id = self._current.max_id
         new_edges = self.graph.num_edges - self._edges_at_last_encode
-        snapshot = self._reencode_snapshot()
+        candidate_ts = self._timestamp + 1
+        back_flags = [(edge, edge.is_back) for edge in self.graph.edges()]
+        previous_compressed = self.policy.compressed_edges
         try:
             edges_reclassified = 0
             if self.config.reclassify_back_edges:
                 edges_reclassified = classify_back_edges(self.graph)
             compressed_edges = self.policy.refresh_compressed_edges()
 
-            self._timestamp += 1
             order = (
                 frequency_order
                 if self.config.frequency_ordering
                 else insertion_order
             )
             encoder = Encoder(order_policy=order, id_bits=self.config.id_bits)
-            self._current = encoder.encode(self.graph, timestamp=self._timestamp)
-            violations = self._commit_gate(self._current)
+            candidate = encoder.encode(self.graph, timestamp=candidate_ts)
+            violations = self._commit_gate(candidate)
             if violations:
                 raise ReencodeError(
                     "re-encoding pass %d failed its commit gate: %s"
-                    % (self._timestamp, "; ".join(violations)),
-                    gts=self._timestamp,
+                    % (candidate_ts, "; ".join(violations)),
+                    gts=candidate_ts,
                     violations=list(violations),
                 )
             patches = self._indirect_patch_plan()
-            noop = decision is not None and self._changes_nothing(
-                snapshot, compressed_edges, patches
+            # The candidate's edge records carry every edge's encoding
+            # and back-edge flag, so equal records plus an equal maxID
+            # cover both; the compressed set and the indirect patch
+            # order are compared directly.
+            noop = (
+                decision is not None
+                and candidate.same_encoding(self._current)
+                and compressed_edges == previous_compressed
+                and self.indirect.patched_as(patches)
             )
-            sites_patched = 0
-            if noop:
-                self._timestamp = snapshot["timestamp"]
-                self._current = snapshot["current"]
-            else:
-                self.dictionaries.add(self._current)
-                self._edges_at_last_encode = self.graph.num_edges
-                sites_patched = self._repatch_indirect_sites(patches)
-                for state in self._threads.values():
-                    self._regenerate_thread(state)
+            regenerated = [] if noop else [
+                (state, self._regenerated(state, candidate))
+                for state in self._threads.values()
+            ]
         except Exception as error:
-            self._rollback_reencode(snapshot)
-            failed_ts = snapshot["timestamp"] + 1
+            # The two analyses above write in place; nothing else was
+            # installed yet.
+            for edge, was_back in back_flags:
+                edge.is_back = was_back
+            self.policy.restore_compressed(previous_compressed)
             if isinstance(error, ReencodeError):
                 failure = error
             else:
                 failure = ReencodeError(
-                    "re-encoding pass %d failed: %s" % (failed_ts, error),
-                    gts=failed_ts,
+                    "re-encoding pass %d failed: %s" % (candidate_ts, error),
+                    gts=candidate_ts,
                     cause=repr(error),
                 )
                 failure.__cause__ = error
             logger.warning(
-                "re-encoding pass %d rolled back: %s", failed_ts, failure
+                "re-encoding pass %d rolled back: %s", candidate_ts, failure
             )
             if pass_span is not None:
                 pass_span.set(error=type(error).__name__, rolled_back=True)
@@ -1810,6 +1824,16 @@ class DacceEngine:
                 reasons=list(reasons),
             )
             return False
+
+        sites_patched = 0
+        if not noop:
+            self._timestamp = candidate_ts
+            self._current = candidate
+            self.dictionaries.add(candidate)
+            self._edges_at_last_encode = self.graph.num_edges
+            sites_patched = self._repatch_indirect_sites(patches)
+            for state, fresh in regenerated:
+                state.id_value, state.ccstack, state.frames = fresh
 
         # A no-op still paid for the analysis, but suspended no thread.
         threads = 0 if noop else len(self._threads)
@@ -1866,25 +1890,6 @@ class DacceEngine:
             self.telemetry.record_pass(report)
         return not noop
 
-    def _changes_nothing(
-        self,
-        snapshot: Dict[str, Any],
-        compressed_edges: Set[Tuple[CallSiteId, FunctionId]],
-        patches: Dict[CallSiteId, List[FunctionId]],
-    ) -> bool:
-        """Would committing the candidate pass leave everything as is?
-
-        The candidate dictionary's edge records carry every edge's
-        encoding and back-edge flag, so equal records plus an equal
-        maxID cover both; the compressed set and the indirect patch
-        order are compared directly.
-        """
-        return (
-            self._current.same_encoding(snapshot["current"])
-            and compressed_edges == snapshot["compressed"]
-            and self.indirect.patched_as(patches)
-        )
-
     def _commit_gate(self, dictionary: EncodingDictionary) -> List[str]:
         """Soundness check gating a re-encoding pass (overridable seam).
 
@@ -1893,43 +1898,6 @@ class DacceEngine:
         replaces this to force mid-pass failures.
         """
         return check_dictionary(dictionary)
-
-    def _reencode_snapshot(self) -> Dict[str, Any]:
-        """Capture everything a failed re-encoding pass must restore."""
-        return {
-            "timestamp": self._timestamp,
-            "current": self._current,
-            "edges_at_last_encode": self._edges_at_last_encode,
-            "generation": self.graph.generation,
-            "back_flags": [(edge, edge.is_back) for edge in self.graph.edges()],
-            "compressed": self.policy.compressed_edges,
-            "indirect": self.indirect.snapshot_patches(),
-            # Regeneration replaces the ccstack/frames objects wholesale
-            # (never mutates them in place), so holding references is a
-            # complete snapshot of the per-thread encoding state.
-            "threads": {
-                thread: (state.id_value, state.ccstack, list(state.frames))
-                for thread, state in self._threads.items()
-            },
-        }
-
-    def _rollback_reencode(self, snapshot: Dict[str, Any]) -> None:
-        """Restore the exact pre-pass state captured by the snapshot."""
-        self._timestamp = snapshot["timestamp"]
-        self._current = snapshot["current"]
-        self._edges_at_last_encode = snapshot["edges_at_last_encode"]
-        for edge, was_back in snapshot["back_flags"]:
-            edge.is_back = was_back
-        self.graph.generation = snapshot["generation"]
-        self.policy.restore_compressed(snapshot["compressed"])
-        self.dictionaries.discard_newer(snapshot["timestamp"])
-        self.indirect.restore_patches(snapshot["indirect"])
-        for thread, (id_value, ccstack, frames) in snapshot["threads"].items():
-            state = self._threads.get(thread)
-            if state is not None:
-                state.id_value = id_value
-                state.ccstack = ccstack
-                state.frames = frames
 
     def _indirect_patch_plan(self) -> Dict[CallSiteId, List[FunctionId]]:
         """Per-site target lists ordered hottest-first (Figure 3(d))."""
@@ -1965,19 +1933,24 @@ class DacceEngine:
                 )
         return len(plan)
 
-    def _regenerate_thread(self, state: _ThreadState) -> None:
-        """Rebuild id/ccStack/frames under the new dictionary.
+    def _regenerated(
+        self, state: _ThreadState, dictionary: EncodingDictionary
+    ) -> Tuple[int, CcStack, List[Frame]]:
+        """The thread's id, ccStack and frames rebuilt under ``dictionary``.
 
         The paper patches return addresses in regenerated instrumentation;
         the observable effect is that the live encoding context is exactly
         what the new instrumentation would have produced — which is what
-        replaying the shadow stack computes.
+        replaying the shadow stack computes.  Builds new objects and
+        assigns nothing: a re-encoding pass installs them only once it
+        commits, and a resync installs them against the current
+        dictionary at once.
         """
         ccstack = CcStack()
         old_stats = state.ccstack.stats
         if state.spawned_entry is not None:
             ccstack.push(0, CLONE_CALLSITE, state.spawned_entry)
-            id_value = self._current.max_id + 1
+            id_value = dictionary.max_id + 1
         else:
             id_value = 0
 
@@ -2013,20 +1986,22 @@ class DacceEngine:
                         ccstack.push(
                             id_value, UNTRACKED_CALLSITE, prev_fn
                         )
-                        id_value = self._current.max_id + 1
+                        id_value = dictionary.max_id + 1
                         action = _Action.BOUNDARY_DEP
                     elif function in fns:
                         ccstack.push(
                             id_value, UNTRACKED_CALLSITE, function
                         )
-                        id_value = self._current.max_id + 1
+                        id_value = dictionary.max_id + 1
                         action = _Action.BOUNDARY_RE
                     else:
                         action = _Action.UNTRACKED
                     prev_fn = function
                     continue
                 edge = self.graph.edge(callsite, function)
-                encoding = self._edge_encoding(edge)
+                encoding = (
+                    None if edge.is_back else dictionary.encoding(callsite, function)
+                )
                 if encoding is not None:
                     id_value += encoding
                     action = _Action.ID if encoding else _Action.NONE
@@ -2039,7 +2014,7 @@ class DacceEngine:
                         and self._compression_allowed(edge),
                         discovery=not edge.is_back,
                     )
-                    id_value = self._current.max_id + 1
+                    id_value = dictionary.max_id + 1
                     if not edge.is_back:
                         action = _Action.DISCOVERY_PUSH
                     elif compressed:
@@ -2061,6 +2036,4 @@ class DacceEngine:
 
         # Preserve accumulated traffic statistics across regeneration.
         ccstack.stats = old_stats
-        state.ccstack = ccstack
-        state.id_value = id_value
-        state.frames = new_frames
+        return id_value, ccstack, new_frames

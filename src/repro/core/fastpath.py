@@ -51,15 +51,15 @@ either policy and only speed changes.
 Invalidation is by identity: a table is valid exactly while the engine's
 current dictionary is the *object* it was compiled from and the
 tail-caller set has not grown (:meth:`FastPathTable.valid_for`, the one
-place the rule is written).  Re-encoding replaces the dictionary
-object (and a rolled-back pass restores the previous object, for which
-the previous table is still exact), so transactional re-encoding and
+place the rule is written).  A committed re-encoding pass installs a
+new dictionary object; a failed pass installs nothing, so the current
+object and its table stay exact, and transactional re-encoding and
 warm-start seeding need no extra hooks.  Indirect patches follow the
 same rule: sites are patched only at construction (warm start, PCCE's
-static chains), before any table exists, and by a re-encoding pass,
-which either commits a new dictionary or rolls back to the old one
-together with the old patches.  A triggered re-encoding pass
-that would change nothing commits nothing, so the table survives it.
+static chains), before any table exists, and by a re-encoding pass
+when it commits, together with its new dictionary.  A triggered
+re-encoding pass that would change nothing commits nothing, so the
+table survives it.
 """
 
 from __future__ import annotations
@@ -215,20 +215,19 @@ class FastPathTable:
     ) -> bool:
         """Is this table still exact for the engine's current state?
 
-        Identity on the dictionary object covers both directions of the
-        re-encoding transaction: a committed pass installs a new object
-        (stale), a rolled-back pass restores the old object (this table
-        is exact again).  The tail-caller set only grows, and growth
-        flips the TcStack charge of affected callees, so its size is the
-        second validity dimension.
+        Identity on the dictionary object is the re-encoding rule: a
+        committed pass installs a new object (stale), and a failed pass
+        installs nothing, so the current object and this table stay
+        exact.  The tail-caller set only grows, and growth flips the
+        TcStack charge of affected callees, so its size is the second
+        validity dimension.
 
         The indirect entries need no third dimension.  A site's patch
         (its target order and strategy) changes only where the
         dictionary does: at engine construction, before any table is
         compiled, and in a re-encoding pass, which re-patches only when
-        it commits a new dictionary object and restores the old patches
-        with the old object when it rolls back.  A no-op pass re-patches
-        nothing.
+        it commits a new dictionary object.  A failed or no-op pass
+        re-patches nothing.
         """
         return (
             dictionary is self.dictionary

@@ -179,19 +179,6 @@ class IndirectDispatchTable:
             if site.strategy is DispatchStrategy.HASH_TABLE
         )
 
-    # -- transactional re-encoding support -----------------------------
-    def snapshot_patches(self) -> Dict[CallSiteId, tuple]:
-        """Capture every site's patch state (not its dispatch counters)."""
-        return {
-            callsite: (
-                site.strategy,
-                list(site.order),
-                dict(site._positions),
-                site.promotions,
-            )
-            for callsite, site in self._sites.items()
-        }
-
     def patched_as(self, plan: Dict[CallSiteId, List[FunctionId]]) -> bool:
         """Does every site in ``plan`` already carry exactly its targets?
 
@@ -203,22 +190,3 @@ class IndirectDispatchTable:
             if site is None or site.order != targets:
                 return False
         return True
-
-    def restore_patches(self, snapshot: Dict[CallSiteId, tuple]) -> None:
-        """Restore patch state; drops sites created after the snapshot.
-
-        Dispatch counters (hits/misses/comparisons) are cumulative
-        traffic statistics and are deliberately left untouched.
-        """
-        for callsite in list(self._sites):
-            if callsite not in snapshot:
-                del self._sites[callsite]
-        for callsite, (strategy, order, positions, promotions) in snapshot.items():
-            site = self._sites.get(callsite)
-            if site is None:
-                site = IndirectCallSite(callsite)
-                self._sites[callsite] = site
-            site.strategy = strategy
-            site.order = list(order)
-            site._positions = dict(positions)
-            site.promotions = promotions

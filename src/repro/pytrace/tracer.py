@@ -463,8 +463,8 @@ class PythonDacceTracer:
         detached (:func:`detached`); so do :meth:`flush`, :meth:`sample`,
         :meth:`decode`, :meth:`expected_context` and :meth:`stop`.  The
         next call or return enters again (:func:`enter`), re-reading
-        ``state.frames``, ``state.ccstack`` and the table, which
-        re-encoding, rollback and resync replace; so a run of misses
+        ``state.frames``, ``state.ccstack`` and the table, which a
+        committed re-encoding pass and a resync replace; so a run of misses
         pays one leave and no entry between them.
 
         **One shadow stack.**  ``self._stack`` holds a record per live

@@ -153,13 +153,3 @@ def test_from_edges_builder():
     graph = CallGraph.from_edges([(0, 1, 10), (1, 2, 11)])
     assert graph.num_edges == 2
     assert 2 in graph
-
-
-def test_generation_counter_bumps_on_change():
-    graph = CallGraph(0)
-    g0 = graph.generation
-    graph.add_node(5)
-    assert graph.generation > g0
-    g1 = graph.generation
-    graph.add_edge(0, 5, 10)
-    assert graph.generation > g1

@@ -382,8 +382,8 @@ def test_process_batch_equals_per_event_under_fault_recovery(
 # ----------------------------------------------------------------------
 #: Re-encoding passes forced from a sample-hook callback, i.e.
 #: mid-batch: none, passes that commit, or passes that alternately
-#: commit and roll back, at the commit gate or after re-patching the
-#: indirect sites (a thread regeneration that raises).
+#: commit and roll back, at the commit gate or at the pass's last
+#: fallible step (a thread regeneration that raises).
 FORCED = st.sampled_from([None, "commit", "gate", "regenerate"])
 
 
@@ -396,13 +396,20 @@ def _assert_table_matches_patches(engine):
         assert entry[4:] == (site.hit_comparisons(callee), site.hashed)
 
 
+def _site_patches(indirect):
+    return {
+        site.callsite: (site.strategy, tuple(site.order), site.promotions)
+        for site in indirect.sites()
+    }
+
+
 def _force_passes(engine, forced, period=17):
     """Force a re-encoding pass at every ``period``-th call.
 
-    Returns a log of ``(promoted, reverted)`` per pass: whether the pass
-    moved a patched inline-cache site to a hash table, and whether a
-    rolled-back pass had patched the sites differently from what the
-    rollback restored.
+    Returns a log of ``(promoted, rolled_back)`` per pass: whether the
+    pass moved a patched inline-cache site to a hash table, and whether
+    it rolled back.  A rolled-back pass must leave every site patched as
+    it was, and an injected regeneration failure must have fired.
     """
     log = []
     if forced is None:
@@ -411,25 +418,31 @@ def _force_passes(engine, forced, period=17):
 
     def callback(sample, weight):
         inline = [s.callsite for s in indirect.sites() if s.order and not s.hashed]
-        candidates = []
-        if len(log) % 2 and forced == "gate":
+        before = _site_patches(indirect)
+        fired = []
+        inject = forced in ("gate", "regenerate") and len(log) % 2 == 1
+        if inject and forced == "gate":
             engine._commit_gate = lambda dictionary: ["injected violation"]
-        elif len(log) % 2 and forced == "regenerate":
+        elif inject:
 
-            def explode(state):
-                candidates.append(indirect.snapshot_patches())
+            def explode(state, dictionary):
+                fired.append(state)
                 raise RuntimeError("injected")
 
-            engine._regenerate_thread = explode
+            engine._regenerated = explode
         try:
-            engine.reencode(("forced",))
+            committed = engine.reencode(("forced",))
         finally:
             vars(engine).pop("_commit_gate", None)
-            vars(engine).pop("_regenerate_thread", None)
+            vars(engine).pop("_regenerated", None)
+        assert committed is not inject
+        if inject and forced == "regenerate":
+            assert fired
+        if not committed:
+            assert _site_patches(indirect) == before
         _assert_table_matches_patches(engine)
         promoted = any(indirect.get(cs).hashed for cs in inline)
-        reverted = bool(candidates) and candidates[0] != indirect.snapshot_patches()
-        log.append((promoted, reverted))
+        log.append((promoted, not committed))
 
     engine.install_sample_hook(period, callback)
     return log
@@ -526,8 +539,8 @@ def test_promoted_and_rolled_back_patches_equal_per_event(
     # site patched as an inline cache early is promoted by a later
     # committed pass once its third target has been found, and the
     # kernel then serves its hash-table entries.  A rolled-back pass
-    # must leave the kernel on the restored patches: the commit gate
-    # rejects before re-patching, a failed thread regeneration after it.
+    # must leave the kernel on the old patches: the commit gate and a
+    # failed thread regeneration both reject before re-patching.
     _, records = _stream(
         program_seed, workload_seed, calls, 0, 0.3,
         indirect_fraction=0.6, indirect_targets=(3, 9),
@@ -545,8 +558,8 @@ def test_promoted_and_rolled_back_patches_equal_per_event(
     # its first patch, which then starts out hashed; a pass that finds
     # nothing new re-patches every site as it was.
     assume(any(promoted for promoted, _ in columnar_log))
-    if forced == "regenerate":
-        assume(any(reverted for _, reverted in columnar_log))
+    if forced != "commit":
+        assert any(rolled_back for _, rolled_back in columnar_log)
     assert any(entry[5] for entry in columnar._fastpath.indirect_entries.values())
 
 

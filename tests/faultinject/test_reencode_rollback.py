@@ -1,4 +1,6 @@
-"""Transactional re-encoding: a failed pass must roll back completely."""
+"""Transactional re-encoding: a failed pass must install nothing."""
+
+import itertools
 
 import pytest
 
@@ -6,13 +8,16 @@ from repro.core.engine import DacceConfig, DacceEngine
 from repro.core.errors import ReencodeError
 from repro.core.events import SampleEvent
 from repro.core.faults import FaultKind, FaultPolicy, RecoveryAction
+from repro.obs import SpanRecorder
 from repro.program.generator import GeneratorConfig, generate_program
 from repro.program.trace import ThreadSpec, TraceExecutor, WorkloadSpec
 
 pytestmark = pytest.mark.faultinject
 
 
-def _run_engine(policy=FaultPolicy.STRICT) -> DacceEngine:
+def _run_engine(
+    policy=FaultPolicy.STRICT, events=None, spans=None, **config
+) -> DacceEngine:
     program = generate_program(
         GeneratorConfig(
             seed=13,
@@ -30,9 +35,11 @@ def _run_engine(policy=FaultPolicy.STRICT) -> DacceEngine:
         threads=[ThreadSpec(thread=1, entry=2, spawn_at_call=700)],
     )
     engine = DacceEngine(
-        root=program.main, config=DacceConfig(fault_policy=policy)
+        root=program.main,
+        config=DacceConfig(fault_policy=policy, **config),
+        spans=spans,
     )
-    for event in TraceExecutor(program, spec).events():
+    for event in itertools.islice(TraceExecutor(program, spec).events(), events):
         engine.on_event(event)
     return engine
 
@@ -121,6 +128,53 @@ def test_recover_policy_quarantines_aborted_pass():
     assert engine.reencode() is True
     assert engine.timestamp == before["timestamp"] + 1
     assert engine.dictionaries.timestamps()[-1] == engine.timestamp
+
+
+@pytest.mark.parametrize("policy", [FaultPolicy.STRICT, FaultPolicy.RECOVER])
+def test_thread_regeneration_failure_installs_nothing(policy):
+    # Thread regeneration is the pass's last fallible step.  Stopped
+    # mid-run with no adaptive pass yet, both threads are live with
+    # entries on their ccStacks, and the pending pass would promote an
+    # indirect site to a hash table.
+    spans = SpanRecorder("rollback-test")
+    engine = _run_engine(
+        policy, events=2700, spans=spans, max_reencodings=0, hash_threshold=2
+    )
+    before = _observable_state(engine)
+    dictionary = engine.current_dictionary
+    live = {
+        thread: (state.ccstack, state.frames)
+        for thread, state in engine._threads.items()
+    }
+    assert len(live) == 2
+    assert any(ccstack.depth() for ccstack, _ in live.values())
+
+    def explode(state, dictionary):
+        raise RuntimeError("injected regeneration failure")
+
+    engine._regenerated = explode
+    if policy is FaultPolicy.STRICT:
+        with pytest.raises(ReencodeError) as info:
+            engine.reencode()
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert info.value.gts == before["timestamp"] + 1
+    else:
+        assert engine.reencode() is False
+        record = engine.faults.records()[-1]
+        assert record.kind is FaultKind.REENCODE_ABORTED
+        assert record.recovery is RecoveryAction.ROLLED_BACK
+    del engine._regenerated
+
+    assert _observable_state(engine) == before
+    assert engine.current_dictionary is dictionary
+    for thread, state in engine._threads.items():
+        assert state.ccstack is live[thread][0]
+        assert state.frames is live[thread][1]
+    assert not spans.spans(name="engine.indirect_promotion")
+
+    # The same pass, with regeneration restored, does promote.
+    assert engine.reencode() is True
+    assert spans.spans(name="engine.indirect_promotion")
 
 
 def test_commit_gate_passes_on_healthy_graph():
