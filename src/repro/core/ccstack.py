@@ -13,23 +13,25 @@ both by the cost model (Figure 8) and by the adaptive policy's
 "ccStack is frequently accessed" trigger (Section 4).
 
 Storage is one plain list per entry, ``[id, callsite, target, count,
-discovery]`` (:data:`CcEntry`), bottom to top.  The methods here are the
-general path's API over it; the fast path's two drivers, the columnar
-kernel (:func:`repro.core.fastpath.columnar_kernel`) and the Python
-tracer's profile hook, push, compress and pop the same lists directly.
-Each takes them with :meth:`CcStack.kernel_view` and keeps the logical
-depth and the operation counts in locals; the end of its stay on the
-thread (:func:`repro.core.fastpath.hand_back`) returns them with
-:meth:`CcStack.kernel_fold`.  Whether a back edge compresses is decided
-per edge by the engine (its compression mode and the adaptive policy),
-not by the stack.
+discovery]`` (:data:`CcEntry`), bottom to top.  The list is unbounded:
+it never holds more entries than its thread has live frames, plus a
+spawned thread's clone entry, so whatever bounds the call stack bounds
+it, and Section 5.3's guard page has nothing to model.  The methods
+here are the general path's API over it; the fast path's two drivers,
+the columnar kernel (:func:`repro.core.fastpath.columnar_kernel`) and
+the Python tracer's profile hook, push, compress and pop the same lists
+directly.  Each takes them with :meth:`CcStack.kernel_view` and keeps
+the logical depth and the operation counts in locals; the end of its
+stay on the thread (:func:`repro.core.fastpath.hand_back`) returns them
+with :meth:`CcStack.kernel_fold`.  Whether a back edge compresses is
+decided per edge by the engine (its compression mode and the adaptive
+policy), not by the stack.
 :meth:`CcStack.snapshot` and :meth:`CcStack.entries` copy the content out
 as tuples.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -83,16 +85,12 @@ class CcStackStats:
 class CcStack:
     """One thread's ccStack."""
 
-    def __init__(self, capacity: Optional[int] = None):
+    def __init__(self) -> None:
         self._entries: List[CcEntry] = []
         #: Logical depth (including compressed repetitions), maintained
         #: incrementally so the per-push ``max_depth`` update is O(1)
         #: instead of a full-stack sum.
         self._depth = 0
-        #: Section 5.3: the ccStack is allocated lazily per thread and its
-        #: bottom page is protected to detect overflow.  ``capacity``
-        #: models the protected bound; ``None`` means unbounded.
-        self.capacity = capacity
         self.stats = CcStackStats()
 
     # ------------------------------------------------------------------
@@ -124,11 +122,6 @@ class CcStack:
             stats.compressions += 1
             compressed = True
         else:
-            if self.capacity is not None and len(entries) >= self.capacity:
-                raise TraceError(
-                    "ccStack overflow: %d entries (capacity %d) — the paper's "
-                    "guard page would trap here" % (len(entries), self.capacity)
-                )
             entries.append([id_value, callsite, target, 0, discovery])
             stats.pushes += 1
             compressed = False
@@ -194,18 +187,12 @@ class CcStack:
         bottom to top."""
         return [(e[0], e[1], e[2], e[3], bool(e[4])) for e in self._entries]
 
-    def kernel_view(self) -> Tuple[List[CcEntry], int, int, int]:
+    def kernel_view(self) -> Tuple[List[CcEntry], int, int]:
         """What a fast-path driver keeps in locals while it runs on this
-        stack: ``(entries, depth, max_depth, capacity limit)``.
-        ``entries`` is the storage itself, which the driver pushes,
-        compresses and pops in place."""
-        capacity = self.capacity
-        return (
-            self._entries,
-            self._depth,
-            self.stats.max_depth,
-            sys.maxsize if capacity is None else capacity,
-        )
+        stack: ``(entries, depth, max_depth)``.  ``entries`` is the
+        storage itself, which the driver pushes, compresses and pops in
+        place."""
+        return (self._entries, self._depth, self.stats.max_depth)
 
     def kernel_fold(
         self,
@@ -245,15 +232,6 @@ class CcStack:
         del self._entries[length:]
         if self._entries and length > 0:
             self._entries[-1][3] = top_count
-        self._depth = sum(1 + e[3] for e in self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._depth = 0
-
-    def replace(self, entries: List[CcStackEntry]) -> None:
-        """Overwrite content (used by re-encoding regeneration)."""
-        self._entries = [[e.id, e.callsite, e.target, e.count, False] for e in entries]
         self._depth = sum(1 + e[3] for e in self._entries)
 
     def __repr__(self) -> str:

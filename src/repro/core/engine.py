@@ -567,9 +567,9 @@ class DacceEngine:
         Each handler checks its own fault conditions before changing any
         state and reports them through :meth:`_fault`, so both fault
         policies share this dispatch.  Under ``recover`` any other
-        :class:`DacceError` escaping a handler (e.g. a ccStack capacity
-        trap mid-apply) is quarantined as ``trace-error`` and the thread
-        is resynchronised from its shadow stack.
+        :class:`DacceError` escaping a handler mid-apply (e.g. a pop
+        from an empty ccStack) is quarantined as ``trace-error`` and the
+        thread is resynchronised from its shadow stack.
         """
         try:
             if isinstance(event, CallEvent):
@@ -1533,7 +1533,9 @@ class DacceEngine:
         if edge.is_back:
             self.stats.back_edge_calls += 1
             allow_compress = self._compression_allowed(edge)
-            repetitive_top = self._would_repeat(state, event)
+            repetitive_top = state.ccstack.top_matches(
+                state.id_value, event.callsite, event.callee
+            )
             self.policy.observe_back_edge_push(edge.key(), repetitive_top)
             compressed = state.ccstack.push(
                 state.id_value,
@@ -1566,13 +1568,6 @@ class DacceEngine:
             self._h_ccstack_depth.observe(state.ccstack.depth())
         state.id_value = self._current.max_id + 1
         return _Action.DISCOVERY_PUSH
-
-    def _would_repeat(self, state: _ThreadState, event: CallEvent) -> bool:
-        # top_matches avoids the frozen-entry allocation of .top() on
-        # every back-edge push (per-event allocation audit, PR 4).
-        return state.ccstack.top_matches(
-            state.id_value, event.callsite, event.callee
-        )
 
     def _charge_discovery_push(self) -> None:
         """Cost of saving context for a not-yet-encoded edge.

@@ -42,8 +42,8 @@ end outside the plan is handled in the kernel too, as
 call wholly outside the plan is a bare shadow frame.  Anything else (an
 unencoded edge, a first binding, an indirect target outside its site's
 patched set, an indirect or PLT back edge, a tail call or tail-chain
-return, a ccStack push past the stack's capacity, a sample, a thread
-event, a malformed event) misses and deoptimises to the general path —
+return, a pop from an empty ccStack, a sample, a thread event, a
+malformed event) misses and deoptimises to the general path —
 the engine's event handlers, which check every fault condition and
 apply the fault policy themselves — so behaviour is identical under
 either policy and only speed changes.
@@ -382,29 +382,26 @@ FRAME_CHAIN = 6
 #
 # The kernel works on the ccStack's storage (:data:`CcEntry` lists)
 # directly.  On the first ccStack event of a stay on a thread it takes
-# the entry list, the logical depth, ``max_depth`` and the capacity into
-# locals (``CcStack.kernel_view``); pops and decompressions count in
-# locals from zero, and pushes and compressions are the stay's engine
+# the entry list, the logical depth and ``max_depth`` into locals
+# (``CcStack.kernel_view``); pops and decompressions count in locals
+# from zero, and pushes and compressions are the stay's engine
 # counters.  The stay's end folds them back, and only if it took them,
 # so entering a thread costs nothing.
 #
 # A back-edge call is the general path's ``_push_unencoded`` inlined:
 # the repeat-top test feeds the policy's push counters, the top entry's
 # count is bumped (compression) or a new entry is appended, and ``id =
-# maxID + 1``.  A push that would overflow the ccStack's capacity is
-# tested before any state changes and deoptimises, so the general path
-# raises (or, under ``recover``, quarantines) the capacity trap.  The
-# return of a ``PUSH``/``COMPRESS`` frame pops the entry or drops one
-# repetition and restores the id.
+# maxID + 1``.  The ccStack is an unbounded list, so no push
+# deoptimises.  The return of a ``PUSH``/``COMPRESS`` frame pops the
+# entry or drops one repetition and restores the id.
 #
 # In targeted mode (``tracked`` is the plan's function set) a NORMAL
 # call that misses both probes runs the general path's
 # ``_apply_targeted``: a call with exactly one end in the set crosses
-# the boundary, pushing ``<id, UNTRACKED_CALLSITE, tracked end>`` (with
-# the same capacity test), setting ``id = maxID + 1`` and getting a
-# ``BOUNDARY_DEP``/``BOUNDARY_RE`` frame, whose return pops; a call
-# with neither end in the set gets an ``UNTRACKED`` frame, which only
-# restores the id.  Boundary pushes and pops are counted apart from
+# the boundary, pushing ``<id, UNTRACKED_CALLSITE, tracked end>``,
+# setting ``id = maxID + 1`` and getting a ``BOUNDARY_DEP``/
+# ``BOUNDARY_RE`` frame, whose return pops; a call with neither end in
+# the set gets an ``UNTRACKED`` frame, which only restores the id.  Boundary pushes and pops are counted apart from
 # back-edge ones: they are ``boundary_crossings``, never
 # ``back_edge_calls``, and stay out of the trigger-(c) window, because
 # no encoding can remove them.
@@ -560,7 +557,7 @@ def columnar_kernel(
     # its pops and decompressions count from zero until the stay ends.
     ccs: Optional[CcStack] = None
     ents: List[CcEntry] = []
-    depth = max_depth = limit = s_pop = s_dcmp = 0
+    depth = max_depth = s_pop = s_dcmp = 0
     # The stay's engine counters.
     calls = rets = id_updates = tcstack = 0
     pushes = compressions = pops = bpushes = bpops = untracked = 0
@@ -648,7 +645,7 @@ def columnar_kernel(
                     if back is not None:
                         if ccs is None:
                             ccs = state.ccstack
-                            ents, depth, max_depth, limit = ccs.kernel_view()
+                            ents, depth, max_depth = ccs.kernel_view()
                             s_pop = s_dcmp = 0
                         n = len(ents)
                         if n:
@@ -659,60 +656,54 @@ def columnar_kernel(
                             top_count = 0
                             repeat = False
                         compress = repeat and back[2]
-                        # A push that would overflow deoptimises before
-                        # any state changes (the policy counters too).
-                        if compress or n < limit:
-                            counters = back[1]
-                            counters[0] += 1
-                            if repeat:
-                                counters[1] += 1
-                            if compress:
-                                top[3] = top_count + 1
-                                frames.append((ce, cs, cur_id, cc, act_cmp, kind_normal, ()))
-                                cc = (n, top_count + 1)
-                                compressions += 1
-                            else:
-                                ents.append([cur_id, cs, ce, 0, False])
-                                frames.append((ce, cs, cur_id, cc, act_push, kind_normal, ()))
-                                cc = (n + 1, 0)
-                                pushes += 1
-                            depth += 1
-                            if depth > max_depth:
-                                max_depth = depth
-                            if observe is not None:
-                                observe(depth)
-                            cur_id = mark_id
-                            edge = back[0]
-                            if warm and not edge.invocations and edge.seeded:
-                                stats.warmstart_handler_hits_avoided += 1
-                            edge.invocations += 1
-                            if back[3]:
-                                tcstack += 1
-                            top_fn = ce
-                            calls += 1
-                            if profiled:
-                                pcount -= 1
-                                if pcount <= 0:
-                                    reason = KERNEL_SAMPLE
-                                    break
-                            continue
+                        counters = back[1]
+                        counters[0] += 1
+                        if repeat:
+                            counters[1] += 1
+                        if compress:
+                            top[3] = top_count + 1
+                            frames.append((ce, cs, cur_id, cc, act_cmp, kind_normal, ()))
+                            cc = (n, top_count + 1)
+                            compressions += 1
+                        else:
+                            ents.append([cur_id, cs, ce, 0, False])
+                            frames.append((ce, cs, cur_id, cc, act_push, kind_normal, ()))
+                            cc = (n + 1, 0)
+                            pushes += 1
+                        depth += 1
+                        if depth > max_depth:
+                            max_depth = depth
+                        if observe is not None:
+                            observe(depth)
+                        cur_id = mark_id
+                        edge = back[0]
+                        if warm and not edge.invocations and edge.seeded:
+                            stats.warmstart_handler_hits_avoided += 1
+                        edge.invocations += 1
+                        if back[3]:
+                            tcstack += 1
+                        top_fn = ce
+                        calls += 1
+                        if profiled:
+                            pcount -= 1
+                            if pcount <= 0:
+                                reason = KERNEL_SAMPLE
+                                break
+                        continue
                     elif tracked is not None and not ek:
                         cr_in = cr in tracked
                         ce_in = ce in tracked
-                        if cr_in and ce_in:
-                            # A tracked edge the table lacks: general path.
-                            handled = False
-                        elif cr_in or ce_in:
-                            # A boundary crossing saves the context with
-                            # the tracked end as the target; an overflow
-                            # deoptimises.
-                            if ccs is None:
-                                ccs = state.ccstack
-                                ents, depth, max_depth, limit = ccs.kernel_view()
-                                s_pop = s_dcmp = 0
-                            n = len(ents)
-                            handled = n < limit
-                            if handled:
+                        # A tracked edge the table lacks (both ends in the
+                        # plan) goes to the general path.
+                        if not (cr_in and ce_in):
+                            if cr_in or ce_in:
+                                # A boundary crossing saves the context
+                                # with the tracked end as the target.
+                                if ccs is None:
+                                    ccs = state.ccstack
+                                    ents, depth, max_depth = ccs.kernel_view()
+                                    s_pop = s_dcmp = 0
+                                n = len(ents)
                                 frames.append(
                                     (
                                         ce, cs, cur_id, cc, act_dep if cr_in else act_re,
@@ -730,11 +721,9 @@ def columnar_kernel(
                                     observe(depth)
                                 cur_id = mark_id
                                 bpushes += 1
-                        else:
-                            frames.append((ce, cs, cur_id, cc, act_unt, kind_normal, ()))
-                            untracked += 1
-                            handled = True
-                        if handled:
+                            else:
+                                frames.append((ce, cs, cur_id, cc, act_unt, kind_normal, ()))
+                                untracked += 1
                             top_fn = ce
                             calls += 1
                             if profiled:
@@ -749,7 +738,7 @@ def columnar_kernel(
                 cc_pop = act is not act_id and act is not act_none and act is not act_unt
                 if cc_pop and ccs is None:
                     ccs = state.ccstack
-                    ents, depth, max_depth, limit = ccs.kernel_view()
+                    ents, depth, max_depth = ccs.kernel_view()
                     s_pop = s_dcmp = 0
                 # Tail chains, discovery entries and a pop from an empty
                 # ccStack (which the general path reports) deoptimise.

@@ -545,7 +545,7 @@ class PythonDacceTracer:
         # The ccStack while bound (``CcStack.kernel_view``).
         ccs: Optional[CcStack] = None
         ents: List[CcEntry] = []
-        depth = max_depth = cap = s_pop = s_dcmp = 0
+        depth = max_depth = s_pop = s_dcmp = 0
         # The stay's engine counters, as ``columnar_kernel`` keeps them.
         rets = id_updates = tcstack = 0
         pushes = compressions = pops = bpushes = bpops = untracked = 0
@@ -610,9 +610,9 @@ class PythonDacceTracer:
 
         def bind() -> None:
             """Take the current ccStack into locals (first use per stay)."""
-            nonlocal ccs, ents, depth, max_depth, cap, s_pop, s_dcmp
+            nonlocal ccs, ents, depth, max_depth, s_pop, s_dcmp
             ccs = state.ccstack
-            ents, depth, max_depth, cap = ccs.kernel_view()
+            ents, depth, max_depth = ccs.kernel_view()
             s_pop = s_dcmp = 0
 
         def detached(fn: Callable[..., Any], *args: Any) -> Any:
@@ -891,11 +891,6 @@ class PythonDacceTracer:
                         top_count = 0
                         repeat = False
                     compress = repeat and back[2]
-                    # A push that would overflow deoptimises before any
-                    # state changes (the policy counters too).
-                    if not compress and n >= cap:
-                        general_call(frame, patch[1], patch[3], patch[4], patch[2])
-                        return
                     counters = back[1]
                     counters[0] += 1
                     if repeat:
@@ -936,13 +931,10 @@ class PythonDacceTracer:
                     return
                 elif kind == _BOUNDARY:
                     # A boundary crossing saves the context with the
-                    # tracked end as the target; an overflow deoptimises.
+                    # tracked end as the target.
                     if ccs is None:
                         bind()
                     n = len(ents)
-                    if n >= cap:
-                        general_call(frame, patch[1], patch[3], patch[4], patch[2])
-                        return
                     stack_append(
                         (
                             frame, patch[1], patch[2], patch[3], cur_id, cc, patch[5],

@@ -1,7 +1,5 @@
 """ccStack tests: push/pop, recursion compression, snapshots, stats."""
 
-import sys
-
 import pytest
 
 from repro.core.ccstack import CLONE_CALLSITE, CcStack
@@ -49,16 +47,15 @@ def test_entries_lists_every_field_bottom_to_top():
 
 
 def test_kernel_fold_takes_back_the_kernel_locals():
-    stack = CcStack(capacity=8)
+    stack = CcStack()
     stack.push(4, 10, 2)
-    entries, depth, max_depth, limit = stack.kernel_view()
-    assert (depth, max_depth, limit) == (1, 1, 8)
+    entries, depth, max_depth = stack.kernel_view()
+    assert (depth, max_depth) == (1, 1)
     entries.append([5, 11, 3, 0, False])  # the kernel pushes in place
     stack.kernel_fold(2, 2, 1, 0, 0, 0)
     assert stack.entries()[-1] == (5, 11, 3, 0, False)
     assert stack.depth() == 2
     assert (stack.stats.pushes, stack.stats.max_depth) == (2, 2)
-    assert CcStack().kernel_view()[3] == sys.maxsize
 
 
 def test_compression_requires_exact_match():
@@ -133,15 +130,6 @@ def test_restore_deeper_state_rejected():
     stack.pop()
     with pytest.raises(TraceError):
         stack.restore(state)
-
-
-def test_replace_content():
-    from repro.core.context import CcStackEntry
-
-    stack = CcStack()
-    stack.replace([CcStackEntry(5, 10, 2, 1)])
-    assert stack.depth() == 2
-    assert stack.top().count == 1
 
 
 def test_clone_callsite_is_reserved():

@@ -9,7 +9,6 @@ from repro.core.context import (
     CollectedSample,
     ContextStep,
 )
-from repro.core.errors import TraceError
 from repro.core.events import (
     CallEvent,
     CallKind,
@@ -99,17 +98,10 @@ class TestEvents:
         assert (event.thread, event.parent, event.entry) == (2, 0, 7)
 
 
-class TestCcStackCapacity:
-    def test_overflow_guard_trips(self):
-        stack = CcStack(capacity=2)
-        stack.push(0, 1, 2)
-        stack.push(0, 2, 3)
-        with pytest.raises(TraceError):
-            stack.push(0, 3, 4)
-
+class TestCcStackGrowth:
     def test_compression_defeats_overflow(self):
         """Figure 5(e)'s point: repetitive recursion no longer grows."""
-        stack = CcStack(capacity=2)
+        stack = CcStack()
         for _ in range(100):
             stack.push(7, 1, 2, allow_compress=True)
         assert len(stack) == 1

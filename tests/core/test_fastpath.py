@@ -398,7 +398,7 @@ def test_process_columns_recompiles_after_reencode():
 
 
 # ----------------------------------------------------------------------
-# ccStack capacity trap inside the kernel
+# the trace-error backstop behind the kernel
 # ----------------------------------------------------------------------
 def _thread_states(engine):
     """Per-thread id, frames, ccStack entries, depth and counters."""
@@ -426,6 +426,23 @@ def _end_state(engine):
     )
 
 
+def _fail_mid_apply(engine, callsite):
+    """Make ``engine``'s general path raise a ``TraceError`` mid-apply
+    on a call at ``callsite``: after ``_push_unencoded`` has pushed the
+    ccStack and set the id, before the call's frame exists.  Key it on
+    a first-seen edge, which misses in the kernel too, so both drivers
+    fail on the same event."""
+    push = engine._push_unencoded
+
+    def failing(state, event, edge):
+        action = push(state, event, edge)
+        if event.callsite == callsite:
+            raise TraceError("injected fault at call site %d" % callsite)
+        return action
+
+    engine._push_unencoded = failing
+
+
 def _run_trap(make_engine, events, columnar):
     """Run ``events`` per event or as one column batch.
 
@@ -448,22 +465,28 @@ def _run_trap(make_engine, events, columnar):
 def _assert_trap_parity(make_engine, events, policy):
     per_event, raised = _run_trap(make_engine, events, columnar=False)
     columnar, raised_columnar = _run_trap(make_engine, events, columnar=True)
-    assert columnar.fastpath.hits > 0  # the kernel ran up to the trap
+    assert columnar.fastpath.hits > 0  # the kernel ran up to the failure
     if policy is FaultPolicy.STRICT:
-        assert raised is not None and "ccStack overflow" in raised
+        assert raised is not None and "injected fault" in raised
         assert raised_columnar == raised
     else:
         assert raised is None and raised_columnar is None
         kinds = [record.kind.value for record in per_event.faults.records()]
         assert kinds == ["trace-error"], kinds
+        # Resynchronised from its frames, the thread unwinds to a clean
+        # root: the failed call's half-applied push is gone.
+        thread = columnar._threads[0]
+        assert (thread.id_value, thread.ccstack.entries(), len(thread.frames)) == (
+            0, [], 1,
+        )
     assert _end_state(columnar) == _end_state(per_event)
 
 
+@pytest.mark.faultinject
 @pytest.mark.parametrize("policy", [FaultPolicy.RECOVER, FaultPolicy.STRICT])
-def test_back_edge_push_past_capacity_deopts_to_the_general_path(policy):
-    # 0 -> 1 -> 1 -> 1: the first back-edge push fills a capacity-1
-    # ccStack and the second one (a different id, so no compression)
-    # would overflow it.
+def test_error_after_back_edge_hits_matches_per_event(policy):
+    # 0 -> 1 -> 1 -> 1 runs in the kernel (two back-edge pushes); the
+    # first-seen edge 1 -> 2 at site 12 fails in the general path.
     warmup = [
         CallEvent(0, 10, 0, 1),
         CallEvent(0, 11, 1, 1),
@@ -474,6 +497,8 @@ def test_back_edge_push_past_capacity_deopts_to_the_general_path(policy):
         CallEvent(0, 10, 0, 1),
         CallEvent(0, 11, 1, 1),
         CallEvent(0, 11, 1, 1),
+        CallEvent(0, 12, 1, 2),
+        ReturnEvent(0),
         ReturnEvent(0),
         ReturnEvent(0),
         CallEvent(0, 10, 0, 1),
@@ -486,7 +511,7 @@ def test_back_edge_push_past_capacity_deopts_to_the_general_path(policy):
             engine.on_event(event)
         assert engine.reencode()
         assert engine._ensure_fastpath().back_entries
-        engine._threads[0].ccstack.capacity = 1
+        _fail_mid_apply(engine, 12)
         return engine
 
     _assert_trap_parity(make_engine, trap, policy)
@@ -505,9 +530,10 @@ def _boundary_plan():
 
 @pytest.mark.faultinject
 @pytest.mark.parametrize("policy", [FaultPolicy.RECOVER, FaultPolicy.STRICT])
-def test_boundary_push_past_capacity_deopts_to_the_general_path(policy):
-    # The departure main -> noise fills a capacity-1 ccStack; the
-    # re-entry noise -> a would overflow it.
+def test_error_after_boundary_hits_matches_per_event(policy):
+    # The departure main -> noise and the re-entry noise -> a push in
+    # the kernel; a -> sink at site 6, a tracked edge the plan lacks,
+    # fails in the general path.
     trap = [
         CallEvent(0, 1, 0, 1),
         CallEvent(0, 2, 1, 2),
@@ -515,6 +541,8 @@ def test_boundary_push_past_capacity_deopts_to_the_general_path(policy):
         ReturnEvent(0),
         CallEvent(0, 3, 0, 3),
         CallEvent(0, 5, 3, 1),
+        CallEvent(0, 6, 1, 2),
+        ReturnEvent(0),
         ReturnEvent(0),
         CallEvent(0, 1, 0, 1),
         ReturnEvent(0),
@@ -524,7 +552,7 @@ def test_boundary_push_past_capacity_deopts_to_the_general_path(policy):
         engine = DacceEngine(
             targeted=_boundary_plan(), config=DacceConfig(fault_policy=policy)
         )
-        engine._threads[0].ccstack.capacity = 1
+        _fail_mid_apply(engine, 6)
         return engine
 
     _assert_trap_parity(make_engine, trap, policy)

@@ -244,27 +244,50 @@ def test_engine_work_runs_with_the_hook_detached():
     assert sys.getprofile() is None
 
 
-def _trapping_tracer(policy, program, *args):
-    """A tracer whose thread-0 ccStack holds one entry, warmed up on
-    ``program`` so that its edges are known and the forward ones
-    encoded: the first back-edge push of a recursion fills the stack
-    and the second one traps."""
+def _failing_tracer(policy, program, *args):
+    """A tracer warmed up on ``program``, so that its edges are known
+    and the forward ones encoded, whose general path then raises a
+    ``TraceError`` mid-apply on the first-seen call of ``_fault_point``:
+    after ``_push_unencoded`` has pushed the ccStack and set the id,
+    before the call's frame exists."""
     tracer = PythonDacceTracer(config=DacceConfig(fault_policy=policy))
     tracer.run(program, *args)
-    assert tracer.engine.reencode()
-    tracer.engine._threads[0].ccstack.capacity = 1
+    engine = tracer.engine
+    assert engine.reencode()
+    push = engine._push_unencoded
+
+    def failing(state, event, edge):
+        action = push(state, event, edge)
+        if tracer.name_of(event.callee) == "_fault_point":
+            raise TraceError("injected fault calling _fault_point")
+        return action
+
+    engine._push_unencoded = failing
     return tracer
 
 
-def _countdown(n):
-    return _countdown(n - 1) + 1 if n else 0
+def _fault_point(reached):
+    reached.append(True)
+    return 0
+
+
+def _countdown(n, reached=None):
+    """Recurse ``n`` deep; at the bottom, given a ``reached`` list, call
+    ``_fault_point``, which records that it ran."""
+    if n:
+        return _countdown(n - 1, reached) + 1
+    return 0 if reached is None else _fault_point(reached)
 
 
 @pytest.mark.faultinject
-def test_capacity_trap_in_real_recursion_is_quarantined_and_resynced():
-    tracer = _trapping_tracer(FaultPolicy.RECOVER, _countdown, 6)
+def test_injected_error_in_real_recursion_is_quarantined_and_resynced():
+    tracer = _failing_tracer(FaultPolicy.RECOVER, _countdown, 6)
     engine = tracer.engine
-    assert tracer.run(_countdown, 8) == 8
+    hits = engine.fastpath.hits
+    reached = []
+    assert tracer.run(_countdown, 8, reached) == 8
+    assert engine.fastpath.hits > hits  # the hook ran up to the failure
+    assert reached == [True]  # the failed call ran, untracked
     trace_errors = [
         record
         for record in engine.faults.records()
@@ -272,7 +295,7 @@ def test_capacity_trap_in_real_recursion_is_quarantined_and_resynced():
     ]
     assert len(trace_errors) == 1
     assert trace_errors[0].recovery is RecoveryAction.RESYNCED
-    assert "ccStack overflow" in trace_errors[0].message
+    assert "injected fault" in trace_errors[0].message
     agreements = []
 
     def probe():
@@ -290,30 +313,33 @@ def test_capacity_trap_in_real_recursion_is_quarantined_and_resynced():
     assert agreements == [True] * 3
 
 
-def test_capacity_trap_in_real_recursion_surfaces_under_strict():
+@pytest.mark.faultinject
+def test_injected_error_in_real_recursion_surfaces_under_strict():
     caught = []
 
-    def body():
+    def body(reached=None):
         try:
-            _countdown(8)
+            _countdown(8, reached)
         except TraceError as error:
             caught.append((error, sys.getprofile(), len(tracer.live_frames())))
         return len(caught)
 
-    tracer = _trapping_tracer(FaultPolicy.STRICT, body)
+    tracer = _failing_tracer(FaultPolicy.STRICT, body)
     engine = tracer.engine
     assert caught == []
-    assert tracer.run(body) == 1
+    reached = []
+    assert tracer.run(body, reached) == 1
     ((error, profile, live),) = caught
-    assert "ccStack overflow" in str(error)
-    # Raised from the hook at the second back-edge call, so CPython
-    # removed the profile hook; the trapped call never started.
+    assert "injected fault" in str(error)
+    # Raised from the hook at the call of _fault_point, so CPython
+    # removed the profile hook; the failed call never started.
     assert profile is None
-    assert live == 3  # body and two _countdown frames
+    assert reached == []
+    assert live == 10  # body and nine _countdown frames
     assert sys.getprofile() is None
     stats = engine.stats
-    # on_call counts the trapped call before its push traps, and it
-    # never returns; every call the engine applied has returned.
+    # on_call counts the failed call before it raises, and it never
+    # returns; every call the engine applied has returned.
     assert stats.calls == stats.returns + 1
     assert len(engine._threads[0].frames) == 1
     assert engine.faults.total == 0

@@ -2,9 +2,11 @@
 docstrings exists.
 
 A backticked ``benchmarks/…``, ``docs/…``, ``examples/…`` or ``tests/…``
-path in ``README.md``, ``docs/*.md`` or ``src/**/*.py`` must name a file
-or directory of this checkout.  A ``::test`` or ``#anchor`` suffix is
+path in ``README.md``, ``DESIGN.md``, ``docs/*.md`` or ``src/**/*.py``
+must name a file or directory of this checkout.  A ``#anchor`` suffix is
 dropped before the check; glob patterns must match at least one path.
+A ``::Name`` suffix must name a ``def`` or ``class`` of the cited file:
+the first name after ``::`` is checked, with any ``[param]`` dropped.
 
 A backticked dotted ``repro.…`` name (``~`` prefix allowed, as in
 ``:class:`~repro.core.fastpath.FastPathTable```) in the same files must
@@ -23,21 +25,35 @@ NAMED = re.compile(r"`+~?(repro(?:\.\w+)+)")
 
 def _citing_files():
     yield ROOT / "README.md"
+    yield ROOT / "DESIGN.md"
     yield from sorted((ROOT / "docs").glob("*.md"))
     yield from sorted((ROOT / "src").rglob("*.py"))
 
 
 def _citations():
+    """Yield ``(citing file, cited path, name)``; ``name`` is the first
+    name after ``::``, or ``""`` when there is none."""
     for source in _citing_files():
         for match in CITED.finditer(source.read_text(encoding="utf-8")):
-            path = re.split(r"::|#", match.group(1))[0].rstrip("/")
-            yield source.relative_to(ROOT), path
+            path, _, names = match.group(1).split("#")[0].partition("::")
+            name = re.split(r"::|\[", names)[0]
+            yield source.relative_to(ROOT), path.rstrip("/"), name
 
 
 def _names():
     for source in _citing_files():
         for match in NAMED.finditer(source.read_text(encoding="utf-8")):
             yield source.relative_to(ROOT), match.group(1)
+
+
+def _defines(path, name):
+    """Does the file at ``path`` define ``name`` with ``def`` or ``class``?"""
+    source = ROOT / path
+    if not source.is_file():
+        return False  # a dangling path, which the path test reports
+    text = source.read_text(encoding="utf-8")
+    pattern = r"^\s*(?:async\s+)?(?:def|class)\s+%s\s*[(:]" % re.escape(name)
+    return re.search(pattern, text, re.MULTILINE) is not None
 
 
 def _resolves(name):
@@ -56,16 +72,29 @@ def _resolves(name):
 
 
 def test_citations_are_found():
-    assert len({path for _, path in _citations()}) >= 20
+    assert len({path for _, path, _ in _citations()}) >= 20
 
 
 def test_every_cited_path_exists():
     dangling = sorted(
         "%s cites %s" % (source, path)
-        for source, path in _citations()
+        for source, path, _ in _citations()
         if not any(ROOT.glob(path))
     )
     assert not dangling, "\n".join(dangling)
+
+
+def test_cited_test_names_are_found():
+    assert len({(path, name) for _, path, name in _citations() if name}) >= 10
+
+
+def test_every_cited_test_name_is_defined():
+    undefined = sorted(
+        "%s cites %s::%s" % (source, path, name)
+        for source, path, name in _citations()
+        if name and not _defines(path, name)
+    )
+    assert not undefined, "\n".join(undefined)
 
 
 def test_names_are_found():
