@@ -829,6 +829,7 @@ class DacceEngine:
         snapshot["table_entries"] = (
             len(self._fastpath) if self._fastpath is not None else 0
         )
+        snapshot["hit_path"] = self.fastpath.hit_path
         return snapshot
 
     # ------------------------------------------------------------------

@@ -131,6 +131,9 @@ class FastPathStats:
     #: Traced runs (``start()``/``stop()``) of the Python tracer's
     #: profile hook, the table's other driver.
     hook_runs: int = 0
+    #: Which hit path that profile hook runs, ``"c"`` (compiled) or
+    #: ``"python"``; ``None`` on an engine no tracer drives.
+    hit_path: Optional[str] = None
 
     @property
     def events(self) -> int:

@@ -12,9 +12,9 @@ sample decodes back to the exact Python call path.
 The engine has two drivers over one compiled
 :class:`~repro.core.fastpath.FastPathTable`: ``columnar_kernel``, which
 ``DacceEngine.process_columns`` runs for column sources (the synthetic
-substrate), and the profile hook here, for live Python.  The hook is one
-closure built once per tracer by :meth:`PythonDacceTracer._make_hook`,
-and it encodes at the call, as the paper's patched call site does
+substrate), and the profile hook here, for live Python.  The hook is
+built once per tracer by :meth:`PythonDacceTracer._make_hook`, and it
+encodes at the call, as the paper's patched call site does
 (Section 3): a call site is patched on its first call, and from then on
 a call through it is two integer-keyed dict probes (the caller's
 ``lasti`` and the callee's ``id(code)``) and the kernel's work for that
@@ -25,6 +25,11 @@ objects are classified (package filter, targeted-plan disposition,
 function id) once, on their first call: CPython 3.11 does not cache a
 code object's hash, so every code-keyed dict probe rehashes its bytecode
 and constants.
+
+The hit path runs in C (``_chook.c``, a ``PyEval_SetProfile`` function
+that :mod:`repro.pytrace._native` builds on first import) when it is
+available, and in the Python ``hook`` otherwise; ``tracer.hit_path``
+says which.  Everything else is Python, shared by both.
 
 This is the reproduction's end-to-end validation path: decoded contexts
 are cross-checked against genuine interpreter stack walks
@@ -47,7 +52,13 @@ from ..core.context import CallingContext, CollectedSample
 from ..core.engine import DacceConfig, DacceEngine, SampleHook
 from ..core.errors import TraceError
 from ..core.events import CallEvent, CallKind, ReturnEvent, SampleEvent
-from ..core.fastpath import FastPathTable, Frame, _Action, hand_back
+from ..core.fastpath import FastPathTable, _Action, hand_back
+from ..core.faults import RecoveryAction
+from . import _native
+
+#: The compiled hit path (``_chook.c``), or ``None`` when it could not be
+#: built or loaded; then the Python hook runs (``_native.REASON`` says why).
+_chook = _native.HOOK
 
 #: Function id reserved for the tracing root (the ``main`` node).
 ROOT_FUNCTION = 0
@@ -61,12 +72,16 @@ _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: package and ``<frozen`` stdlib modules.
 _SKIP = -1
 
+#: The one quarantine after which a call's frame exists: unwound, then applied.
+_UNWOUND = RecoveryAction.UNWOUND
+
 #: The requests the tracer hands the engine's general path (immutable).
 _SAMPLE = SampleEvent(thread=0)
 _RETURN = ReturnEvent(thread=0)
 
-#: A countdown that never runs out (no sampling of that kind).
-_NEVER = sys.maxsize
+#: A countdown that never runs out (no sampling of that kind); below
+#: ``sys.maxsize`` so the countdown's window offset fits a C ``ssize_t``.
+_NEVER = 1 << 62
 
 
 def _nothing() -> None:
@@ -110,6 +125,39 @@ _Entry = Tuple[
     Dict[int, Dict[int, _Patch]],
 ]
 
+
+class _Stay:
+    """The profile hook's entered state, for the Python hit path.
+
+    The compiled hit path keeps the same fields as members of its
+    ``_chook.Hook``; the slow path reads and writes either one through
+    the same attribute names.  ``ccs`` is ``None`` until the stay binds
+    the ccStack (``ents``, ``depth``, ``max_depth``, ``s_pop`` and
+    ``s_dcmp`` are its view); ``suppressed`` counts the events targeted
+    mode leaves out.
+    """
+
+    __slots__ = (
+        "entered", "desync", "mirrored", "frames", "cur_id", "cc", "mark_id",
+        "left", "t_left", "ccs", "ents", "depth", "max_depth", "s_pop", "s_dcmp",
+        "rets", "id_updates", "tcstack", "pushes", "compressions", "pops",
+        "bpushes", "bpops", "untracked", "suppressed",
+    )
+
+    def __init__(self) -> None:
+        self.entered = self.desync = False
+        self.frames: List[Any] = []
+        self.ents: List[CcEntry] = []
+        self.cur_id = self.mark_id = 0
+        self.cc = (0, 0)
+        self.ccs: Optional[CcStack] = None
+        self.mirrored = self.left = self.t_left = 0
+        self.depth = self.max_depth = self.s_pop = self.s_dcmp = 0
+        self.rets = self.id_updates = self.tcstack = self.pushes = 0
+        self.compressions = self.pops = self.bpushes = self.bpops = 0
+        self.untracked = self.suppressed = 0
+
+
 #: One shadow-stack record per live traced frame: the Python frame and
 #: its code-cache entry, followed by the engine's
 #: :data:`~repro.core.fastpath.Frame` fields ``(function, call site,
@@ -152,9 +200,11 @@ class PythonDacceTracer:
     encodes each call itself: a code object is classified on its first
     call, a call site is patched on its first call per callee, and the
     hook keeps the engine's id register, ccStack view and counters in
-    its own locals between events.  Anything that reads engine state
+    its entered state between events.  Anything that reads engine state
     from outside (:meth:`sample`, :meth:`decode`, :meth:`flush`, ``stop``)
-    first hands them back.
+    first hands them back.  ``hit_path`` is ``"c"`` when the hook's hit
+    path runs compiled (``_chook``), ``"python"`` when the Python
+    reference hook runs.
 
     Limitations (documented, by design): C-level calls are not traced
     (no Python frame), and the tracer follows a single thread — the
@@ -183,7 +233,6 @@ class PythonDacceTracer:
         self.targeted = targeted
         self._plan_fns: Optional[set] = None
         self.skipped_code_objects = 0
-        self.suppressed_events = 0
         #: Plan disposition by code *equality*, so equal code objects are
         #: classified (and counted in ``skipped_code_objects``) once.
         self._disposition: Dict[CodeType, bool] = {}
@@ -290,6 +339,8 @@ class PythonDacceTracer:
         self._calls_since_sample = 0
         #: One record per live traced frame, bottom first (``_Record``).
         self._stack: List[_Record] = []
+        #: ``"c"`` or ``"python"``: which hit path the hook runs.
+        self.hit_path = "c" if _chook is not None else "python"
         self._hook = self._make_hook()
 
     # ------------------------------------------------------------------
@@ -402,7 +453,7 @@ class PythonDacceTracer:
         self._calls_since_sample = 0
         self._last_sample_time = time.perf_counter()
         self.engine.fastpath.hook_runs += 1
-        sys.setprofile(self._hook)
+        self._install()
 
     def stop(self) -> None:
         if not self._active:
@@ -422,6 +473,13 @@ class PythonDacceTracer:
         """
         self._detached(_nothing)
 
+    @property
+    def suppressed_events(self) -> int:
+        """Events the hook left out: calls and returns inside a targeted
+        untracked region, and the return of a call that ``recover``
+        quarantined without applying it."""
+        return int(self._st.suppressed)
+
     def live_frames(self) -> List[Tuple[FrameType, int]]:
         """Every live traced frame with the function id it was entered
         under, bottom first.
@@ -434,8 +492,20 @@ class PythonDacceTracer:
     # ------------------------------------------------------------------
     # the profile hook
     # ------------------------------------------------------------------
-    def _make_hook(self) -> Callable[[FrameType, str, Any], None]:
+    def _make_hook(self) -> Any:
         """Build the profile hook and its engine-state handlers (once).
+
+        **Two hit paths, one slow path.**  The hook's hit path runs in
+        the compiled ``_chook.Hook`` when the extension loaded (see
+        :mod:`repro.pytrace._native`), and in the Python function
+        ``hook`` below otherwise; ``hook`` is the reference the compiled
+        one follows line for line.  Both keep the entered state in one
+        object, ``st`` (the ``Hook`` itself, or a :class:`_Stay`), and
+        both call the same Python functions for everything off the hit
+        path: :func:`enter`, :func:`bind`, :func:`resolve` (which
+        classifies, installs patches and sends misses to the general
+        path), :func:`due_call`, :func:`check_triggers` and
+        :func:`return_miss`.
 
         **Patches.**  A call is looked up in the caller's patch map:
         its entry's ``lasti -> {id(callee code) -> patch}`` (the root
@@ -453,7 +523,7 @@ class PythonDacceTracer:
         Patches are valid while ``engine._ensure_fastpath()`` returns
         the table they were made from; a new table clears every map.
 
-        **Entered state.**  Between events the hook holds the kernel's
+        **Entered state.**  Between events ``st`` holds the kernel's
         locals: the id register, the ccStack checkpoint, the ccStack
         view (bound lazily), the folded counters and one calls
         countdown for the engine's sample hook, ``sample_every`` and
@@ -471,7 +541,7 @@ class PythonDacceTracer:
         traced frame (``_Record``), and a record that made an engine
         event carries that event's engine frame, in the layout every
         driver pushes, as ``record[2:]``.  The records below
-        ``mirrored`` are in ``state.frames`` or made no engine event;
+        ``st.mirrored`` are in ``state.frames`` or made no engine event;
         the ones above are the stay's own, and :func:`leave` extends
         ``state.frames`` with their engine frames.  So a return pops
         one of the stay's records as the kernel pops the frame it
@@ -521,44 +591,30 @@ class PythonDacceTracer:
         act_re = _Action.BOUNDARY_RE
         kind_normal = CallKind.NORMAL
 
-        # Entered state (see the docstring): bound by ``enter``.
-        entered = False
-        desync = False
-        #: ``stack[:mirrored]`` is in ``state.frames`` or made no event.
-        mirrored = 0
+        # The entered state both hit paths keep (see the docstring); the
+        # slow path's own share is bound by ``enter`` here.
+        st: Any = None
         state: Any = None
-        frames: List[Frame] = []
-        cur_id = 0
-        # The ccStack checkpoint ``(physical length, top count)``.
-        cc = (0, 0)
         table: Optional[FastPathTable] = None
         entries_get: Any = None
         back_get: Any = None
-        mark_id = 0
         prof: Optional[SampleHook] = None
         every = 0
-        # Calls countdown: ``left`` runs down from ``limit0`` (the nearer
-        # of the engine's sample countdown ``p_at`` and the tracer's
-        # ``s_at``); ``limit0 - left`` is the calls since ``enter``, and
-        # the adaptive window is full when ``left <= t_left``.
-        p_at = s_at = limit0 = left = t_left = 0
-        # The ccStack while bound (``CcStack.kernel_view``).
-        ccs: Optional[CcStack] = None
-        ents: List[CcEntry] = []
-        depth = max_depth = s_pop = s_dcmp = 0
-        # The stay's engine counters, as ``columnar_kernel`` keeps them.
-        rets = id_updates = tcstack = 0
-        pushes = compressions = pops = bpushes = bpops = untracked = 0
+        # Calls countdown: ``st.left`` runs down from ``limit0`` (the
+        # nearer of the engine's sample countdown ``p_at`` and the
+        # tracer's ``s_at``); ``limit0 - st.left`` is the calls since
+        # ``enter``, and the adaptive window is full when ``st.left <=
+        # st.t_left``.
+        p_at = s_at = limit0 = 0
 
         def enter() -> None:
-            """Take the engine's state up into the hook's locals."""
-            nonlocal entered, desync, state, frames, cur_id, cc, table
-            nonlocal entries_get, back_get, mark_id, prof, every
-            nonlocal p_at, s_at, limit0, left, t_left
+            """Take the engine's state up into ``st``."""
+            nonlocal state, table, entries_get, back_get, prof, every
+            nonlocal p_at, s_at, limit0
             state = engine._threads[0]
-            frames = state.frames
-            cur_id = state.id_value
-            cc = state.ccstack.saved_state()
+            frames = st.frames = state.frames
+            st.cur_id = state.id_value
+            st.cc = state.ccstack.saved_state()
             current = engine._ensure_fastpath()
             if current is not table:
                 for patches in patched:
@@ -567,53 +623,54 @@ class PythonDacceTracer:
                 table = current
                 entries_get = current.entries.get
                 back_get = current.back_entries.get
-                mark_id = current.dictionary.max_id + 1
+                st.mark_id = current.dictionary.max_id + 1
             prof = engine._prof
             p_at = prof.countdown if prof is not None else _NEVER
             every = tracer.sample_every
             s_at = every - tracer._calls_since_sample if every else _NEVER
-            limit0 = left = p_at if p_at < s_at else s_at
-            t_left = (
+            limit0 = st.left = p_at if p_at < s_at else s_at
+            st.t_left = (
                 limit0
                 - engine.config.adaptive.check_interval
                 + engine._window.calls
             )
-            desync = frames[-1][0] != (
+            st.desync = frames[-1][0] != (
                 stack[-1][1][1] if stack else ROOT_FUNCTION
             )
-            entered = True
+            st.entered = True
 
         def leave() -> None:
-            """Hand the hook's locals back to the engine."""
-            nonlocal entered, ccs, mirrored, rets, id_updates, tcstack
-            nonlocal pushes, compressions, pops, bpushes, bpops, untracked
-            if not entered:
+            """Hand the entered state back to the engine."""
+            if not st.entered:
                 return
-            entered = False
-            # The records above ``mirrored`` that made an engine event
-            # hold the stay's frames.
-            frames.extend([record[2:] for record in stack[mirrored:] if record[6] is not None])
-            mirrored = len(stack)
-            calls = limit0 - left
+            st.entered = False
+            # The records above ``st.mirrored`` that made an engine
+            # event hold the stay's frames.
+            st.frames.extend(
+                [record[2:] for record in stack[st.mirrored:] if record[6] is not None]
+            )
+            st.mirrored = len(stack)
+            calls = limit0 - st.left
             if prof is not None:
                 prof.countdown = p_at - calls
             if every:
                 tracer._calls_since_sample += calls
             hand_back(
-                state, cur_id, ccs, depth, max_depth, s_pop, s_dcmp,
-                engine._flush_fastpath_counters, calls, rets, id_updates, tcstack, pushes,
-                compressions, pops, bpushes, bpops, untracked,
+                state, st.cur_id, st.ccs, st.depth, st.max_depth, st.s_pop, st.s_dcmp,
+                engine._flush_fastpath_counters, calls, st.rets, st.id_updates,
+                st.tcstack, st.pushes, st.compressions, st.pops, st.bpushes, st.bpops,
+                st.untracked,
             )
-            ccs = None
-            rets = id_updates = tcstack = 0
-            pushes = compressions = pops = bpushes = bpops = untracked = 0
+            st.ccs = None
+            st.rets = st.id_updates = st.tcstack = 0
+            st.pushes = st.compressions = st.pops = st.bpushes = st.bpops = 0
+            st.untracked = 0
 
         def bind() -> None:
-            """Take the current ccStack into locals (first use per stay)."""
-            nonlocal ccs, ents, depth, max_depth, s_pop, s_dcmp
-            ccs = state.ccstack
-            ents, depth, max_depth = ccs.kernel_view()
-            s_pop = s_dcmp = 0
+            """Take the current ccStack into ``st`` (first use per stay)."""
+            ccs = st.ccs = state.ccstack
+            st.ents, st.depth, st.max_depth = ccs.kernel_view()
+            st.s_pop = st.s_dcmp = 0
 
         def detached(fn: Callable[..., Any], *args: Any) -> Any:
             """Leave, then run engine work ``fn(*args)`` with this
@@ -627,7 +684,7 @@ class PythonDacceTracer:
             tracer's hook is left in place.  The hook enters again on
             its next event.
             """
-            installed = getprofile() is hook
+            installed = getprofile() is installed_hook
             if installed:
                 setprofile(None)
             leave()
@@ -635,22 +692,28 @@ class PythonDacceTracer:
                 return fn(*args)
             finally:
                 if installed:
-                    setprofile(hook)
+                    install()
 
         def send_call(record: _Record, event: CallEvent) -> None:
             """Push a call's record and hand the call to the general
             path, which pushes its frame (run :func:`detached`)."""
-            nonlocal mirrored
             stack_append(record)
-            mirrored = len(stack)
+            st.mirrored = len(stack)
             engine.fastpath.misses += 1
+            faults = engine.faults
+            total = faults.total
             try:
                 engine.on_event(event)
             except BaseException:
                 # The call never started: its frame unwinds unprofiled.
                 stack_pop()
-                mirrored = len(stack)
+                st.mirrored = len(stack)
                 raise
+            if total != faults.total and faults.records()[-1].recovery is not _UNWOUND:
+                # ``recover`` quarantined the call without applying it
+                # (dropped, or resynced without its frame): its return
+                # makes no event.
+                stack[-1] = record[:6] + (None,) + record[7:]
 
         def general_call(
             frame: FrameType, entry: _Entry, site: int, cr: int, ce: int
@@ -681,12 +744,21 @@ class PythonDacceTracer:
 
         def due_call() -> None:
             """The calls countdown ran out: an engine and/or tracer sample."""
-            calls = limit0 - left
+            calls = limit0 - st.left
             take = calls >= s_at
             if calls >= p_at:
                 detached(fire_profile_sample)
             if take:
                 detached(take_sample)
+
+        def check_triggers() -> None:
+            """The adaptive window is full: the engine's trigger check."""
+            detached(engine._maybe_check_triggers)
+
+        def return_miss() -> None:
+            """A return the kernel's branch cannot take: the general path."""
+            engine.fastpath.misses += 1
+            detached(engine.on_event, _RETURN)
 
         def compile_patch(entry: _Entry, site: int, cr: int, ce: int) -> Optional[_Patch]:
             """The patch for ``(site, ce)`` under the current table, or
@@ -777,7 +849,7 @@ class PythonDacceTracer:
                     if site is None:
                         site = sites[lasti] = callsite_id()
                 patch = compile_patch(entry, site, caller[1], callee)
-                if patch is None or desync:
+                if patch is None or st.desync:
                     general_call(frame, entry, site, caller[1], callee)
                     return None
             if patches is not None:
@@ -786,56 +858,54 @@ class PythonDacceTracer:
                 patches[key] = patch
             return patch
 
+        # -- the Python hit path (the compiled ``Hook`` does the same) --
+
         def frame_return() -> None:
             """Return of a record ``state.frames`` holds: the kernel's
             return branch, or the general path."""
-            nonlocal cur_id, cc, rets, id_updates, pops, bpops, s_pop, s_dcmp
-            nonlocal depth, desync
+            frames = st.frames
             if len(frames) > 1:
                 top_frame = frames[-1]
                 act = top_frame[4]
                 cc_pop = act is not act_id and act is not act_none and act is not act_unt
-                if cc_pop and ccs is None:
+                if cc_pop and st.ccs is None:
                     bind()
+                ents = st.ents
                 # Tail chains, discovery entries and a pop from an empty
                 # ccStack (which the general path reports) deoptimise.
                 if not top_frame[6] and act is not act_disc and (ents or not cc_pop):
                     frames.pop()
                     if act is act_id:
-                        id_updates += 1
+                        st.id_updates += 1
                     elif cc_pop:
                         top = ents[-1]
                         if top[3]:
                             top[3] -= 1
-                            s_dcmp += 1
+                            st.s_dcmp += 1
                         else:
                             ents.pop()
-                            s_pop += 1
-                        depth -= 1
+                            st.s_pop += 1
+                        depth = st.depth = st.depth - 1
                         if observe is not None:
                             observe(depth)
                         if act is act_push or act is act_cmp:
-                            pops += 1
+                            st.pops += 1
                         else:
-                            bpops += 1
-                    cur_id = top_frame[2]
-                    cc = top_frame[3]
-                    rets += 1
-                    desync = frames[-1][0] != (
+                            st.bpops += 1
+                    st.cur_id = top_frame[2]
+                    st.cc = top_frame[3]
+                    st.rets += 1
+                    st.desync = frames[-1][0] != (
                         stack[-1][1][1] if stack else ROOT_FUNCTION
                     )
-                    if left <= t_left:
-                        detached(engine._maybe_check_triggers)
+                    if st.left <= st.t_left:
+                        check_triggers()
                     return
-            engine.fastpath.misses += 1
-            detached(engine.on_event, _RETURN)
+            return_miss()
 
         def hook(frame: FrameType, event: str, arg: Any) -> None:
-            nonlocal cur_id, cc, left, rets, id_updates, tcstack, mirrored
-            nonlocal pushes, compressions, pops, bpushes, bpops, untracked
-            nonlocal depth, max_depth, s_pop, s_dcmp
             if event == "call":
-                if not entered:
+                if not st.entered:
                     enter()
                 try:
                     top = stack[-1]
@@ -852,7 +922,7 @@ class PythonDacceTracer:
                         )
                     else:
                         patch = None
-                if patch is None or desync:
+                if patch is None or st.desync:
                     patch = resolve(frame)
                     if patch is None:
                         return
@@ -862,19 +932,23 @@ class PythonDacceTracer:
                     if warm and not edge.invocations and edge.seeded:
                         stats.warmstart_handler_hits_avoided += 1
                     edge.invocations += 1
+                    cur_id = st.cur_id
                     stack_append(
-                        (frame, patch[1], patch[2], patch[3], cur_id, cc, patch[8], kind_normal, ())
+                        (frame, patch[1], patch[2], patch[3], cur_id, st.cc, patch[8],
+                         kind_normal, ())
                     )
                     delta = patch[5]
                     if delta:
-                        cur_id += delta
-                        id_updates += 1
+                        st.cur_id = cur_id + delta
+                        st.id_updates += 1
                     if patch[7]:
-                        tcstack += 1
+                        st.tcstack += 1
                 elif kind == _BACK:
                     # ``_push_unencoded`` inlined, as in the kernel.
-                    if ccs is None:
+                    if st.ccs is None:
                         bind()
+                    ents = st.ents
+                    cur_id = st.cur_id
                     back = patch[5]
                     ce = patch[2]
                     cs = patch[3]
@@ -898,64 +972,66 @@ class PythonDacceTracer:
                     if compress:
                         top_entry[3] = top_count + 1
                         stack_append(
-                            (frame, patch[1], ce, cs, cur_id, cc, act_cmp, kind_normal, ())
+                            (frame, patch[1], ce, cs, cur_id, st.cc, act_cmp, kind_normal, ())
                         )
-                        cc = (n, top_count + 1)
-                        compressions += 1
+                        st.cc = (n, top_count + 1)
+                        st.compressions += 1
                     else:
                         ents.append([cur_id, cs, ce, 0, False])
                         stack_append(
-                            (frame, patch[1], ce, cs, cur_id, cc, act_push, kind_normal, ())
+                            (frame, patch[1], ce, cs, cur_id, st.cc, act_push, kind_normal, ())
                         )
-                        cc = (n + 1, 0)
-                        pushes += 1
-                    depth += 1
-                    if depth > max_depth:
-                        max_depth = depth
+                        st.cc = (n + 1, 0)
+                        st.pushes += 1
+                    depth = st.depth = st.depth + 1
+                    if depth > st.max_depth:
+                        st.max_depth = depth
                     if observe is not None:
                         observe(depth)
-                    cur_id = mark_id
+                    st.cur_id = st.mark_id
                     edge = back[0]
                     if warm and not edge.invocations and edge.seeded:
                         stats.warmstart_handler_hits_avoided += 1
                     edge.invocations += 1
                     if back[3]:
-                        tcstack += 1
+                        st.tcstack += 1
                 elif kind == _SKIP_CALL:
                     return
                 elif kind == _INNER:
                     stack_append(
-                        (frame, patch[1], UNTRACKED_FUNCTION, 0, 0, cc, None, kind_normal, ())
+                        (frame, patch[1], UNTRACKED_FUNCTION, 0, 0, st.cc, None, kind_normal, ())
                     )
-                    tracer.suppressed_events += 1
+                    st.suppressed += 1
                     return
                 elif kind == _BOUNDARY:
                     # A boundary crossing saves the context with the
                     # tracked end as the target.
-                    if ccs is None:
+                    if st.ccs is None:
                         bind()
-                    n = len(ents)
+                    ents = st.ents
+                    cur_id = st.cur_id
                     stack_append(
                         (
-                            frame, patch[1], patch[2], patch[3], cur_id, cc, patch[5],
+                            frame, patch[1], patch[2], patch[3], cur_id, st.cc, patch[5],
                             kind_normal, (),
                         )
                     )
-                    cc = (n + 1, 0)
+                    st.cc = (len(ents) + 1, 0)
                     ents.append([cur_id, UNTRACKED_CALLSITE, patch[6], 0, False])
-                    depth += 1
-                    if depth > max_depth:
-                        max_depth = depth
+                    depth = st.depth = st.depth + 1
+                    if depth > st.max_depth:
+                        st.max_depth = depth
                     if observe is not None:
                         observe(depth)
-                    cur_id = mark_id
-                    bpushes += 1
+                    st.cur_id = st.mark_id
+                    st.bpushes += 1
                 else:
                     stack_append(
-                        (frame, patch[1], patch[2], patch[3], cur_id, cc, act_unt, kind_normal, ())
+                        (frame, patch[1], patch[2], patch[3], st.cur_id, st.cc, act_unt,
+                         kind_normal, ())
                     )
-                    untracked += 1
-                left -= 1
+                    st.untracked += 1
+                left = st.left = st.left - 1
                 if left <= 0:
                     due_call()
             elif event == "return":
@@ -965,66 +1041,86 @@ class PythonDacceTracer:
                     return
                 if record[0] is not frame:
                     return  # the return of an untraced frame
-                if not entered:
+                if not st.entered:
                     enter()
                 stack_pop()
                 act = record[6]
-                if len(stack) < mirrored:
+                if len(stack) < st.mirrored:
                     # A record ``state.frames`` holds, or one with no event.
-                    mirrored = len(stack)
+                    st.mirrored = len(stack)
                     if act is None:
-                        tracer.suppressed_events += 1
+                        st.suppressed += 1
                     else:
                         frame_return()
                     return
                 if act is act_id:
-                    id_updates += 1
+                    st.id_updates += 1
                 elif act is act_none:
                     pass
                 elif act is None:
-                    tracer.suppressed_events += 1
+                    st.suppressed += 1
                     return
                 elif act is not act_unt:
                     # A back-edge or boundary entry, on top by the
                     # checkpoint invariant.
+                    ents = st.ents
                     if act is act_cmp:
                         ents[-1][3] -= 1
-                        s_dcmp += 1
-                        pops += 1
+                        st.s_dcmp += 1
+                        st.pops += 1
                     else:
                         ents.pop()
-                        s_pop += 1
+                        st.s_pop += 1
                         if act is act_push:
-                            pops += 1
+                            st.pops += 1
                         else:
-                            bpops += 1
-                    depth -= 1
+                            st.bpops += 1
+                    depth = st.depth = st.depth - 1
                     if observe is not None:
                         observe(depth)
-                cur_id = record[4]
-                cc = record[5]
-                rets += 1
-                if left <= t_left:
-                    detached(engine._maybe_check_triggers)
+                st.cur_id = record[4]
+                st.cc = record[5]
+                st.rets += 1
+                if st.left <= st.t_left:
+                    check_triggers()
 
         def unwind() -> None:
             """Return every live frame through the hook, then leave."""
-            nonlocal mirrored
             while stack:
                 record = stack[-1]
                 if record[6] is None:
                     stack_pop()
-                    mirrored = min(mirrored, len(stack))
+                    st.mirrored = min(st.mirrored, len(stack))
                 else:
-                    hook(record[0], "return", None)
+                    installed_hook(record[0], "return", None)
             leave()
             # As ``process_columns`` does before it returns: one table
             # per committed dictionary, even if no event follows it.
             engine._ensure_fastpath()
 
+        installed_hook: Any
+        install: Callable[[], None]
+        if _chook is not None:
+            st = installed_hook = _chook.Hook(
+                stack, root_patches, region_patches, stats, observe, warm,
+                ROOT_FUNCTION, UNTRACKED_FUNCTION, UNTRACKED_CALLSITE,
+                (act_none, act_id, act_push, act_cmp, act_disc, act_unt), kind_normal,
+                (enter, resolve, bind, due_call, check_triggers, return_miss),
+            )
+            install = installed_hook.install
+        else:
+            st = _Stay()
+            installed_hook = hook
+
+            def install() -> None:
+                setprofile(hook)
+
+        engine.fastpath.hit_path = self.hit_path
+        self._st = st
+        self._install = install
         self._detached = detached
         self._unwind = unwind
-        return hook
+        return installed_hook
 
     # ------------------------------------------------------------------
     # sampling / decoding

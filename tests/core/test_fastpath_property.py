@@ -86,6 +86,7 @@ from repro.static.targeted import build_targeted
 from repro.static.warmstart import build_warmstart
 from tests.pytrace import targeted_program
 from tests.pytrace import test_frontend_golden as golden
+from tests.pytrace.hit_paths import available as hit_paths, forced
 
 
 # ----------------------------------------------------------------------
@@ -1101,15 +1102,18 @@ GOLDEN_PROGRAMS = sorted(golden.PROGRAMS) + sorted(PYTHON_PROGRAMS)
     compression=st.sampled_from(list(CompressionMode)),
     telemetry=st.booleans(),
     hook=HOOKS,
+    hit_path=st.sampled_from(hit_paths()),
 )
 @settings(max_examples=40, deadline=None)
 def test_hook_resident_tracer_equals_its_recorded_stream(
-    name, check_interval, batch_size, compression, telemetry, hook
+    name, check_interval, batch_size, compression, telemetry, hook, hit_path
 ):
     config = _config(check_interval, compression=compression)
     with tempfile.TemporaryDirectory() as directory:
         kwargs, run = _golden_program(name, directory)
-        hooked = _new_tracer(kwargs, config, telemetry)
+        with forced(hit_path):
+            hooked = _new_tracer(kwargs, config, telemetry)
+        assert hooked.hit_path == hit_path
         hooked_log = _install_hook(hooked.engine, hook)
         with _gc_off():
             run(hooked)

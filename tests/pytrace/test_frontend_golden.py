@@ -24,6 +24,8 @@ the function names and the front-end counters (``static_hits``,
 ``skipped_code_objects``, ``suppressed_events``).  Any change to what
 the profile hook encodes inline and what it leaves to the general path,
 or to how it names functions and call sites, shows up as a mismatch.
+The corpus runs on both hit paths (compiled and Python), and each must
+match the one fixture.
 
 Regenerate the fixture (only for a deliberate behaviour change, named in
 the change log) with::
@@ -52,6 +54,8 @@ from repro.pytrace import PythonDacceTracer
 from repro.pytrace.tracer import ROOT_FUNCTION
 from repro.static.pyextract import FunctionIndex, extract_package
 from repro.static.targeted import build_targeted
+
+from .hit_paths import available, forced
 
 FIXTURE = pathlib.Path(__file__).with_name("frontend_golden.json")
 RUNS = 2
@@ -396,8 +400,13 @@ def golden() -> Dict[str, Dict[str, Any]]:
 
 
 @pytest.fixture(scope="module")
-def corpus() -> Dict[str, Dict[str, Any]]:
-    return _corpus()
+def corpus() -> Dict[str, Dict[str, Dict[str, Any]]]:
+    """The traced corpus on each available hit path."""
+    traced = {}
+    for path in available():
+        with forced(path):
+            traced[path] = _corpus()
+    return traced
 
 
 def test_fixture_covers_every_program(golden):
@@ -406,7 +415,8 @@ def test_fixture_covers_every_program(golden):
 
 @pytest.mark.parametrize("program", PROGRAMS)
 def test_front_end_matches_golden(golden, corpus, program):
-    assert corpus[program] == golden[program]
+    for path, traced in corpus.items():
+        assert traced[program] == golden[program], path
 
 
 if __name__ == "__main__":

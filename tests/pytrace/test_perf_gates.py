@@ -14,6 +14,8 @@ Both gates count work instead of timing it, so they hold on any host:
 * recursion stays in the hook too: a recursive back-edge call the hook
   handles costs a shadow-stack record and a ccStack entry, and at most
   one event in ten back-edge calls reaches the general path.
+
+Each gate runs on both hit paths (compiled and Python).
 """
 
 import importlib.util
@@ -26,6 +28,8 @@ from repro.pytrace import PythonDacceTracer
 from repro.pytrace.tracer import ROOT_FUNCTION
 from repro.static.pyextract import FunctionIndex, extract_package
 from repro.static.targeted import build_targeted
+
+from .hit_paths import each
 
 
 def _flat_dag():
@@ -40,6 +44,7 @@ def _flat_dag():
     return namespace
 
 
+@each
 def test_front_end_classifies_each_code_object_once(monkeypatch):
     namespace = _flat_dag()
 
@@ -69,6 +74,7 @@ def test_front_end_classifies_each_code_object_once(monkeypatch):
     assert sum(1 for e in tracer._code_cache.values() if e[1] > 0) == 41
 
 
+@each
 def test_steady_state_runs_are_encoded_in_the_hook(monkeypatch):
     # The check interval outlasts the runs, so no trigger check leaves
     # the hook mid-run.  One explicit pass encodes what run 1 found.
@@ -101,6 +107,7 @@ def test_steady_state_runs_are_encoded_in_the_hook(monkeypatch):
     assert engine.stats.calls == engine.stats.returns == 4 * 201
 
 
+@each
 def test_targeted_boundary_crossings_stay_on_the_fast_path(tmp_path):
     # Tracked t<i> reach the sink; untracked u<i> never do statically,
     # but u<i> for even i re-enter t<i % 4> through HANDLERS, which the
@@ -147,6 +154,7 @@ def test_targeted_boundary_crossings_stay_on_the_fast_path(tmp_path):
     assert passes <= 1, rows
 
 
+@each
 def test_back_edge_calls_stay_in_the_hook(monkeypatch):
     def fib(n):
         return n if n < 2 else fib(n - 1) + fib(n - 2)

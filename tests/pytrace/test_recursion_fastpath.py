@@ -14,6 +14,8 @@ import random
 
 from repro.pytrace import PythonDacceTracer, contexts_agree, walk_stack
 
+from .hit_paths import each
+
 
 def _tree(nodes, seed=7):
     rng = random.Random(seed)
@@ -91,6 +93,7 @@ def _run_recursion():
     return tracer, records
 
 
+@each
 def test_recursion_stays_on_the_fast_path():
     tracer, records = _run_recursion()
     engine = tracer.engine
@@ -108,6 +111,7 @@ def test_recursion_stays_on_the_fast_path():
     assert records
 
 
+@each
 def test_recursion_samples_match_stack_walks():
     tracer, records = _run_recursion()
     decoder = tracer.engine.decoder()

@@ -19,6 +19,7 @@ from repro.pytrace import PythonDacceTracer, walk_stack
 from repro.pytrace.tracer import ROOT_FUNCTION
 
 from . import targeted_program
+from .hit_paths import available, forced
 
 ITERATIONS = 20
 WARMUP = 2
@@ -27,15 +28,26 @@ ROUNDS = 6
 
 @pytest.fixture
 def traced(tmp_path):
+    """One traced run per available hit path, each from a fresh load."""
+    runs = []
+    for path in available():
+        with forced(path):
+            root = tmp_path / path
+            root.mkdir()
+            runs.append(_traced(str(root)))
+    return runs
+
+
+def _traced(root):
     records = []
     tracer = None
 
     def probe():
         records.append((tracer.sample(), walk_stack(tracer)))
 
-    module, graph = targeted_program.load(str(tmp_path), probe)
+    module, graph = targeted_program.load(root, probe)
     plan = targeted_program.plan_for(graph)
-    tracer = PythonDacceTracer(targeted=plan, source_root=str(tmp_path))
+    tracer = PythonDacceTracer(targeted=plan, source_root=root)
     engine = tracer.engine
     # One row per iteration: (passes, kernel hits, general-path events,
     # boundary crossings), read after a drain.
@@ -72,7 +84,11 @@ def _deltas(rows, column):
 
 
 def test_targeted_program_reaches_a_steady_state(traced):
-    tracer, _plan, rows, _records = traced
+    for run in traced:
+        _check_steady_state(*run)
+
+
+def _check_steady_state(tracer, _plan, rows, _records):
     steady = rows[WARMUP - 1:]
     assert steady[-1][0] - steady[0][0] <= 1  # re-encoding passes
     hits = steady[-1][1] - steady[0][1]
@@ -87,7 +103,11 @@ def test_targeted_program_reaches_a_steady_state(traced):
 
 
 def test_targeted_samples_match_projected_stack_walks(traced):
-    tracer, plan, _rows, records = traced
+    for run in traced:
+        _check_samples(*run)
+
+
+def _check_samples(tracer, plan, _rows, records):
     tracked = set(plan.functions) | {ROOT_FUNCTION}
     decoder = tracer.engine.decoder()
     assert len(records) >= ITERATIONS

@@ -9,6 +9,8 @@ from repro.core.errors import TraceError
 from repro.core.faults import FaultKind, FaultPolicy, RecoveryAction
 from repro.pytrace import PythonDacceTracer, contexts_agree, walk_stack
 
+from .hit_paths import each
+
 
 def simple_chain(tracer):
     def inner():
@@ -280,6 +282,7 @@ def _countdown(n, reached=None):
 
 
 @pytest.mark.faultinject
+@each
 def test_injected_error_in_real_recursion_is_quarantined_and_resynced():
     tracer = _failing_tracer(FaultPolicy.RECOVER, _countdown, 6)
     engine = tracer.engine
@@ -296,6 +299,9 @@ def test_injected_error_in_real_recursion_is_quarantined_and_resynced():
     assert len(trace_errors) == 1
     assert trace_errors[0].recovery is RecoveryAction.RESYNCED
     assert "injected fault" in trace_errors[0].message
+    # The quarantined call's return makes no engine event: no later
+    # return pops a frame the resync left (no return-bottom fault).
+    assert engine.faults.kinds() == (FaultKind.TRACE_ERROR,)
     agreements = []
 
     def probe():
@@ -313,7 +319,52 @@ def test_injected_error_in_real_recursion_is_quarantined_and_resynced():
     assert agreements == [True] * 3
 
 
+def _fault_point_with_calls(reached):
+    reached.append(True)
+    return _leaf(0) + _leaf(1)
+
+
+def _leaf(n):
+    return n
+
+
+def _countdown_to_calls(n, reached=None):
+    """``_countdown``, whose bottom call makes calls of its own."""
+    if n:
+        return _countdown_to_calls(n - 1, reached) + 1
+    return 0 if reached is None else _fault_point_with_calls(reached)
+
+
 @pytest.mark.faultinject
+@each
+def test_calls_inside_a_quarantined_call_pop_no_engine_frame():
+    tracer = PythonDacceTracer(config=DacceConfig(fault_policy=FaultPolicy.RECOVER))
+    tracer.run(_countdown_to_calls, 6)
+    engine = tracer.engine
+    assert engine.reencode()
+    push = engine._push_unencoded
+
+    def failing(state, event, edge):
+        action = push(state, event, edge)
+        if tracer.name_of(event.callee) == "_fault_point_with_calls":
+            raise TraceError("injected fault calling _fault_point_with_calls")
+        return action
+
+    engine._push_unencoded = failing
+    reached = []
+    assert tracer.run(_countdown_to_calls, 8, reached) == 9
+    assert reached == [True]
+    # The quarantined call runs without an engine frame, so the engine
+    # drops the calls it makes; no return, theirs or its own, pops a
+    # frame the engine holds for a live caller.
+    counts = engine.faults.counts_by_kind()
+    assert counts == {"trace-error": 1, "caller-mismatch": 2}, counts
+    assert engine.stats.calls - engine.stats.returns == 1  # the failed call
+    assert len(engine._threads[0].frames) == 1
+
+
+@pytest.mark.faultinject
+@each
 def test_injected_error_in_real_recursion_surfaces_under_strict():
     caught = []
 
