@@ -14,6 +14,18 @@
  *
  * Each call into Python may change any member, so no member is cached
  * in a C local across one.
+ *
+ * Two things are C's own, and neither is visible to the slow path:
+ *
+ * - Hit counts.  An encoded or back-edge hit counts into a table keyed
+ *   by edge, not into ``edge.invocations`` and the policy's push
+ *   counters; ``fold`` (which ``leave`` calls) adds the touched
+ *   entries to them once per stay and credits the warm start there.
+ *   Nothing reads either between an edge's first hit in a stay and the
+ *   stay's end, so the totals and the credit are the Python hook's.
+ * - Probe keys.  ``id(code)`` and ``lasti`` come from caches of int
+ *   objects; each key is a pure function of its input, so a cached key
+ *   is never stale.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -28,6 +40,33 @@ enum { CB_ENTER, CB_RESOLVE, CB_BIND, CB_DUE_CALL, CB_TRIGGERS, CB_RETURN_MISS, 
 
 /* Frame actions, in constructor order. */
 enum { A_NONE, A_ID, A_PUSH, A_CMP, A_DISC, A_UNT, N_ACT };
+
+/* Code-cache function id of code the tracer never traces
+ * (``tracer._SKIP``). */
+#define SKIP_FUNCTION (-1)
+
+/* Slots of the direct-mapped ``id(code)`` key cache (a power of two). */
+#define ID_KEYS 1024
+
+/* Bytecode offsets below this have a cached ``lasti`` key. */
+#define LASTI_KEYS 16384
+
+/* One edge's hits in the current stay, and its back-edge pushes and
+ * repeated pushes with the policy counters they go to (``back[1]``,
+ * taken at the edge's first back-edge hit in the stay). */
+typedef struct {
+    PyObject *edge;
+    PyObject *counters;
+    Py_ssize_t hits;
+    Py_ssize_t pushes;
+    Py_ssize_t repeats;
+    char touched;
+} HitSlot;
+
+typedef struct {
+    const void *code;
+    PyObject *key;
+} IdKey;
 
 typedef struct {
     PyObject_HEAD
@@ -61,6 +100,7 @@ typedef struct {
     PyObject *stack;
     PyObject *root_patches;
     PyObject *region_patches;
+    PyObject *code_cache;
     PyObject *stats;
     PyObject *observe;
     int warm;
@@ -70,10 +110,25 @@ typedef struct {
     PyObject *act[N_ACT];
     PyObject *kind_normal;
     PyObject *cb[N_CB];
+    /* Hit counts: ``slots`` holds one entry per edge ever hit (a strong
+     * reference), found through the open-addressed ``index`` (slot
+     * numbers, -1 for free); ``touched`` lists the slots hit since the
+     * last fold. */
+    HitSlot *slots;
+    Py_ssize_t n_slots;
+    Py_ssize_t cap_slots;
+    Py_ssize_t *index;
+    size_t index_mask;
+    Py_ssize_t *touched;
+    Py_ssize_t n_touched;
+    /* Probe keys. */
+    IdKey id_keys[ID_KEYS];
+    PyObject **lasti_keys;
+    Py_ssize_t n_lasti_keys;
 } Hook;
 
 static PyObject *s_invocations, *s_seeded, *s_hits_avoided;
-static PyObject *s_call, *s_return, *empty_tuple, *zero, *one;
+static PyObject *s_call, *s_return, *empty_tuple, *zero, *one, *skip_function;
 
 /* ------------------------------------------------------------------ */
 /* small helpers                                                       */
@@ -115,55 +170,131 @@ observe_depth(Hook *h)
     return 0;
 }
 
-/* ``seq[index] += delta`` for a list of ints. */
-static int
-list_add(PyObject *list, Py_ssize_t index, PyObject *delta)
+static size_t
+ptr_hash(const void *ptr)
 {
-    PyObject *value = PyNumber_Add(PyList_GET_ITEM(list, index), delta);
-    if (value == NULL)
-        return -1;
-    return PyList_SetItem(list, index, value);
+    size_t x = (size_t)ptr >> 4;
+    return x ^ (x >> 10);
 }
 
-/* ``if warm and not edge.invocations and edge.seeded:
- *     stats.warmstart_handler_hits_avoided += 1
- * edge.invocations += 1``, through the edge's ``__dict__`` (the
- * attribute protocol costs more than the rest of a hit). */
-static int
-edge_hit(Hook *h, PyObject *edge)
+/* The index position of ``edge``'s slot, or of the free position it
+ * would take; ``*slot`` is its slot number, or -1. */
+static size_t
+slot_find(Hook *h, PyObject *edge, Py_ssize_t *slot)
 {
-    PyObject *dict = PyObject_GenericGetDict(edge, NULL);
-    if (dict == NULL)
-        return -1;
-    int res = -1;
-    PyObject *count = PyDict_GetItemWithError(dict, s_invocations);
-    if (count == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_AttributeError, s_invocations);
-        goto done;
+    size_t i = ptr_hash(edge) & h->index_mask;
+    Py_ssize_t k;
+    while ((k = h->index[i]) >= 0 && h->slots[k].edge != edge)
+        i = (i + 1) & h->index_mask;
+    *slot = k;
+    return i;
+}
+
+/* Double the slot capacity and rebuild the index at twice that size. */
+static int
+grow_slots(Hook *h)
+{
+    Py_ssize_t cap = h->cap_slots ? 2 * h->cap_slots : 64;
+    HitSlot *slots = PyMem_Realloc(h->slots, cap * sizeof(HitSlot));
+    if (slots == NULL)
+        goto nomem;
+    h->slots = slots;
+    Py_ssize_t *touched = PyMem_Realloc(h->touched, cap * sizeof(Py_ssize_t));
+    if (touched == NULL)
+        goto nomem;
+    h->touched = touched;
+    Py_ssize_t *index = PyMem_Malloc(2 * cap * sizeof(Py_ssize_t));
+    if (index == NULL)
+        goto nomem;
+    memset(index, 0xff, 2 * cap * sizeof(Py_ssize_t));
+    PyMem_Free(h->index);
+    h->index = index;
+    h->index_mask = (size_t)(2 * cap - 1);
+    h->cap_slots = cap;
+    for (Py_ssize_t k = 0; k < h->n_slots; k++) {
+        Py_ssize_t found;
+        index[slot_find(h, h->slots[k].edge, &found)] = k;
     }
-    int credit = h->warm ? PyObject_Not(count) : 0;
-    if (credit > 0) {
-        PyObject *seeded = PyDict_GetItemWithError(dict, s_seeded);
-        credit = seeded == NULL ? (PyErr_Occurred() ? -1 : 0) : PyObject_IsTrue(seeded);
-        if (credit > 0) {
+    return 0;
+nomem:
+    PyErr_NoMemory();
+    return -1;
+}
+
+/* ``edge``'s slot, marked touched (NULL on error).  The pointer is
+ * valid until the next ``hit_slot``. */
+static HitSlot *
+hit_slot(Hook *h, PyObject *edge)
+{
+    Py_ssize_t k = -1;
+    size_t at = 0;
+    if (h->index != NULL)
+        at = slot_find(h, edge, &k);
+    if (k < 0) {
+        if (h->n_slots == h->cap_slots) {
+            if (grow_slots(h) < 0)
+                return NULL;
+            at = slot_find(h, edge, &k);
+        }
+        k = h->n_slots++;
+        Py_INCREF(edge);
+        h->slots[k] = (HitSlot){edge, NULL, 0, 0, 0, 0};
+        h->index[at] = k;
+    }
+    HitSlot *s = &h->slots[k];
+    if (!s->touched) {
+        s->touched = 1;
+        h->touched[h->n_touched++] = k;
+    }
+    return s;
+}
+
+/* ``hits`` hits of ``edge``, as the Python hook makes them one by one:
+ * ``if warm and not edge.invocations and edge.seeded:
+ *     stats.warmstart_handler_hits_avoided += 1
+ * edge.invocations += hits``. */
+static int
+fold_hits(Hook *h, PyObject *edge, Py_ssize_t hits)
+{
+    PyObject *count = PyObject_GetAttr(edge, s_invocations);
+    if (count == NULL)
+        return -1;
+    int res = h->warm ? PyObject_Not(count) : 0;
+    if (res > 0) {
+        PyObject *seeded = PyObject_GetAttr(edge, s_seeded);
+        res = seeded == NULL ? -1 : PyObject_IsTrue(seeded);
+        Py_XDECREF(seeded);
+        if (res > 0) {
             PyObject *avoided = PyObject_GetAttr(h->stats, s_hits_avoided);
             PyObject *next = avoided == NULL ? NULL : PyNumber_Add(avoided, one);
             Py_XDECREF(avoided);
-            credit = next == NULL ? -1 : PyObject_SetAttr(h->stats, s_hits_avoided, next);
+            res = next == NULL ? -1 : PyObject_SetAttr(h->stats, s_hits_avoided, next);
             Py_XDECREF(next);
         }
     }
-    if (credit < 0)
-        goto done;
-    PyObject *next = PyNumber_Add(count, one);
-    if (next == NULL)
-        goto done;
-    res = PyDict_SetItem(dict, s_invocations, next);
-    Py_DECREF(next);
-done:
-    Py_DECREF(dict);
+    if (res == 0) {
+        PyObject *delta = PyLong_FromSsize_t(hits);
+        PyObject *next = delta == NULL ? NULL : PyNumber_Add(count, delta);
+        Py_XDECREF(delta);
+        res = next == NULL ? -1 : PyObject_SetAttr(edge, s_invocations, next);
+        Py_XDECREF(next);
+    }
+    Py_DECREF(count);
     return res;
+}
+
+/* ``seq[index] += delta`` for a list of ints. */
+static int
+list_add(PyObject *list, Py_ssize_t index, Py_ssize_t delta)
+{
+    PyObject *step = PyLong_FromSsize_t(delta);
+    if (step == NULL)
+        return -1;
+    PyObject *value = PyNumber_Add(PyList_GET_ITEM(list, index), step);
+    Py_DECREF(step);
+    if (value == NULL)
+        return -1;
+    return PyList_SetItem(list, index, value);
 }
 
 /* Append the record ``(frame, entry, ce, cs, restore, cc, action,
@@ -255,16 +386,56 @@ update_desync(Hook *h)
 /* the call branch                                                     */
 /* ------------------------------------------------------------------ */
 
-/* The patch the caller's patch map holds for this call (a new
- * reference), or NULL with no error set. */
+/* ``id(code)`` for the callee's code object (a new reference). */
 static PyObject *
-probe(Hook *h, PyFrameObject *frame)
+code_key(Hook *h, PyFrameObject *frame)
 {
     PyCodeObject *code = PyFrame_GetCode(frame);
-    PyObject *key = PyLong_FromVoidPtr(code);
     Py_DECREF(code);  /* the frame keeps it alive */
-    if (key == NULL)
-        return NULL;
+    IdKey *slot = &h->id_keys[ptr_hash(code) & (ID_KEYS - 1)];
+    if (slot->code != code) {
+        PyObject *key = PyLong_FromVoidPtr(code);
+        if (key == NULL)
+            return NULL;
+        Py_XSETREF(slot->key, key);
+        slot->code = code;
+    }
+    Py_INCREF(slot->key);
+    return slot->key;
+}
+
+/* The int ``lasti`` (a new reference). */
+static PyObject *
+lasti_key(Hook *h, int lasti)
+{
+    if (lasti < 0 || lasti >= LASTI_KEYS)
+        return PyLong_FromLong(lasti);
+    if (lasti >= h->n_lasti_keys) {
+        Py_ssize_t n = h->n_lasti_keys ? h->n_lasti_keys : 256;
+        while (n <= lasti)
+            n *= 2;
+        PyObject **keys = PyMem_Realloc(h->lasti_keys, n * sizeof(PyObject *));
+        if (keys == NULL)
+            return PyErr_NoMemory();
+        memset(keys + h->n_lasti_keys, 0, (n - h->n_lasti_keys) * sizeof(PyObject *));
+        h->lasti_keys = keys;
+        h->n_lasti_keys = n;
+    }
+    PyObject *key = h->lasti_keys[lasti];
+    if (key == NULL) {
+        key = h->lasti_keys[lasti] = PyLong_FromLong(lasti);
+        if (key == NULL)
+            return NULL;
+    }
+    Py_INCREF(key);
+    return key;
+}
+
+/* The patch the caller's patch map holds for the call of the code
+ * ``key`` names (a new reference), or NULL with no error set. */
+static PyObject *
+probe(Hook *h, PyFrameObject *frame, PyObject *key)
+{
     PyObject *patch = NULL;
     Py_ssize_t n = PyList_GET_SIZE(h->stack);
     if (n == 0) {
@@ -281,7 +452,7 @@ probe(Hook *h, PyFrameObject *frame)
         else if (region == 0) {
             PyFrameObject *parent = PyFrame_GetBack(frame);
             if (parent != NULL && (PyObject *)parent == PyTuple_GET_ITEM(top, 0)) {
-                PyObject *lasti = PyLong_FromLong(PyFrame_GetLasti(parent));
+                PyObject *lasti = lasti_key(h, PyFrame_GetLasti(parent));
                 if (lasti != NULL) {
                     PyObject *patches = PyDict_GetItemWithError(
                         PyTuple_GET_ITEM(caller, 4), lasti);
@@ -293,9 +464,47 @@ probe(Hook *h, PyFrameObject *frame)
             Py_XDECREF(parent);
         }
     }
-    Py_DECREF(key);
     Py_XINCREF(patch);
     return patch;
+}
+
+/* Is the code ``key`` names classified ``_SKIP`` (1), or not, or not
+ * yet (0)?  The code cache holds the code object, so no other code
+ * can take its id while the entry lives. */
+static int
+skipped(Hook *h, PyObject *key)
+{
+    PyObject *entry = PyDict_GetItemWithError(h->code_cache, key);
+    if (entry == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    return PyObject_RichCompareBool(PyTuple_GET_ITEM(entry, 1), skip_function, Py_EQ);
+}
+
+static int
+encoded_call(Hook *h, PyObject *frame, PyObject *patch)
+{
+    PyObject *delta = PyTuple_GET_ITEM(patch, 5);
+    int moves = PyObject_IsTrue(delta);
+    int tail = PyObject_IsTrue(PyTuple_GET_ITEM(patch, 7));
+    if (moves < 0 || tail < 0)
+        return -1;
+    HitSlot *slot = hit_slot(h, PyTuple_GET_ITEM(patch, 6));
+    if (slot == NULL)
+        return -1;
+    slot->hits += 1;
+    PyObject *cur_id = h->cur_id;
+    if (push_record(h, frame, PyTuple_GET_ITEM(patch, 1), PyTuple_GET_ITEM(patch, 2),
+                    PyTuple_GET_ITEM(patch, 3), cur_id, PyTuple_GET_ITEM(patch, 8)) < 0)
+        return -1;
+    if (moves) {
+        PyObject *next = PyNumber_Add(cur_id, delta);
+        if (next == NULL)
+            return -1;
+        Py_SETREF(h->cur_id, next);
+        h->id_updates += 1;
+    }
+    h->tcstack += tail;
+    return 0;
 }
 
 static int
@@ -329,11 +538,16 @@ back_call(Hook *h, PyObject *frame, PyObject *patch)
         if (compress < 0)
             return -1;
     }
-    PyObject *counters = PyTuple_GET_ITEM(back, 1);
-    if (list_add(counters, 0, one) < 0)
+    HitSlot *slot = hit_slot(h, PyTuple_GET_ITEM(back, 0));
+    if (slot == NULL)
         return -1;
-    if (repeat && list_add(counters, 1, one) < 0)
-        return -1;
+    if (slot->counters == NULL) {
+        slot->counters = PyTuple_GET_ITEM(back, 1);
+        Py_INCREF(slot->counters);
+    }
+    slot->hits += 1;
+    slot->pushes += 1;
+    slot->repeats += repeat;
     if (compress) {
         PyObject *bumped = PyNumber_Add(top_count, one);
         if (bumped == NULL)
@@ -370,8 +584,6 @@ back_call(Hook *h, PyObject *frame, PyObject *patch)
     if (push_depth(h) < 0)
         return -1;
     set_obj(&h->cur_id, h->mark_id);
-    if (edge_hit(h, PyTuple_GET_ITEM(back, 0)) < 0)
-        return -1;
     int tail = PyObject_IsTrue(PyTuple_GET_ITEM(back, 3));
     if (tail < 0)
         return -1;
@@ -413,12 +625,18 @@ hook_call(Hook *h, PyFrameObject *frame_obj)
     PyObject *frame = (PyObject *)frame_obj;
     if (!h->entered && call0(h->cb[CB_ENTER]) < 0)
         return -1;
-    PyObject *patch = probe(h, frame_obj);
-    if (patch == NULL && PyErr_Occurred())
+    PyObject *key = code_key(h, frame_obj);
+    if (key == NULL)
         return -1;
+    PyObject *patch = probe(h, frame_obj, key);
     if (patch == NULL || h->desync) {
-        Py_XDECREF(patch);
-        patch = PyObject_CallOneArg(h->cb[CB_RESOLVE], frame);
+        int skip = PyErr_Occurred() ? -1 : skipped(h, key);
+        Py_DECREF(key);
+        if (skip) {
+            Py_XDECREF(patch);
+            return skip < 0 ? -1 : 0;
+        }
+        Py_XSETREF(patch, PyObject_CallOneArg(h->cb[CB_RESOLVE], frame));
         if (patch == NULL)
             return -1;
         if (patch == Py_None) {
@@ -426,31 +644,13 @@ hook_call(Hook *h, PyFrameObject *frame_obj)
             return 0;
         }
     }
+    else {
+        Py_DECREF(key);
+    }
     int res = 0;
     long kind = PyLong_AsLong(PyTuple_GET_ITEM(patch, 0));
     if (kind == ENCODED) {
-        PyObject *cur_id = h->cur_id;
-        Py_INCREF(cur_id);
-        PyObject *delta = PyTuple_GET_ITEM(patch, 5);
-        int moves = PyObject_IsTrue(delta);
-        int tail = PyObject_IsTrue(PyTuple_GET_ITEM(patch, 7));
-        if (moves < 0 || tail < 0
-            || edge_hit(h, PyTuple_GET_ITEM(patch, 6)) < 0
-            || push_record(h, frame, PyTuple_GET_ITEM(patch, 1), PyTuple_GET_ITEM(patch, 2),
-                           PyTuple_GET_ITEM(patch, 3), cur_id, PyTuple_GET_ITEM(patch, 8)) < 0) {
-            res = -1;
-        }
-        else if (moves) {
-            PyObject *next = PyNumber_Add(cur_id, delta);
-            if (next == NULL)
-                res = -1;
-            else {
-                Py_SETREF(h->cur_id, next);
-                h->id_updates += 1;
-            }
-        }
-        Py_DECREF(cur_id);
-        h->tcstack += tail > 0;
+        res = encoded_call(h, frame, patch);
     }
     else if (kind == BACK) {
         res = back_call(h, frame, patch);
@@ -681,15 +881,47 @@ Hook_install(PyObject *self, PyObject *unused)
     Py_RETURN_NONE;
 }
 
+/* Add the hit counts of the slots touched since the last fold to
+ * ``edge.invocations`` and the policy's push counters.  An error still
+ * empties every touched slot. */
+static PyObject *
+Hook_fold(Hook *h, PyObject *unused)
+{
+    int res = 0;
+    Py_ssize_t n = h->n_touched;
+    h->n_touched = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        HitSlot *s = &h->slots[h->touched[i]];
+        PyObject *edge = s->edge;
+        PyObject *counters = s->counters;
+        Py_ssize_t hits = s->hits, pushes = s->pushes, repeats = s->repeats;
+        s->counters = NULL;
+        s->hits = s->pushes = s->repeats = 0;
+        s->touched = 0;
+        if (res == 0 && hits)
+            res = fold_hits(h, edge, hits);
+        if (res == 0 && counters != NULL) {
+            res = list_add(counters, 0, pushes);
+            if (res == 0 && repeats)
+                res = list_add(counters, 1, repeats);
+        }
+        Py_XDECREF(counters);
+    }
+    if (res < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static int
 Hook_init(Hook *h, PyObject *args, PyObject *kwargs)
 {
-    PyObject *stack, *root_patches, *region_patches, *stats, *observe;
+    PyObject *stack, *root_patches, *region_patches, *code_cache, *stats, *observe;
     PyObject *root_fn, *untracked_fn, *untracked_site, *actions, *kind, *callbacks;
     int warm;
-    if (!PyArg_ParseTuple(args, "O!O!O!OOpOOOO!OO!:Hook",
+    if (!PyArg_ParseTuple(args, "O!O!O!O!OOpOOOO!OO!:Hook",
                           &PyList_Type, &stack, &PyDict_Type, &root_patches,
-                          &PyDict_Type, &region_patches, &stats, &observe, &warm,
+                          &PyDict_Type, &region_patches, &PyDict_Type, &code_cache,
+                          &stats, &observe, &warm,
                           &root_fn, &untracked_fn, &untracked_site,
                           &PyTuple_Type, &actions, &kind, &PyTuple_Type, &callbacks))
         return -1;
@@ -700,6 +932,7 @@ Hook_init(Hook *h, PyObject *args, PyObject *kwargs)
     set_obj(&h->stack, stack);
     set_obj(&h->root_patches, root_patches);
     set_obj(&h->region_patches, region_patches);
+    set_obj(&h->code_cache, code_cache);
     set_obj(&h->stats, stats);
     set_obj(&h->observe, observe);
     h->warm = warm;
@@ -731,8 +964,8 @@ Hook_init(Hook *h, PyObject *args, PyObject *kwargs)
 
 #define VISIT_ALL(X)                                                       \
     X(frames) X(cur_id) X(cc) X(mark_id) X(ccs) X(ents) X(stack)           \
-    X(root_patches) X(region_patches) X(stats) X(observe) X(root_fn)       \
-    X(untracked_fn) X(untracked_site) X(kind_normal)
+    X(root_patches) X(region_patches) X(code_cache) X(stats) X(observe)    \
+    X(root_fn) X(untracked_fn) X(untracked_site) X(kind_normal)
 
 static int
 Hook_traverse(Hook *h, visitproc visit, void *arg)
@@ -744,7 +977,42 @@ Hook_traverse(Hook *h, visitproc visit, void *arg)
         Py_VISIT(h->act[i]);
     for (int i = 0; i < N_CB; i++)
         Py_VISIT(h->cb[i]);
+    for (Py_ssize_t k = 0; k < h->n_slots; k++) {
+        Py_VISIT(h->slots[k].edge);
+        Py_VISIT(h->slots[k].counters);
+    }
     return 0;
+}
+
+/* Drop the hit table and the key caches (pending hits are lost). */
+static void
+clear_tables(Hook *h)
+{
+    HitSlot *slots = h->slots;
+    Py_ssize_t n_slots = h->n_slots;
+    PyObject **lasti_keys = h->lasti_keys;
+    Py_ssize_t n_lasti_keys = h->n_lasti_keys;
+    PyMem_Free(h->index);
+    PyMem_Free(h->touched);
+    h->slots = NULL;
+    h->index = NULL;
+    h->touched = NULL;
+    h->n_slots = h->cap_slots = h->n_touched = 0;
+    h->index_mask = 0;
+    h->lasti_keys = NULL;
+    h->n_lasti_keys = 0;
+    for (Py_ssize_t k = 0; k < n_slots; k++) {
+        Py_XDECREF(slots[k].edge);
+        Py_XDECREF(slots[k].counters);
+    }
+    PyMem_Free(slots);
+    for (Py_ssize_t i = 0; i < n_lasti_keys; i++)
+        Py_XDECREF(lasti_keys[i]);
+    PyMem_Free(lasti_keys);
+    for (int i = 0; i < ID_KEYS; i++) {
+        h->id_keys[i].code = NULL;
+        Py_CLEAR(h->id_keys[i].key);
+    }
 }
 
 static int
@@ -757,6 +1025,7 @@ Hook_clear(Hook *h)
         Py_CLEAR(h->act[i]);
     for (int i = 0; i < N_CB; i++)
         Py_CLEAR(h->cb[i]);
+    clear_tables(h);
     return 0;
 }
 
@@ -802,6 +1071,9 @@ static PyMemberDef Hook_members[] = {
 static PyMethodDef Hook_methods[] = {
     {"install", Hook_install, METH_NOARGS,
      "Install this hook as the thread's C profile function."},
+    {"fold", (PyCFunction)Hook_fold, METH_NOARGS,
+     "Add the stay's edge hits and back-edge pushes to the edges and the "
+     "policy counters, crediting the warm start."},
     {NULL}
 };
 
@@ -841,8 +1113,9 @@ PyInit__chook(void)
     empty_tuple = PyTuple_New(0);
     zero = PyLong_FromLong(0);
     one = PyLong_FromLong(1);
+    skip_function = PyLong_FromLong(SKIP_FUNCTION);
     if (!s_invocations || !s_seeded || !s_hits_avoided || !s_call || !s_return
-        || !empty_tuple || !zero || !one)
+        || !empty_tuple || !zero || !one || !skip_function)
         return NULL;
     PyObject *module = PyModule_Create(&chook_module);
     if (module == NULL)

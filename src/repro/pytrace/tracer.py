@@ -339,6 +339,9 @@ class PythonDacceTracer:
         self._calls_since_sample = 0
         #: One record per live traced frame, bottom first (``_Record``).
         self._stack: List[_Record] = []
+        #: Calls the hook sent to the slow path's ``resolve``: patch-map
+        #: misses, less the calls of code the code cache holds as skipped.
+        self.resolve_calls = 0
         #: ``"c"`` or ``"python"``: which hit path the hook runs.
         self.hit_path = "c" if _chook is not None else "python"
         self._hook = self._make_hook()
@@ -387,16 +390,21 @@ class PythonDacceTracer:
             (module, code.co_name, code.co_firstlineno)
         )
 
-    def _classify(self, code: CodeType) -> _Entry:
+    def _classify(self, code: CodeType, module_file: str = "") -> _Entry:
         """Cache and return the code-cache entry of ``code``.
 
         Runs once per code object, on its first call: the package and
         ``<frozen`` filter, the targeted-plan disposition, then
         :meth:`_function_id` (keyed by code equality, so equal code
         objects share one id).  Out-of-plan code never gets a function
-        id or call-site allocation.
+        id or call-site allocation.  ``module_file`` is the ``__file__``
+        of the globals the code runs in: code that ``exec`` made (a
+        dataclass's generated ``__init__``, say) is filed as
+        ``<string>`` and belongs to that module.
         """
         filename = code.co_filename
+        if filename == "<string>" and module_file:
+            filename = module_file
         if filename.startswith(_PACKAGE_ROOT) or filename.startswith("<frozen"):
             function = _SKIP  # never trace the tracer/engine machinery itself
         elif self._plan_fns is None:
@@ -522,17 +530,26 @@ class PythonDacceTracer:
         inline; a probe miss sends that one event to the general path.
         Patches are valid while ``engine._ensure_fastpath()`` returns
         the table they were made from; a new table clears every map.
+        A miss whose callee the code cache already holds as skipped
+        code returns at once, without :func:`resolve`: calls made
+        inside skipped code (the tracer's own, say) have no patch map
+        to live in, because their parent is not a live record.
 
         **Entered state.**  Between events ``st`` holds the kernel's
         locals: the id register, the ccStack checkpoint, the ccStack
         view (bound lazily), the folded counters and one calls
         countdown for the engine's sample hook, ``sample_every`` and
         the adaptive window.  :func:`leave` ends the stay as the kernel
-        does, through :func:`~repro.core.fastpath.hand_back`.  Every miss, sample
-        and trigger check leaves first and runs the engine with the hook
-        detached (:func:`detached`); so do :meth:`flush`, :meth:`sample`,
-        :meth:`decode`, :meth:`expected_context` and :meth:`stop`.  The
-        next call or return enters again (:func:`enter`), re-reading
+        does, through :func:`~repro.core.fastpath.hand_back`.  The
+        compiled hit path counts edge hits and back-edge pushes in C,
+        and ``leave`` folds them into ``edge.invocations`` and the
+        policy's push counters (``Hook.fold``), so an edge read in mid
+        stay, other than through the tracer, shows the last fold.
+        Every miss, sample and trigger check leaves first and runs the
+        engine with the hook detached (:func:`detached`); so do
+        :meth:`flush`, :meth:`sample`, :meth:`decode`,
+        :meth:`expected_context` and :meth:`stop`.  The next call or
+        return enters again (:func:`enter`), re-reading
         ``state.frames``, ``state.ccstack`` and the table, which a
         committed re-encoding pass and a resync replace; so a run of misses
         pays one leave and no entry between them.
@@ -550,7 +567,10 @@ class PythonDacceTracer:
         top function deoptimises, as the kernel's ``top_fn == cr`` test
         does; the two only disagree after a ``recover`` fault, so it is
         checked when the hook enters and when a frame in
-        ``state.frames`` returns.
+        ``state.frames`` returns.  When they disagree because the top
+        record made no engine event (a call ``recover`` quarantined),
+        the calls it makes are suppressed, as a targeted region's
+        interior is.
 
         A call whose parent is not the top live frame (a callback from
         C, or from skipped code) attaches to the top frame, which is
@@ -655,6 +675,7 @@ class PythonDacceTracer:
                 prof.countdown = p_at - calls
             if every:
                 tracer._calls_since_sample += calls
+            fold()
             hand_back(
                 state, st.cur_id, st.ccs, st.depth, st.max_depth, st.s_pop, st.s_dcmp,
                 engine._flush_fastpath_counters, calls, st.rets, st.id_updates,
@@ -793,9 +814,10 @@ class PythonDacceTracer:
             was handled here (no event, or the general path).  The patch
             is installed in the map the fast lookup would probe.
             """
+            tracer.resolve_calls += 1
             code = frame.f_code
             key = id(code)
-            entry = cache_get(key) or classify(code)
+            entry = cache_get(key) or classify(code, frame.f_globals.get("__file__") or "")
             callee = entry[1]
             parent = frame.f_back
             patches: Optional[Dict[int, _Patch]]
@@ -825,6 +847,13 @@ class PythonDacceTracer:
                 # per-code DISABLE (sys.monitoring) or binary patching
                 # the interpreter would not even invoke the hook here.
                 patch = (_INNER, entry)
+            elif st.desync and stack and top[6] is None and not in_region:
+                # A call made inside a call that ``recover`` quarantined
+                # (its record made no engine event, so the engine's top
+                # frame is its caller): no engine event, as in a
+                # region's interior.  Not installed: the patch holds only
+                # while the quarantined call is live.
+                return (_INNER, entry)
             else:
                 site = None
                 if plan is not None:
@@ -907,22 +936,26 @@ class PythonDacceTracer:
             if event == "call":
                 if not st.entered:
                     enter()
+                key = id(frame.f_code)
                 try:
                     top = stack[-1]
                 except IndexError:
-                    patch = root_patches.get(id(frame.f_code))
+                    patch = root_patches.get(key)
                 else:
                     caller = top[1]
                     parent = frame.f_back
                     if caller[1] == UNTRACKED_FUNCTION:
-                        patch = region_patches.get(id(frame.f_code))
+                        patch = region_patches.get(key)
                     elif parent is top[0]:
-                        patch = caller[4].get(parent.f_lasti, no_patches).get(
-                            id(frame.f_code)
-                        )
+                        patch = caller[4].get(parent.f_lasti, no_patches).get(key)
                     else:
                         patch = None
                 if patch is None or st.desync:
+                    # Skipped code needs no ``resolve``: the cache entry
+                    # holds the code object, so ``key`` still names it.
+                    entry = cache_get(key)
+                    if entry is not None and entry[1] == _SKIP:
+                        return
                     patch = resolve(frame)
                     if patch is None:
                         return
@@ -1100,17 +1133,20 @@ class PythonDacceTracer:
 
         installed_hook: Any
         install: Callable[[], None]
+        fold: Callable[[], None]
         if _chook is not None:
             st = installed_hook = _chook.Hook(
-                stack, root_patches, region_patches, stats, observe, warm,
+                stack, root_patches, region_patches, self._code_cache, stats, observe, warm,
                 ROOT_FUNCTION, UNTRACKED_FUNCTION, UNTRACKED_CALLSITE,
                 (act_none, act_id, act_push, act_cmp, act_disc, act_unt), kind_normal,
                 (enter, resolve, bind, due_call, check_triggers, return_miss),
             )
             install = installed_hook.install
+            fold = installed_hook.fold
         else:
             st = _Stay()
             installed_hook = hook
+            fold = _nothing  # the Python hook counts each hit as it makes it
 
             def install() -> None:
                 setprofile(hook)

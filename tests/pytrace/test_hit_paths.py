@@ -21,7 +21,8 @@ forced by ``engine.reencode()`` at some probes:
 * both hit paths leave equal engine state: ``stats_snapshot()``, the
   statistics, cost report and ccStack counters, the fast-path hits and
   misses, ``same_encoding`` dictionaries per gTimeStamp, the thread
-  state and the samples;
+  state, the samples, every edge's ``invocations`` and the back-edge
+  policy's push counters;
 * every probe decodes to its stack walk (Section 6.1).
 """
 
@@ -183,6 +184,11 @@ def _state(tracer: PythonDacceTracer) -> Dict[str, Any]:
         "thread": (thread.id_value, list(thread.frames), thread.ccstack.entries()),
         "samples": tracer.samples,
         "suppressed": tracer.suppressed_events,
+        # The compiled path folds these once per stay (``Hook.fold``).
+        "invocations": {
+            (edge.callsite, edge.callee): edge.invocations for edge in engine.graph.edges()
+        },
+        "recursion_pushes": engine.policy.recursion_pushes,
     }
 
 

@@ -13,23 +13,41 @@ Both gates count work instead of timing it, so they hold on any host:
   profile hook: no column batch and no general-path event;
 * recursion stays in the hook too: a recursive back-edge call the hook
   handles costs a shadow-stack record and a ccStack entry, and at most
-  one event in ten back-edge calls reaches the general path.
+  one event in ten back-edge calls reaches the general path;
+* calls the tracer never traces cost no slow path: once warm, a program
+  whose leaves take samples and walk the stack (the validation oracle,
+  all of it skipped code) runs ``resolve`` zero times.
 
 Each gate runs on both hit paths (compiled and Python).
 """
 
+import contextlib
+import gc
 import importlib.util
 import random
 from collections import Counter
 
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.engine import DacceConfig
-from repro.pytrace import PythonDacceTracer
+from repro.pytrace import PythonDacceTracer, walk_stack
 from repro.pytrace.tracer import ROOT_FUNCTION
 from repro.static.pyextract import FunctionIndex, extract_package
 from repro.static.targeted import build_targeted
 
 from .hit_paths import each
+
+
+@contextlib.contextmanager
+def _collector_off():
+    """No collection inside the block: a ``gc.callbacks`` entry (pytest
+    plugins install some) or a finalizer would be traced as one more
+    call from C, in whichever run the collector happens to land."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _flat_dag():
@@ -53,9 +71,9 @@ def test_front_end_classifies_each_code_object_once(monkeypatch):
     classify = PythonDacceTracer._classify
     function_id = PythonDacceTracer._function_id
 
-    def counting_classify(self, code):
+    def counting_classify(self, code, *args):
         classified[id(code)] += 1
-        return classify(self, code)
+        return classify(self, code, *args)
 
     def counting_function_id(self, code):
         assigned[id(code)] += 1
@@ -64,8 +82,9 @@ def test_front_end_classifies_each_code_object_once(monkeypatch):
     monkeypatch.setattr(PythonDacceTracer, "_classify", counting_classify)
     monkeypatch.setattr(PythonDacceTracer, "_function_id", counting_function_id)
     tracer = PythonDacceTracer()
-    for _ in range(2):
-        tracer.run(namespace["main"])
+    with _collector_off():
+        for _ in range(2):
+            tracer.run(namespace["main"])
     calls = tracer.engine.stats.calls
     assert calls == 2 * (1 + 5 * 40), calls
     assert set(classified.values()) == {1}, classified
@@ -100,8 +119,9 @@ def test_steady_state_runs_are_encoded_in_the_hook(monkeypatch):
     monkeypatch.setattr(engine, "process_columns", counting_process_columns)
     monkeypatch.setattr(engine, "on_event", counting_on_event)
     hits = engine.fastpath.hits
-    for _ in range(3):
-        tracer.run(namespace["main"])
+    with _collector_off():
+        for _ in range(3):
+            tracer.run(namespace["main"])
     assert work == Counter(), work
     assert engine.fastpath.hits - hits == 3 * 2 * 201
     assert engine.stats.calls == engine.stats.returns == 4 * 201
@@ -192,3 +212,37 @@ def test_back_edge_calls_stay_in_the_hook(monkeypatch):
     assert back_edge_calls > 10_000, engine.stats
     assert general["on_event"] <= back_edge_calls / 10, (general, back_edge_calls)
     assert engine.fastpath.hit_rate >= 0.95, engine.fastpath_stats()
+
+
+@each
+def test_calls_inside_skipped_code_run_no_resolve():
+    # The leaves of the flat DAG probe, as the pipeline benchmark's
+    # oracle does: a sample and a stack walk, whose own calls (and the
+    # dataclass constructors they make) are the tracer package's.
+    # The check interval outlasts the runs; one explicit pass encodes
+    # what run 1 found, and run 2 patches the new table's call sites.
+    namespace = _flat_dag()
+    tracer = PythonDacceTracer(
+        config=DacceConfig(adaptive=AdaptiveConfig(check_interval=10**9))
+    )
+    walks = []
+
+    def leaf(x):
+        walks.append((tracer.sample(), walk_stack(tracer)))
+        return x
+
+    for i in range(20, 40):
+        namespace["f%d" % i] = leaf
+    tracer.run(namespace["main"])
+    assert tracer.engine.reencode()
+    tracer.run(namespace["main"])
+    resolved = tracer.resolve_calls
+    walked = len(walks)
+    with _collector_off():
+        for _ in range(3):
+            tracer.run(namespace["main"])
+    assert len(walks) - walked == 3 * 5 * 20
+    assert tracer.resolve_calls == resolved, tracer.resolve_calls - resolved
+    decoder = tracer.engine.decoder()
+    for sample, walked_context in walks[walked:]:
+        assert decoder.decode(sample).functions() == walked_context.functions()

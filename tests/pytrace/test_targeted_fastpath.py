@@ -114,3 +114,38 @@ def _check_samples(tracer, plan, _rows, records):
     for sample, walked in records:
         decoded = decoder.decode(sample).functions()
         assert decoded == targeted_program.project(walked, tracked)
+
+
+def test_hit_paths_fold_equal_edge_counts(tmp_path):
+    # The engine is warm-started from the plan: the first hit of a seeded
+    # edge credits ``warmstart_handler_hits_avoided``.  The compiled path
+    # counts hits in C and folds them into the edges once per stay,
+    # crediting there.  With a probe that takes no sample, no stay ends
+    # inside an iteration, so each seeded edge is hit several times in
+    # its first stay.
+    counts = []
+    for path in available():
+        with forced(path):
+            root = tmp_path / path
+            root.mkdir()
+            module, graph = targeted_program.load(str(root), lambda: None)
+            tracer = PythonDacceTracer(
+                targeted=targeted_program.plan_for(graph), source_root=str(root)
+            )
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                tracer.run(module.run_iteration, ROUNDS)
+        finally:
+            gc.enable()
+        engine = tracer.engine
+        edges = list(engine.graph.edges())
+        avoided = engine.stats.warmstart_handler_hits_avoided
+        # Each seeded edge is credited once, on its first hit.
+        assert avoided == sum(1 for edge in edges if edge.seeded and edge.invocations) > 0
+        assert engine.faults.total == 0
+        counts.append(
+            (avoided, {(edge.callsite, edge.callee): edge.invocations for edge in edges})
+        )
+    assert all(other == counts[0] for other in counts[1:]), counts

@@ -352,13 +352,17 @@ def test_calls_inside_a_quarantined_call_pop_no_engine_frame():
 
     engine._push_unencoded = failing
     reached = []
+    suppressed = tracer.suppressed_events
     assert tracer.run(_countdown_to_calls, 8, reached) == 9
     assert reached == [True]
-    # The quarantined call runs without an engine frame, so the engine
-    # drops the calls it makes; no return, theirs or its own, pops a
-    # frame the engine holds for a live caller.
+    # The quarantined call runs without an engine frame, so the hook
+    # suppresses the calls it makes, as it does a targeted region's
+    # interior: the quarantine is the only fault, and no return, theirs
+    # or its own, pops a frame the engine holds for a live caller.
     counts = engine.faults.counts_by_kind()
-    assert counts == {"trace-error": 1, "caller-mismatch": 2}, counts
+    assert counts == {"trace-error": 1}, counts
+    # Its return, and the call and return of each of its two calls.
+    assert tracer.suppressed_events - suppressed == 1 + 2 * 2
     assert engine.stats.calls - engine.stats.returns == 1  # the failed call
     assert len(engine._threads[0].frames) == 1
 
