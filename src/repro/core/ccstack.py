@@ -22,10 +22,16 @@ the columnar kernel (:func:`repro.core.fastpath.columnar_kernel`) and
 the Python tracer's profile hook, push, compress and pop the same lists
 directly.  Each takes them with :meth:`CcStack.kernel_view` and keeps
 the logical depth and the operation counts in locals; the end of its
-stay on the thread (:func:`repro.core.fastpath.hand_back`) returns them
-with :meth:`CcStack.kernel_fold`.  Whether a back edge compresses is
+stay on the thread (``DacceEngine._end_stay``) returns them with
+:meth:`CcStack.kernel_fold`.  Whether a back edge compresses is
 decided per edge by the engine (its compression mode and the adaptive
 policy), not by the stack.
+
+The operation counters (:class:`CcStackStats`) are not the stack's
+own: every ccStack of one engine shares the engine's one
+:class:`CcStackStats`, so the counters cover the whole run, exited
+threads included, and ``max_depth`` is the deepest any thread's stack
+has been.  A stack built without one counts into its own.
 :meth:`CcStack.snapshot` and :meth:`CcStack.entries` copy the content out
 as tuples.
 """
@@ -83,15 +89,16 @@ class CcStackStats:
 
 
 class CcStack:
-    """One thread's ccStack."""
+    """One thread's ccStack, counting into ``stats`` (shared by every
+    ccStack of an engine; a fresh set when ``None``)."""
 
-    def __init__(self) -> None:
+    def __init__(self, stats: Optional[CcStackStats] = None) -> None:
         self._entries: List[CcEntry] = []
         #: Logical depth (including compressed repetitions), maintained
         #: incrementally so the per-push ``max_depth`` update is O(1)
         #: instead of a full-stack sum.
         self._depth = 0
-        self.stats = CcStackStats()
+        self.stats = CcStackStats() if stats is None else stats
 
     # ------------------------------------------------------------------
     def push(
@@ -204,7 +211,10 @@ class CcStack:
         decompressions: int,
     ) -> None:
         """Take back the depth and the operation counts a fast-path
-        driver kept in locals since :meth:`kernel_view`."""
+        driver kept in locals since :meth:`kernel_view`.
+
+        ``max_depth`` replaces the shared peak: no other stack of the
+        engine runs while a driver holds this one."""
         self._depth = depth
         stats = self.stats
         stats.pushes += pushes

@@ -71,6 +71,7 @@ from .ccstack import (
     UNTRACKED_CALLSITE,
     UNTRACKED_FUNCTION,
     CcStack,
+    CcStackStats,
 )
 from .context import CallingContext, CollectedSample, ContextStep
 from .dictionary import DictionaryStore, EncodingDictionary
@@ -332,15 +333,10 @@ class DacceEngine:
         self._edges_at_last_encode = 0
         self._tail_calling_functions: Set[FunctionId] = set()
         self._threads: Dict[ThreadId, _ThreadState] = {}
-        # ccStack counters of threads that already exited (Table 1 sums
-        # traffic over the whole run, not just live threads).
-        self._retired_ccstack = {
-            "pushes": 0,
-            "pops": 0,
-            "compressions": 0,
-            "decompressions": 0,
-            "max_depth": 0,
-        }
+        # The one ccStack counter set, shared by every thread's ccStack
+        # (Table 1 counts traffic over the whole run, not just live
+        # threads).
+        self._ccstack_stats = CcStackStats()
 
         # Initial encoding: a graph containing only ``main`` (Section 6.1)
         # for DACCE; a warm-start plan instead supplies a pre-validated
@@ -361,7 +357,7 @@ class DacceEngine:
         self._threads[0] = _ThreadState(
             thread=0,
             id_value=0,
-            ccstack=CcStack(),
+            ccstack=CcStack(self._ccstack_stats),
             frames=[(root, None, 0, (0, 0), _Action.NONE, CallKind.NORMAL, ())],
         )
         # Fast-path specialisation state (docs/PERFORMANCE.md).  The
@@ -483,7 +479,7 @@ class DacceEngine:
     def _collect_metrics(self) -> None:
         """Scrape-time migration of the legacy counters onto the registry.
 
-        ``DacceStats``, the retired-ccStack merge and the indirect
+        ``DacceStats``, the ccStack counters and the indirect
         dispatch table keep their existing in-band roles; this mirrors
         them into instruments without adding hot-path work.
         """
@@ -654,8 +650,8 @@ class DacceEngine:
         iterates raw integer columns with one dict probe and one integer
         add per hot event (a ccStack push or pop per back-edge or
         boundary event), with statistics, window counters, cost charges
-        and telemetry folded into one flush per stay on a thread
-        (:func:`repro.core.fastpath.hand_back`).
+        and telemetry folded once per stay on a thread
+        (:meth:`_end_stay`).
 
         Everything else (unencoded edges, first bindings, indirect
         targets outside the patched set, indirect and PLT back edges,
@@ -719,18 +715,12 @@ class DacceEngine:
                 i, reason, thread, countdown = columnar_kernel(
                     events,
                     i,
-                    self._threads,
                     table,
                     deopt,
-                    self._flush_fastpath_counters,
-                    self.stats,
+                    self,
                     self._window.calls,
-                    self.config.adaptive.check_interval,
-                    self._warm,
                     profiled,
                     prof.countdown if prof is not None else 0,
-                    self._h_ccstack_depth.observe if self._obs else None,
-                    self._targeted_fns,
                 )
                 # A sample callback run by a deopt may have swapped hooks.
                 prof = self._prof
@@ -747,8 +737,14 @@ class DacceEngine:
             for view in views:
                 view.release()
 
-    def _flush_fastpath_counters(
+    def _end_stay(
         self,
+        state: _ThreadState,
+        cur_id: int,
+        ccs: Optional[CcStack],
+        depth: int,
+        max_depth: int,
+        decompressions: int,
         calls: int,
         returns: int,
         id_updates: int,
@@ -759,13 +755,29 @@ class DacceEngine:
         boundary_pushes: int,
         boundary_pops: int,
         untracked: int,
-        indirect: int,
-        plt: int,
-        comparisons: int,
-        hash_lookups: int,
+        indirect: int = 0,
+        plt: int = 0,
+        comparisons: int = 0,
+        hash_lookups: int = 0,
     ) -> None:
-        """Fold one fast-path stay's counters into engine state.
+        """End a fast-path driver's stay on ``state``: take its locals
+        back into engine state.
 
+        ``cur_id`` is the id register and ``ccs`` the ccStack the driver
+        bound (``None`` if it touched none), with the ``depth``,
+        ``max_depth`` and decompressions it kept for it; the frames are
+        already in ``state.frames``.  The rest are the stay's engine
+        counters.  ``indirect`` and ``plt`` count the stay's INDIRECT
+        and PLT calls (among ``calls``), ``comparisons`` and
+        ``hash_lookups`` its indirect dispatches; the profile hook,
+        which handles only NORMAL calls, leaves them 0.  Afterwards the
+        thread state, the ccStack and the engine's statistics, window
+        and cost report are what per-event processing would have left.
+
+        Every return of a stay that pops the ccStack is a back-edge or
+        a boundary return (discovery returns deoptimise), and each one
+        either drops a compressed repetition or pops an entry, so the
+        physical pops are ``pops + boundary_pops - decompressions``.
         Every call and return of a stay is a fast-path hit, and every
         INDIRECT call among them an indirect hit.
 
@@ -778,6 +790,14 @@ class DacceEngine:
         ``boundary_crossings`` and stay out of the trigger-(c) window,
         as in :meth:`_apply_targeted` and :meth:`on_return`.
         """
+        if ccs is not None:
+            ccs.kernel_fold(
+                depth, max_depth, pushes + boundary_pushes, compressions,
+                pops + boundary_pops - decompressions, decompressions,
+            )
+        state.id_value = cur_id
+        if not (calls or returns):
+            return
         self.fastpath.hits += calls + returns
         obs = self._obs
         if calls:
@@ -1205,7 +1225,7 @@ class DacceEngine:
             # put a re-entry record directly above the clone sentinel and
             # leave the spawned thread's contexts undecodable.
             self._targeted_fns.add(event.entry)
-        ccstack = CcStack()
+        ccstack = CcStack(self._ccstack_stats)
         ccstack.push(0, CLONE_CALLSITE, event.entry)
         state = _ThreadState(
             thread=event.thread,
@@ -1259,24 +1279,8 @@ class DacceEngine:
             state.id_value, state.ccstack, state.frames = self._regenerated(
                 state, self._current
             )
-        stats = state.ccstack.stats
-        self._retired_ccstack["pushes"] += stats.pushes
-        self._retired_ccstack["pops"] += stats.pops
-        self._retired_ccstack["compressions"] += stats.compressions
-        self._retired_ccstack["decompressions"] += stats.decompressions
-        self._retired_ccstack["max_depth"] = max(
-            self._retired_ccstack["max_depth"], stats.max_depth
-        )
         del self._threads[event.thread]
-        self._event(
-            "thread_exit",
-            thread=event.thread,
-            gts=self._timestamp,
-            ccstack_pushes=stats.pushes,
-            ccstack_pops=stats.pops,
-            ccstack_compressions=stats.compressions,
-            ccstack_max_depth=stats.max_depth,
-        )
+        self._event("thread_exit", thread=event.thread, gts=self._timestamp)
 
     # ------------------------------------------------------------------
     # oracles / introspection
@@ -1423,18 +1427,9 @@ class DacceEngine:
         return snapshot
 
     def ccstack_stats(self) -> Dict[str, int]:
-        """Summed ccStack operation counters (live + exited threads)."""
-        totals = dict(self._retired_ccstack)
-        # list() so a concurrent scrape survives thread start/exit events
-        # mutating the dict mid-iteration.
-        for state in list(self._threads.values()):
-            stats = state.ccstack.stats
-            totals["pushes"] += stats.pushes
-            totals["pops"] += stats.pops
-            totals["compressions"] += stats.compressions
-            totals["decompressions"] += stats.decompressions
-            totals["max_depth"] = max(totals["max_depth"], stats.max_depth)
-        return totals
+        """The ccStack operation counters of the whole run (live and
+        exited threads)."""
+        return dict(vars(self._ccstack_stats))
 
     # ------------------------------------------------------------------
     # call machinery
@@ -1942,8 +1937,9 @@ class DacceEngine:
         commits, and a resync installs them against the current
         dictionary at once.
         """
+        # The replay's pushes count into the new stack's own counters,
+        # which it trades for the engine's once built.
         ccstack = CcStack()
-        old_stats = state.ccstack.stats
         if state.spawned_entry is not None:
             ccstack.push(0, CLONE_CALLSITE, state.spawned_entry)
             id_value = dictionary.max_id + 1
@@ -2030,6 +2026,5 @@ class DacceEngine:
                 )
             )
 
-        # Preserve accumulated traffic statistics across regeneration.
-        ccstack.stats = old_stats
+        ccstack.stats = self._ccstack_stats
         return id_value, ccstack, new_frames

@@ -19,9 +19,9 @@ Every driver keeps the same shadow stack: one :data:`Frame` tuple per
 live call, in the thread's ``frames`` list, built by whichever driver
 handled the call.  A *stay* is the stretch during which a driver holds
 one thread's engine state in its locals: the id register, the ccStack's
-current checkpoint, depth and operation counts, and the engine counters
-it has folded since the stay began.  Every stay ends in
-:func:`hand_back`, which returns all of it to the engine, so nothing
+current checkpoint, depth and decompressions, and the engine counters it
+has folded since the stay began.  Every stay ends in one engine method,
+``DacceEngine._end_stay``, which takes all of it back, so nothing
 outside a driver ever sees engine state that a driver still holds.
 
 The table is a pure *specialisation cache*: every entry restates what
@@ -73,19 +73,18 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Tuple,
     Union,
 )
 
 from .ccstack import UNTRACKED_CALLSITE, CcEntry, CcStack
-from .events import CallKind, CallSiteId, FunctionId, ThreadId
+from .events import CallKind, CallSiteId, FunctionId
 
 if TYPE_CHECKING:
     from .callgraph import CallEdge, CallGraph
     from .dictionary import EncodingDictionary
-    from .engine import DacceStats, _ThreadState
+    from .engine import DacceEngine, _ThreadState
     from .indirect import IndirectCallSite, IndirectDispatchTable
 
 #: ``(callsite, callee) -> (encoding delta, edge, callee tail-calls?)``.
@@ -359,15 +358,16 @@ FRAME_CHAIN = 6
 # ``DacceEngine.process_columns`` drives struct-of-arrays batches
 # (:mod:`repro.core.columnar`) through :func:`columnar_kernel`, one
 # ordinary function for every engine.  Optional features are runtime
-# guards on arguments: the warm-start credit (``warm``), the sampling
-# countdown (``profiled``), the ccStack-depth histogram (``observe``)
-# and the targeted boundary block (``tracked``); the adaptive check
-# interval is an argument too.  Everything that changes per encoding
-# epoch (the table's three maps, ``maxID + 1``) comes from the table, so
-# a re-encoding pass only recompiles the table.  The per-thread id
-# register, the logical top-of-stack function and the sampling countdown
-# live in locals, so the steady-state inner loop is one dict probe plus
-# one integer add over raw integer columns.
+# guards: the sampling countdown (``profiled``, an argument) and, read
+# from the engine once per run like the adaptive check interval, the
+# warm-start credit (``warm``), the ccStack-depth histogram
+# (``observe``) and the targeted boundary block (``tracked``).
+# Everything that changes per encoding epoch (the table's three maps,
+# ``maxID + 1``) comes from the table, so a re-encoding pass only
+# recompiles the table.  The per-thread id register, the logical
+# top-of-stack function and the sampling countdown live in locals, so
+# the steady-state inner loop is one dict probe plus one integer add
+# over raw integer columns.
 #
 # Every call the kernel handles pushes its :data:`Frame` straight onto
 # the thread's ``frames``, as the general path does, and every return it
@@ -386,10 +386,12 @@ FRAME_CHAIN = 6
 # The kernel works on the ccStack's storage (:data:`CcEntry` lists)
 # directly.  On the first ccStack event of a stay on a thread it takes
 # the entry list, the logical depth and ``max_depth`` into locals
-# (``CcStack.kernel_view``); pops and decompressions count in locals
-# from zero, and pushes and compressions are the stay's engine
+# (``CcStack.kernel_view``); decompressions count in a local from
+# zero, and pushes, compressions and pops are the stay's engine
 # counters.  The stay's end folds them back, and only if it took them,
-# so entering a thread costs nothing.
+# so entering a thread costs nothing.  It derives the physical pops:
+# every back-edge or boundary return drops a repetition or pops an
+# entry, so they are those returns less the decompressions.
 #
 # A back-edge call is the general path's ``_push_unencoded`` inlined:
 # the repeat-top test feeds the policy's push counters, the top entry's
@@ -413,20 +415,21 @@ FRAME_CHAIN = 6
 # bookkeeping: both count towards the stay's per-kind call counters, and
 # an INDIRECT hit also bumps its site's ``hits`` and
 # ``total_comparisons`` and adds its comparisons (or hash lookup) to the
-# stay's, which the flush charges to the cost model's ``indirect``
+# stay's, which the stay's end charges to the cost model's ``indirect``
 # category and counts as ``stats.indirect_hits``.
 #
 # A stay on a thread ends at a thread switch, before a deopt and when
-# the kernel returns, and always in :func:`hand_back`: the ccStack
+# the kernel returns, and always in ``engine._end_stay``: the ccStack
 # locals are folded, the id register written back and the stay's engine
-# counters flushed.  The kernel then adds the stay's calls to its copy
-# of the adaptive window, so the trigger test ``wcalls + calls >=
-# interval`` stays exact.  On a miss it calls the per-batch ``deopt``
-# closure (:data:`Deopt`), which runs the general path on that one event
-# and returns ``(window calls, sample countdown, stale)``; the kernel
-# then re-enters the event thread on the next event.  ``stale`` is true when the general path
-# changed what the kernel's arguments were taken from (the dictionary,
-# the tail-caller set) or installed or removed the sampling hook.
+# counters folded into the engine.  The kernel then adds the stay's
+# calls to its copy of the adaptive window, so the trigger test
+# ``wcalls + calls >= interval`` stays exact.  On a miss it calls the
+# per-batch ``deopt`` closure (:data:`Deopt`), which runs the general
+# path on that one event and returns ``(window calls, sample countdown,
+# stale)``; the kernel then re-enters the event thread on the next
+# event.  ``stale`` is true when the general path changed what the
+# kernel's arguments were taken from (the dictionary, the tail-caller
+# set) or installed or removed the sampling hook.
 
 #: Exit reasons of a kernel run.
 KERNEL_DONE = 0  #: every event consumed
@@ -443,94 +446,37 @@ ColumnarRow = Tuple[int, int, int, int, int, int]
 #: countdown returns ``(window calls, sampling countdown, stale)``.
 Deopt = Callable[[int, int], Tuple[int, int, bool]]
 
-#: ``DacceEngine._flush_fastpath_counters``, which folds one stay's
-#: engine counters, passed in :func:`hand_back`'s parameter order.
-Flush = Callable[
-    [int, int, int, int, int, int, int, int, int, int, int, int, int, int], None
-]
-
-
-def hand_back(
-    state: "_ThreadState",
-    cur_id: int,
-    ccs: Optional[CcStack],
-    depth: int,
-    max_depth: int,
-    cc_pops: int,
-    cc_decompressions: int,
-    flush: Flush,
-    calls: int,
-    returns: int,
-    id_updates: int,
-    tcstack: int,
-    pushes: int,
-    compressions: int,
-    pops: int,
-    boundary_pushes: int,
-    boundary_pops: int,
-    untracked: int,
-    indirect: int = 0,
-    plt: int = 0,
-    comparisons: int = 0,
-    hash_lookups: int = 0,
-) -> None:
-    """End a driver's stay on ``state``: hand its locals back.
-
-    ``cur_id`` is the id register and ``ccs`` the ccStack the driver
-    bound (``None`` if it touched none), with the ``depth``,
-    ``max_depth``, pops and decompressions it kept for it.  The frames
-    are already in ``state.frames``.  The rest are the stay's engine
-    counters, which ``flush``
-    folds into the engine; the stay's ccStack pushes and compressions
-    are among them.  ``indirect`` and ``plt`` count the stay's INDIRECT
-    and PLT calls (among ``calls``), ``comparisons`` and
-    ``hash_lookups`` its indirect dispatches; the profile hook, which
-    handles only NORMAL calls, leaves them 0.  Afterwards the thread state, the
-    ccStack and the engine's statistics, window and cost report are
-    what per-event processing would have left.
-    """
-    if ccs is not None:
-        ccs.kernel_fold(
-            depth, max_depth, pushes + boundary_pushes, compressions,
-            cc_pops, cc_decompressions,
-        )
-    state.id_value = cur_id
-    if calls or returns:
-        flush(
-            calls, returns, id_updates, tcstack, pushes, compressions, pops,
-            boundary_pushes, boundary_pops, untracked, indirect, plt,
-            comparisons, hash_lookups,
-        )
-
 
 def columnar_kernel(
     events: Iterator[ColumnarRow],
     i: int,
-    threads: Mapping[ThreadId, "_ThreadState"],
     table: FastPathTable,
     deopt: Deopt,
-    flush: Flush,
-    stats: "DacceStats",
+    engine: "DacceEngine",
     wcalls: int,
-    interval: int,
-    warm: bool,
     profiled: bool,
     pcount: int,
-    observe: Optional[Callable[[int], None]],
-    tracked: Optional[AbstractSet[FunctionId]],
 ) -> Tuple[int, int, int, int]:
     """Dispatch column events until the batch ends or the engine must act.
 
     ``events`` is a shared iterator over the batch's rows and ``i`` the
     index of the last event already consumed; ``wcalls`` is the adaptive
     window's call count and ``pcount`` the sampling countdown (read only
-    when ``profiled``); every stay ends in :func:`hand_back` with
-    ``flush``.  Returns ``(i, reason, thread, countdown)`` once the last
-    stay has ended: ``i`` is the last event consumed (pass it back in to
+    when ``profiled``); every stay ends in ``engine._end_stay``.
+    Returns ``(i, reason, thread, countdown)`` once the last stay has
+    ended: ``i`` is the last event consumed (pass it back in to
     resume), ``reason`` one of the ``KERNEL_*`` codes and ``thread`` the
     thread the kernel was on.
     """
-    threads_get = threads.get
+    threads_get = engine._threads.get
+    stats = engine.stats
+    end_stay = engine._end_stay
+    interval = engine.config.adaptive.check_interval
+    warm = engine._warm
+    observe: Optional[Callable[[int], None]] = (
+        engine._h_ccstack_depth.observe if engine._obs else None
+    )
+    tracked = engine._targeted_fns
     entries_get = table.entries.get
     indirect_get = table.indirect_entries.get
     back_get = table.back_entries.get
@@ -557,10 +503,10 @@ def columnar_kernel(
     cur_id = 0
     top_fn = -1
     # The current thread's ccStack while bound (``CcStack.kernel_view``);
-    # its pops and decompressions count from zero until the stay ends.
+    # its decompressions count from zero until the stay ends.
     ccs: Optional[CcStack] = None
     ents: List[CcEntry] = []
-    depth = max_depth = s_pop = s_dcmp = 0
+    depth = max_depth = s_dcmp = 0
     # The stay's engine counters.
     calls = rets = id_updates = tcstack = 0
     pushes = compressions = pops = bpushes = bpops = untracked = 0
@@ -573,11 +519,11 @@ def columnar_kernel(
             # event's thread.
             if et != cur_t:
                 if cur_t != -1:
-                    hand_back(
-                        state, cur_id, ccs, depth, max_depth, s_pop, s_dcmp,
-                        flush, calls, rets, id_updates, tcstack, pushes,
-                        compressions, pops, bpushes, bpops, untracked,
-                        indirect, plt, comparisons, hashes,
+                    end_stay(
+                        state, cur_id, ccs, depth, max_depth, s_dcmp, calls,
+                        rets, id_updates, tcstack, pushes, compressions, pops,
+                        bpushes, bpops, untracked, indirect, plt, comparisons,
+                        hashes,
                     )
                     ccs = None
                     wcalls += calls
@@ -649,7 +595,7 @@ def columnar_kernel(
                         if ccs is None:
                             ccs = state.ccstack
                             ents, depth, max_depth = ccs.kernel_view()
-                            s_pop = s_dcmp = 0
+                            s_dcmp = 0
                         n = len(ents)
                         if n:
                             top = ents[-1]
@@ -705,7 +651,7 @@ def columnar_kernel(
                                 if ccs is None:
                                     ccs = state.ccstack
                                     ents, depth, max_depth = ccs.kernel_view()
-                                    s_pop = s_dcmp = 0
+                                    s_dcmp = 0
                                 n = len(ents)
                                 frames.append(
                                     (
@@ -742,7 +688,7 @@ def columnar_kernel(
                 if cc_pop and ccs is None:
                     ccs = state.ccstack
                     ents, depth, max_depth = ccs.kernel_view()
-                    s_pop = s_dcmp = 0
+                    s_dcmp = 0
                 # Tail chains, discovery entries and a pop from an empty
                 # ccStack (which the general path reports) deoptimise.
                 if not frame[6] and act is not act_disc and (ents or not cc_pop):
@@ -757,7 +703,6 @@ def columnar_kernel(
                             s_dcmp += 1
                         else:
                             ents.pop()
-                            s_pop += 1
                         depth -= 1
                         if observe is not None:
                             observe(depth)
@@ -776,11 +721,10 @@ def columnar_kernel(
         # Anything else deoptimises: end the stay and hand the event to
         # the general path.
         if cur_t != -1:
-            hand_back(
-                state, cur_id, ccs, depth, max_depth, s_pop, s_dcmp,
-                flush, calls, rets, id_updates, tcstack, pushes,
-                compressions, pops, bpushes, bpops, untracked,
-                indirect, plt, comparisons, hashes,
+            end_stay(
+                state, cur_id, ccs, depth, max_depth, s_dcmp, calls, rets,
+                id_updates, tcstack, pushes, compressions, pops, bpushes, bpops,
+                untracked, indirect, plt, comparisons, hashes,
             )
             ccs = None
             cur_t = -1
@@ -792,10 +736,9 @@ def columnar_kernel(
             reason = KERNEL_STALE
             break
     if cur_t != -1:
-        hand_back(
-            state, cur_id, ccs, depth, max_depth, s_pop, s_dcmp,
-            flush, calls, rets, id_updates, tcstack, pushes,
-            compressions, pops, bpushes, bpops, untracked,
-            indirect, plt, comparisons, hashes,
+        end_stay(
+            state, cur_id, ccs, depth, max_depth, s_dcmp, calls, rets,
+            id_updates, tcstack, pushes, compressions, pops, bpushes, bpops,
+            untracked, indirect, plt, comparisons, hashes,
         )
     return i, reason, cur_t, pcount

@@ -22,7 +22,7 @@ Two usage modes keep the engine's hot path cheap:
   check per event.
 * **Pull** — :meth:`MetricsRegistry.register_collector` callbacks run at
   snapshot/export time and copy already-maintained statistics
-  (``DacceStats``, retired-ccStack totals, indirect dispatch tables)
+  (``DacceStats``, the ccStack counters, indirect dispatch tables)
   into instruments.  Migrating an existing counter costs nothing on the
   hot path.
 

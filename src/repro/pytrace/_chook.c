@@ -84,7 +84,6 @@ typedef struct {
     PyObject *ents;
     Py_ssize_t depth;
     Py_ssize_t max_depth;
-    Py_ssize_t s_pop;
     Py_ssize_t s_dcmp;
     Py_ssize_t rets;
     Py_ssize_t id_updates;
@@ -704,11 +703,8 @@ pop_cc(Hook *h, int compressed)
             return -1;
         h->s_dcmp += 1;
     }
-    else {
-        if (list_pop(ents) < 0)
-            return -1;
-        h->s_pop += 1;
-    }
+    else if (list_pop(ents) < 0)
+        return -1;
     h->depth -= 1;
     return observe_depth(h);
 }
@@ -1053,7 +1049,6 @@ static PyMemberDef Hook_members[] = {
     STATE(ents, T_OBJECT),
     STATE(depth, T_PYSSIZET),
     STATE(max_depth, T_PYSSIZET),
-    STATE(s_pop, T_PYSSIZET),
     STATE(s_dcmp, T_PYSSIZET),
     STATE(rets, T_PYSSIZET),
     STATE(id_updates, T_PYSSIZET),

@@ -13,6 +13,7 @@ import sys
 from types import FrameType
 from typing import List, Optional
 
+from ..core.ccstack import UNTRACKED_FUNCTION
 from ..core.context import CallingContext, ContextStep
 from .tracer import ROOT_FUNCTION, PythonDacceTracer
 
@@ -25,17 +26,24 @@ def walk_stack(
     """Capture the current Python call path as the tracer would name it.
 
     ``skip`` drops that many innermost frames (this helper itself).
+    Each live traced frame is named by the function id the tracer
+    entered it under (``tracer.live_frames()``).
     Frames above the tracer's base (the harness) collapse into the
     root node, matching the engine's view.
     """
     if frame is None:
         frame = sys._getframe(skip)
     functions: List[int] = []
-    live = {id(f) for f, _function in tracer.live_frames()}
+    live = {id(f): function for f, function in tracer.live_frames()}
     current: Optional[FrameType] = frame
     while current is not None:
-        if id(current) in live:
-            functions.append(tracer._function_id(current.f_code))
+        function = live.get(id(current))
+        if function is not None:
+            if function == UNTRACKED_FUNCTION:
+                # Out of the targeted plan: name the code itself, so a
+                # projection onto the plan checks the hook's verdict.
+                function = tracer._function_id(current.f_code)
+            functions.append(function)
         current = current.f_back
     functions.append(ROOT_FUNCTION)
     functions.reverse()

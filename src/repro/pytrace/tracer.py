@@ -52,7 +52,7 @@ from ..core.context import CallingContext, CollectedSample
 from ..core.engine import DacceConfig, DacceEngine, SampleHook
 from ..core.errors import TraceError
 from ..core.events import CallEvent, CallKind, ReturnEvent, SampleEvent
-from ..core.fastpath import FastPathTable, _Action, hand_back
+from ..core.fastpath import FastPathTable, _Action
 from ..core.faults import RecoveryAction
 from . import _native
 
@@ -132,14 +132,14 @@ class _Stay:
     The compiled hit path keeps the same fields as members of its
     ``_chook.Hook``; the slow path reads and writes either one through
     the same attribute names.  ``ccs`` is ``None`` until the stay binds
-    the ccStack (``ents``, ``depth``, ``max_depth``, ``s_pop`` and
-    ``s_dcmp`` are its view); ``suppressed`` counts the events targeted
-    mode leaves out.
+    the ccStack (``ents``, ``depth``, ``max_depth`` and ``s_dcmp``, its
+    decompressions, are its view); ``suppressed`` counts the events
+    targeted mode leaves out.
     """
 
     __slots__ = (
         "entered", "desync", "mirrored", "frames", "cur_id", "cc", "mark_id",
-        "left", "t_left", "ccs", "ents", "depth", "max_depth", "s_pop", "s_dcmp",
+        "left", "t_left", "ccs", "ents", "depth", "max_depth", "s_dcmp",
         "rets", "id_updates", "tcstack", "pushes", "compressions", "pops",
         "bpushes", "bpops", "untracked", "suppressed",
     )
@@ -152,7 +152,7 @@ class _Stay:
         self.cc = (0, 0)
         self.ccs: Optional[CcStack] = None
         self.mirrored = self.left = self.t_left = 0
-        self.depth = self.max_depth = self.s_pop = self.s_dcmp = 0
+        self.depth = self.max_depth = self.s_dcmp = 0
         self.rets = self.id_updates = self.tcstack = self.pushes = 0
         self.compressions = self.pops = self.bpushes = self.bpops = 0
         self.untracked = self.suppressed = 0
@@ -540,7 +540,9 @@ class PythonDacceTracer:
         view (bound lazily), the folded counters and one calls
         countdown for the engine's sample hook, ``sample_every`` and
         the adaptive window.  :func:`leave` ends the stay as the kernel
-        does, through :func:`~repro.core.fastpath.hand_back`.  The
+        does, in one call of the engine's ``_end_stay`` with those
+        locals, which counts the stay's ccStack traffic into the
+        engine's one counter set.  The
         compiled hit path counts edge hits and back-edge pushes in C,
         and ``leave`` folds them into ``edge.invocations`` and the
         policy's push counters (``Hook.fold``), so an edge read in mid
@@ -573,7 +575,8 @@ class PythonDacceTracer:
         interior is.
 
         A call whose parent is not the top live frame (a callback from
-        C, or from skipped code) attaches to the top frame, which is
+        C, or from skipped code) attaches to the top frame, at the call
+        site of the call that frame has in progress; the top frame is
         also the caller when the parent *is* the top frame.  c_call /
         c_return / exception events carry no Python frame transition to
         encode.
@@ -581,6 +584,7 @@ class PythonDacceTracer:
         tracer = self
         engine = self.engine
         # Fixed for the engine's life.
+        end_stay = engine._end_stay
         warm = engine._warm
         stats = engine.stats
         observe = engine._h_ccstack_depth.observe if engine._obs else None
@@ -676,11 +680,10 @@ class PythonDacceTracer:
             if every:
                 tracer._calls_since_sample += calls
             fold()
-            hand_back(
-                state, st.cur_id, st.ccs, st.depth, st.max_depth, st.s_pop, st.s_dcmp,
-                engine._flush_fastpath_counters, calls, st.rets, st.id_updates,
-                st.tcstack, st.pushes, st.compressions, st.pops, st.bpushes, st.bpops,
-                st.untracked,
+            end_stay(
+                state, st.cur_id, st.ccs, st.depth, st.max_depth, st.s_dcmp, calls,
+                st.rets, st.id_updates, st.tcstack, st.pushes, st.compressions,
+                st.pops, st.bpushes, st.bpops, st.untracked,
             )
             st.ccs = None
             st.rets = st.id_updates = st.tcstack = 0
@@ -691,7 +694,7 @@ class PythonDacceTracer:
             """Take the current ccStack into ``st`` (first use per stay)."""
             ccs = st.ccs = state.ccstack
             st.ents, st.depth, st.max_depth = ccs.kernel_view()
-            st.s_pop = st.s_dcmp = 0
+            st.s_dcmp = 0
 
         def detached(fn: Callable[..., Any], *args: Any) -> Any:
             """Leave, then run engine work ``fn(*args)`` with this
@@ -825,7 +828,10 @@ class PythonDacceTracer:
                 top = stack[-1]
                 caller = top[1]
                 in_region = caller[1] == UNTRACKED_FUNCTION
-                lasti = parent.f_lasti if parent is not None else 0
+                # The top record's call in progress: the parent's own
+                # when the parent is the top frame, else the call that
+                # led into the code the tracer skips.
+                lasti = top[0].f_lasti
                 if in_region:
                     patches = region_patches
                 elif parent is top[0]:
@@ -868,10 +874,6 @@ class PythonDacceTracer:
                             lasti = 0
                         # A tracked pair takes its seeded static site.
                         site = caller[3].get(callee)
-                    elif stack and parent is not top[0]:
-                        # A departure is attributed to the real call
-                        # site in the tracked caller, or to offset 0.
-                        lasti = 0
                 if site is None:
                     sites = caller[2]
                     site = sites.get(lasti)
@@ -913,7 +915,6 @@ class PythonDacceTracer:
                             st.s_dcmp += 1
                         else:
                             ents.pop()
-                            st.s_pop += 1
                         depth = st.depth = st.depth - 1
                         if observe is not None:
                             observe(depth)
@@ -1103,7 +1104,6 @@ class PythonDacceTracer:
                         st.pops += 1
                     else:
                         ents.pop()
-                        st.s_pop += 1
                         if act is act_push:
                             st.pops += 1
                         else:

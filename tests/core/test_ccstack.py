@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ccstack import CLONE_CALLSITE, CcStack
+from repro.core.ccstack import CLONE_CALLSITE, CcStack, CcStackStats
 from repro.core.errors import TraceError
 
 
@@ -47,15 +47,36 @@ def test_entries_lists_every_field_bottom_to_top():
 
 
 def test_kernel_fold_takes_back_the_kernel_locals():
-    stack = CcStack()
+    # Two stacks share one counter set, as every ccStack of an engine does.
+    shared = CcStackStats()
+    other = CcStack(shared)
+    other.push(1, 1, 1)
+    stack = CcStack(shared)
     stack.push(4, 10, 2)
     entries, depth, max_depth = stack.kernel_view()
     assert (depth, max_depth) == (1, 1)
-    entries.append([5, 11, 3, 0, False])  # the kernel pushes in place
-    stack.kernel_fold(2, 2, 1, 0, 0, 0)
+    # The kernel pushes, compresses and pushes (depth 4), then pops one
+    # entry and drops one repetition, in place.
+    entries.append([5, 11, 3, 0, False])
+    entries[-1][3] += 1
+    entries.append([6, 12, 4, 0, False])
+    entries.pop()
+    entries[-1][3] -= 1
+    stack.kernel_fold(2, 4, 2, 1, 1, 1)
     assert stack.entries()[-1] == (5, 11, 3, 0, False)
     assert stack.depth() == 2
-    assert (stack.stats.pushes, stack.stats.max_depth) == (2, 2)
+    assert other.stats is stack.stats is shared
+    assert (shared.pushes, shared.compressions) == (4, 1)
+    assert (shared.pops, shared.decompressions, shared.max_depth) == (1, 1, 4)
+
+
+def test_a_stack_without_counters_counts_into_its_own():
+    shared = CcStackStats()
+    CcStack(shared).push(1, 1, 1)
+    stack = CcStack()
+    stack.push(2, 2, 2)
+    assert stack.stats is not shared
+    assert (stack.stats.pushes, shared.pushes) == (1, 1)
 
 
 def test_compression_requires_exact_match():

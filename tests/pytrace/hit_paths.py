@@ -6,13 +6,15 @@ Python reference hook.  :func:`forced` sets it for the tracers built
 inside a ``with`` block; :func:`each` runs a whole test once per
 available hit path.  The compiled path is available when
 ``repro.pytrace._native`` could build and load it; the Python path
-always is.
+always is.  :func:`collector_off` keeps the garbage collector out of a
+block whose traced calls a test counts exactly.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 from typing import Any, Callable, Iterator, Tuple
 
 from repro.pytrace import _native
@@ -46,3 +48,16 @@ def each(test: Callable[..., Any]) -> Callable[..., Any]:
                 test(*args, **kwargs)
 
     return run
+
+
+@contextlib.contextmanager
+def collector_off() -> Iterator[None]:
+    """No collection inside the block: a ``gc.callbacks`` entry (pytest
+    plugins install some) or a finalizer would be traced as one more
+    call from C, in whichever run the collector happens to land."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

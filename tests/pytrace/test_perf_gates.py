@@ -21,8 +21,6 @@ Both gates count work instead of timing it, so they hold on any host:
 Each gate runs on both hit paths (compiled and Python).
 """
 
-import contextlib
-import gc
 import importlib.util
 import random
 from collections import Counter
@@ -34,20 +32,7 @@ from repro.pytrace.tracer import ROOT_FUNCTION
 from repro.static.pyextract import FunctionIndex, extract_package
 from repro.static.targeted import build_targeted
 
-from .hit_paths import each
-
-
-@contextlib.contextmanager
-def _collector_off():
-    """No collection inside the block: a ``gc.callbacks`` entry (pytest
-    plugins install some) or a finalizer would be traced as one more
-    call from C, in whichever run the collector happens to land."""
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
+from .hit_paths import collector_off, each
 
 
 def _flat_dag():
@@ -82,7 +67,7 @@ def test_front_end_classifies_each_code_object_once(monkeypatch):
     monkeypatch.setattr(PythonDacceTracer, "_classify", counting_classify)
     monkeypatch.setattr(PythonDacceTracer, "_function_id", counting_function_id)
     tracer = PythonDacceTracer()
-    with _collector_off():
+    with collector_off():
         for _ in range(2):
             tracer.run(namespace["main"])
     calls = tracer.engine.stats.calls
@@ -119,7 +104,7 @@ def test_steady_state_runs_are_encoded_in_the_hook(monkeypatch):
     monkeypatch.setattr(engine, "process_columns", counting_process_columns)
     monkeypatch.setattr(engine, "on_event", counting_on_event)
     hits = engine.fastpath.hits
-    with _collector_off():
+    with collector_off():
         for _ in range(3):
             tracer.run(namespace["main"])
     assert work == Counter(), work
@@ -238,7 +223,7 @@ def test_calls_inside_skipped_code_run_no_resolve():
     tracer.run(namespace["main"])
     resolved = tracer.resolve_calls
     walked = len(walks)
-    with _collector_off():
+    with collector_off():
         for _ in range(3):
             tracer.run(namespace["main"])
     assert len(walks) - walked == 3 * 5 * 20

@@ -4,12 +4,18 @@ import sys
 
 import pytest
 
-from repro.core.engine import DacceConfig
+from repro.core.engine import CompressionMode, DacceConfig
 from repro.core.errors import TraceError
+from repro.core.events import (
+    CallEvent,
+    ReturnEvent,
+    ThreadExitEvent,
+    ThreadStartEvent,
+)
 from repro.core.faults import FaultKind, FaultPolicy, RecoveryAction
 from repro.pytrace import PythonDacceTracer, contexts_agree, walk_stack
 
-from .hit_paths import each
+from .hit_paths import collector_off, each
 
 
 def simple_chain(tracer):
@@ -246,6 +252,46 @@ def test_engine_work_runs_with_the_hook_detached():
     assert sys.getprofile() is None
 
 
+#: Skipped code, as the tracer skips frozen stdlib modules: ``relay``
+#: records its caller's bytecode offset, then calls back.
+FROZEN_RELAY = """
+import sys
+
+def relay(fn, lastis):
+    lastis.append(sys._getframe(1).f_lasti)
+    return fn()
+"""
+
+
+@each
+def test_a_callback_through_skipped_code_takes_the_callers_site():
+    skipped = {}
+    exec(compile(FROZEN_RELAY, "<frozen test>", "exec"), skipped)
+    relay = skipped["relay"]
+    lastis = []
+
+    def callback():
+        return 1
+
+    def caller():
+        return relay(callback, lastis) + relay(callback, lastis)
+
+    tracer = PythonDacceTracer()
+    assert tracer.run(caller) == 2
+    callee = tracer._function_id(callback.__code__)
+    # Each callback is filed under the call in ``caller`` that led into
+    # the skipped code, not at ``relay``'s own offset, which both share.
+    sites = tracer._caller_sites[tracer._function_id(caller.__code__)]
+    assert len(set(lastis)) == 2
+    assert sorted(sites) == sorted(lastis)
+    edges = {
+        (edge.callsite, edge.callee)
+        for edge in tracer.engine.graph.edges()
+        if edge.callee == callee
+    }
+    assert edges == {(sites[lasti], callee) for lasti in lastis}
+
+
 def _failing_tracer(policy, program, *args):
     """A tracer warmed up on ``program``, so that its edges are known
     and the forward ones encoded, whose general path then raises a
@@ -398,3 +444,76 @@ def test_injected_error_in_real_recursion_surfaces_under_strict():
     assert stats.calls == stats.returns + 1
     assert len(engine._threads[0].frames) == 1
     assert engine.faults.total == 0
+
+
+def _dive(n, bottom, *args):
+    """Recurse ``n`` deep, then call ``bottom(*args)``."""
+    if n:
+        return _dive(n - 1, bottom, *args) + 1
+    return bottom(*args)
+
+
+def _commit_pass(tracer, committed):
+    committed.append(tracer._detached(tracer.engine.reencode))
+    return 0
+
+
+@pytest.mark.faultinject
+@each
+def test_one_counter_set_over_exits_resyncs_and_passes():
+    config = DacceConfig(
+        compression=CompressionMode.ALWAYS, fault_policy=FaultPolicy.RECOVER
+    )
+    tracer = PythonDacceTracer(config=config)
+    # A collection inside the traced runs would trace a ``gc.callbacks``
+    # entry as one more call and move the exact counts below.
+    with collector_off():
+        tracer.run(_dive, 4, _leaf, 0)
+        engine = tracer.engine
+        assert engine.reencode()
+        push = engine._push_unencoded
+
+        def failing(state, event, edge):
+            action = push(state, event, edge)  # counts before the fault
+            if tracer.name_of(event.callee) == "_fault_point":
+                raise TraceError("injected fault calling _fault_point")
+            return action
+
+        engine._push_unencoded = failing
+        before = engine.ccstack_stats()
+        # An engine thread of its own, spawned at _dive, recurses 7 deep
+        # (depth 8 with its clone entry) and exits: one clone push, one
+        # back-edge push and six compressions, unwound.
+        dive = tracer._function_id(_dive.__code__)
+        engine.on_event(ThreadStartEvent(thread=1, parent=0, entry=dive))
+        for _ in range(7):
+            engine.on_event(CallEvent(thread=1, callsite=10**6, caller=dive, callee=dive))
+        for _ in range(7):
+            engine.on_event(ReturnEvent(thread=1))
+        engine.on_event(ThreadExitEvent(thread=1))
+        hits = engine.fastpath.hits
+        # Each 5-deep recursion on thread 0 pushes twice (the first entry
+        # holds the root edge's id, not maxID + 1), compresses three times
+        # and unwinds on the hit path.
+        assert tracer.run(_dive, 5, _leaf, 0) == 5
+        # The first call of _fault_point pushes a discovery entry, fails and
+        # resyncs the thread from its shadow stack without counting.
+        reached = []
+        assert tracer.run(_dive, 5, _fault_point, reached) == 5
+        assert reached == [True]
+        # A pass commits under _commit_pass's discovery push: the replay
+        # counts nothing, and encodes the edge, so its return pops nothing.
+        committed = []
+        assert tracer.run(_dive, 5, _commit_pass, tracer, committed) == 5
+        assert committed == [True]
+        assert engine.fastpath.hits > hits
+        assert engine.ccstack_stats() == {
+            "pushes": before["pushes"] + 2 + 2 + (2 + 1) + (2 + 1),
+            "pops": before["pops"] + 1 + 2 + 2 + 2,
+            "compressions": before["compressions"] + 6 + 3 + 3 + 3,
+            "decompressions": before["decompressions"] + 6 + 3 + 3 + 3,
+            # The exited thread was the deepest of all.
+            "max_depth": 8,
+        }
+    counts = engine.faults.counts_by_kind()
+    assert counts == {"trace-error": 1}, counts
